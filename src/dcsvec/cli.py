@@ -12,8 +12,10 @@ error), 2 (usage or input error).
 from __future__ import annotations
 
 import argparse
+import inspect
 import re
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -31,22 +33,19 @@ from .trees import DcsTree, Edge, Word, load_trees, read_trees, tree_from_line, 
 from .ud import convert_sentence, parse_conllu_file
 from .vocab import build_vocab, dump_path_samples, load_vocab, sample_paths, save_vocab
 
+# Config keys are TrainConfig field names, except three that keep their
+# shorter flag spellings; total_steps is set by train(), not configured.
+_SHORT_KEYS = {"noise_per_example": "noise", "clip_norm_vec": "clip_vec", "clip_norm_mat": "clip_mat"}
+_TRAIN_FIELDS = {  # config key -> TrainConfig field
+    _SHORT_KEYS.get(f.name, f.name): f for f in fields(TrainConfig) if f.name != "total_steps"
+}
+
+_VOCAB_PARAMS = inspect.signature(build_vocab).parameters
+
 _DEFAULTS = {
-    "seed": 1,
-    "workers": 1,
-    "word_min": 1000.0,
-    "prep_min": 10000.0,
-    "dim": 100,
-    "epochs": 5,
-    "lr_vec": 0.1,
-    "lr_mat": 0.0005,
-    "gamma": 0.001,
-    "kappa": 0.0001,
-    "noise": 1,
-    "clip_vec": 1.0,
-    "clip_mat": 0.1,
-    "mode": "full",
-    "lr_schedule": "linear",
+    **{key: f.default for key, f in _TRAIN_FIELDS.items()},
+    "word_min": _VOCAB_PARAMS["word_min"].default,
+    "prep_min": _VOCAB_PARAMS["prep_min"].default,
     "k": 10,
     "pos": None,
     "strict_oov": False,
@@ -54,15 +53,12 @@ _DEFAULTS = {
     "raw_params": False,
 }
 
-_CASTS = {
-    "seed": int, "workers": int, "dim": int, "epochs": int, "noise": int, "k": int,
-    "word_min": float, "prep_min": float, "lr_vec": float, "lr_mat": float,
-    "gamma": float, "kappa": float, "clip_vec": float, "clip_mat": float,
-    "mode": str, "lr_schedule": str, "pos": str,
-    "strict_oov": lambda s: s.lower() in ("1", "true", "yes"),
-    "unweighted": lambda s: s.lower() in ("1", "true", "yes"),
-    "raw_params": lambda s: s.lower() in ("1", "true", "yes"),
-}
+
+def _parse_value(text: str, default):
+    """A config-file value, typed like the key's default (None means str)."""
+    if isinstance(default, bool):
+        return text.lower() in ("1", "true", "yes")
+    return text if default is None else type(default)(text)
 
 
 def _load_config_file(path) -> dict:
@@ -76,10 +72,10 @@ def _load_config_file(path) -> dict:
                 raise MalformedLine("expected key=value", line_no)
             key, _, value = line.partition("=")
             key = key.strip().replace("-", "_")
-            if key not in _CASTS:
+            if key not in _DEFAULTS:
                 raise MalformedLine(f"unknown config key {key!r}", line_no)
             try:
-                values[key] = _CASTS[key](value.strip())
+                values[key] = _parse_value(value.strip(), _DEFAULTS[key])
             except ValueError as exc:
                 raise MalformedLine(str(exc), line_no) from exc
     return values
@@ -141,7 +137,7 @@ def parse_tree_literal(text: str) -> DcsTree:
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--seed", type=int, default=None, help="rng seed (default 1)")
+    sub.add_argument("--seed", type=int, default=None, help=f"rng seed (default {_DEFAULTS['seed']})")
     sub.add_argument("--config", default=None, help="key=value config file")
     sub.add_argument("--workers", type=int, default=None, help="trainer worker threads")
 
@@ -176,22 +172,8 @@ def cmd_build_vocab(args) -> int:
 
 
 def cmd_train(args) -> int:
+    config = TrainConfig(**{f.name: getattr(args, key) for key, f in _TRAIN_FIELDS.items()})
     voc = load_vocab(args.vocab)
-    config = TrainConfig(
-        dim=args.dim,
-        lr_vec=args.lr_vec,
-        lr_mat=args.lr_mat,
-        gamma=args.gamma,
-        kappa=args.kappa,
-        noise_per_example=args.noise,
-        clip_norm_vec=args.clip_vec,
-        clip_norm_mat=args.clip_mat,
-        epochs=args.epochs,
-        seed=args.seed,
-        workers=args.workers,
-        mode=args.mode,
-        lr_schedule=args.lr_schedule,
-    )
     corpus = load_trees(args.trees_in)
     if args.dump_paths:
         rng = np.random.default_rng(args.seed)

@@ -13,6 +13,10 @@ class InputError(DcsvecError):
     exit_code = 2
 
 
+class InvalidConfig(InputError, ValueError):
+    """A training setting is out of range."""
+
+
 class MissingField(DcsvecError):
     """A tuple was projected on a field it does not carry."""
 

@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import ConversionFailure, LengthMismatch, MalformedLine, ZeroNorm
 from .model import ModelParams, compose_query, path_score
+from .train import softplus
 from .trees import (
     ARG,
     COMP,
@@ -319,7 +320,7 @@ def completion_score(
         s = path_score(
             params, tree.words[path.start], path.hops, tree.words[path.end], strict=strict
         )
-        logp = -_softplus_neg(s)
+        logp = -softplus(-s)
         if weighted:
             total += path.weight * logp
             weight_sum += path.weight
@@ -330,13 +331,6 @@ def completion_score(
             raise ConversionFailure("no paths end at the blank node")
         return total / weight_sum
     return total
-
-
-def _softplus_neg(s: float) -> float:
-    # -log sigmoid(s) = log(1 + e^-s), stable
-    if s < 0:
-        return -s + math.log1p(math.exp(s))
-    return math.log1p(math.exp(-s))
 
 
 @dataclass

@@ -293,7 +293,12 @@ def load_model(src) -> tuple[ModelParams, Vocabulary]:
             f"expected {expected} payload bytes, found {len(payload)}",
             offset=offset + len(payload),
         )
-    flat = np.frombuffer(payload[:expected], dtype="<f4")
+    if len(payload) > expected:
+        raise DimensionMismatch(
+            f"trailing bytes after the payload at byte offset {offset + expected} "
+            f"(file is {len(blob)} bytes)"
+        )
+    flat = np.frombuffer(payload, dtype="<f4")
     pos = 0
 
     def take(count: int, shape) -> np.ndarray:

@@ -17,7 +17,9 @@ slot is held constant there.
 
 from __future__ import annotations
 
+import itertools
 import math
+import threading
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -26,7 +28,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .errors import EmptyCorpus, NonFiniteGradient
+from .errors import EmptyCorpus, InvalidConfig, NonFiniteGradient
 from .model import ModelParams, identity_maps, init_params
 from .trees import DcsTree, FieldId, Word, enumerate_paths
 from .vocab import PathSample, Vocabulary, sample_paths
@@ -53,14 +55,22 @@ class TrainConfig:
     total_steps: int | None = None  # filled in by train() for the decay
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}")
-        if self.lr_schedule not in ("linear", "constant"):
-            raise ValueError("lr_schedule must be linear or constant")
-        if self.gamma < 0 or self.kappa < 0:
-            raise ValueError("regularizer weights must be >= 0")
-        if self.noise_per_example < 1:
-            raise ValueError("need at least one noise example")
+        # each bound is stated as what must hold, so NaN fails it too
+        checks = (
+            (self.mode in MODES, f"mode must be one of {MODES}"),
+            (self.lr_schedule in ("linear", "constant"), "lr_schedule must be linear or constant"),
+            (self.dim >= 2, f"dim must be >= 2, got {self.dim}"),
+            (self.epochs >= 0, f"epochs must be >= 0, got {self.epochs}"),
+            (self.workers >= 1, f"workers must be >= 1, got {self.workers}"),
+            (self.seed >= 0, f"seed must be >= 0, got {self.seed}"),
+            (self.noise_per_example >= 1, "need at least one noise example"),
+            (self.lr_vec >= 0 and self.lr_mat >= 0, "learning rates must be >= 0"),
+            (self.gamma >= 0 and self.kappa >= 0, "regularizer weights must be >= 0"),
+            (self.clip_norm_vec > 0 and self.clip_norm_mat > 0, "clip norms must be > 0"),
+        )
+        for ok, message in checks:
+            if not ok:
+                raise InvalidConfig(message)
         if self.lr_mat > MAT_LR_WARN:
             warnings.warn(
                 f"matrix learning rate {self.lr_mat} above {MAT_LR_WARN}; training may diverge",
@@ -114,8 +124,8 @@ def _sigmoid(x: float) -> float:
     return ex / (1.0 + ex)
 
 
-def _softplus(x: float) -> float:
-    # log(1 + e^x), stable on both tails
+def softplus(x: float) -> float:
+    """log(1 + e^x), stable on both tails; -log sigmoid(s) is softplus(-s)."""
     if x > 0:
         return x + math.log1p(math.exp(-x))
     return math.log1p(math.exp(x))
@@ -123,28 +133,8 @@ def _softplus(x: float) -> float:
 
 def nce_loss(params: ModelParams, pos: PathSample, noises: list[NoisedExample]) -> float:
     """-log sigmoid(s+) - sum over noises of log sigmoid(-s-)."""
-    s_pos, s_negs = _scores(params, pos, noises)
-    return _softplus(-s_pos) + sum(_softplus(s) for s in s_negs)
-
-
-def _scores(params, pos, noises):
-    slots = _pos_slots(params, pos)
-    v = params.V[params.word_id(pos.start)].astype(np.float64)
-    u = params.U[params.word_id(pos.end)].astype(np.float64)
-    r = v
-    rows = [r]
-    for fid, inv in slots:
-        r = r @ _slot_mat(params, fid, inv)
-        rows.append(r)
-    s_pos = float(r @ u)
-    s_negs = []
-    for noise in noises:
-        ri = noise.i - 1  # first replaced slot, 0-based
-        nr = rows[ri]
-        for off, (_, inv) in enumerate(slots[ri:]):
-            nr = nr @ _slot_mat(params, params.field_id(noise.fields[off]), inv)
-        s_negs.append(float(nr @ params.U[params.word_id(noise.word)].astype(np.float64)))
-    return s_pos, s_negs
+    loss, _ = loss_and_gradients(params, pos, noises, TrainConfig(gamma=0.0, kappa=0.0))
+    return loss
 
 
 def regularizer_penalties(
@@ -212,7 +202,7 @@ def loss_and_gradients(
         u = params.U[yi].astype(np.float64)
         s_pos = float(v @ u)
         g_pos = _sigmoid(s_pos) - 1.0
-        loss = _softplus(-s_pos)
+        loss = softplus(-s_pos)
         add(("v", xi), g_pos * u)
         add(("u", yi), g_pos * v)
         for noise in noises:
@@ -220,7 +210,7 @@ def loss_and_gradients(
             uz = params.U[zi].astype(np.float64)
             s_neg = float(v @ uz)
             g_neg = _sigmoid(s_neg)
-            loss += _softplus(s_neg)
+            loss += softplus(s_neg)
             add(("v", xi), g_neg * uz)
             add(("u", zi), g_neg * v)
         return loss, grads
@@ -240,13 +230,13 @@ def loss_and_gradients(
 
     s_pos = float(rows[two_l] @ u)
     g_pos = _sigmoid(s_pos) - 1.0
-    loss = _softplus(-s_pos)
+    loss = softplus(-s_pos)
     add(("v", xi), g_pos * cols[0])
     add(("u", yi), g_pos * rows[two_l])
 
     noise_data = []
     for noise in noises:
-        ri = noise.i - 1
+        ri = noise.i - 1  # first replaced slot, 0-based
         nslots = [
             (params.field_id(noise.fields[j - ri]), slots[j][1]) if j >= ri else slots[j]
             for j in range(two_l)
@@ -259,7 +249,7 @@ def loss_and_gradients(
             ncols[j] = _slot_mat(params, fid, inv) @ ncols[j + 1]
         s_neg = float(rows[ri] @ ncols[ri])
         g_neg = _sigmoid(s_neg)
-        loss += _softplus(s_neg)
+        loss += softplus(s_neg)
         add(("v", xi), g_neg * ncols[0])
         nr = rows[ri]
         for j in range(ri, two_l):
@@ -317,7 +307,7 @@ def step(
             raise NonFiniteGradient(
                 f"step {step_index}: gradient for {kind}[{idx}] has norm {norm}"
             )
-        if clip is not None and norm > clip:
+        if norm > clip:
             g = g * (clip / norm)
         if kind == "v":
             _apply(params.V, idx, lr_v, g)
@@ -346,10 +336,6 @@ class TrainStats:
     epochs: list[EpochStats] = field(default_factory=list)
     total_steps: int = 0
     skipped_trees: int = 0
-
-    def log_lines(self):
-        for e in self.epochs:
-            yield f"{e.epoch}\t{e.steps}\t{e.mean_loss:.6f}\t{e.examples_per_sec:.1f}"
 
 
 def expected_steps_per_epoch(trees: list[DcsTree]) -> float:
@@ -386,7 +372,7 @@ def train(
         )
 
     seed_seq = np.random.SeedSequence(cfg.seed)
-    init_seq, *worker_seqs = seed_seq.spawn(1 + max(1, cfg.workers))
+    init_seq, *worker_seqs = seed_seq.spawn(1 + cfg.workers)
     params = init_params(vocab, cfg.dim, np.random.default_rng(init_seq))
     if cfg.mode == "no_matrix":
         identity_maps(params)
@@ -399,27 +385,34 @@ def train(
             (np.random.default_rng(sampler_seq), np.random.default_rng(noise_seq))
         )
 
-    def run_chunk(chunk, rng_pair, base_step):
+    # one step index sequence for all workers, so the LR schedule sees
+    # every index exactly once
+    step_indices = itertools.count()
+    index_lock = threading.Lock()
+
+    def run_chunk(chunk, rng_pair):
         sampler_rng, noise_rng = rng_pair
         steps = 0
         loss_sum = 0.0
         for tree in chunk:
             for sample in sample_paths(tree, vocab, sampler_rng):
                 noises = make_noise(sample, vocab, noise_rng, cfg.noise_per_example)
-                loss_sum += step(params, sample, noises, cfg, base_step + steps)
+                with index_lock:
+                    step_index = next(step_indices)
+                loss_sum += step(params, sample, noises, cfg, step_index)
                 steps += 1
         return steps, loss_sum
 
     step_count = 0
     for epoch in range(1, cfg.epochs + 1):
         t0 = time.perf_counter()
-        if cfg.workers <= 1:
-            done, loss_sum = run_chunk(usable, worker_rngs[0], step_count)
+        if cfg.workers == 1:
+            done, loss_sum = run_chunk(usable, worker_rngs[0])
         else:
             chunks = [usable[w :: cfg.workers] for w in range(cfg.workers)]
             with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
                 futures = [
-                    pool.submit(run_chunk, chunk, worker_rngs[w], step_count)
+                    pool.submit(run_chunk, chunk, worker_rngs[w])
                     for w, chunk in enumerate(chunks)
                 ]
                 results = [f.result() for f in futures]

@@ -134,16 +134,6 @@ class DcsTree:
     def degree(self, node: int) -> int:
         return len(self._adj[node])
 
-    def depth_map(self) -> list[int]:
-        depth = [0] * self.n_nodes
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            for e in self._children[node]:
-                depth[e.child] = depth[node] + 1
-                stack.append(e.child)
-        return depth
-
 
 @dataclass(frozen=True)
 class TreePath:

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 import worldgen
+from dcsvec import cli
 from dcsvec.cli import parse_tree_literal
 from dcsvec.errors import InputError
+from dcsvec.train import TrainConfig
 from dcsvec.trees import ARG, COMP, DcsTree, Edge, Word
 
 DATA = Path(__file__).parent / "data"
@@ -154,6 +156,36 @@ def test_train_stats_lines(pipeline):
     for line in stat_lines:
         epoch, steps, loss, speed = line.split("\t")
         assert int(steps) > 0 and float(loss) > 0
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--gamma", -1), ("--dim", 1), ("--noise", 0), ("--workers", 0), ("--epochs", -1),
+     ("--clip-vec", 0), ("--seed", -1)],
+)
+def test_train_bad_value_exits_2(pipeline, tmp_path, flag, value):
+    _, trees, vocab, _ = pipeline
+    proc = run_cli("train", trees, vocab, tmp_path / "m.bin", flag, value, expect=2)
+    (line,) = proc.stderr.splitlines()
+    kind, name, _ = line.split("\t", 2)
+    assert kind == "error" and name == "InvalidConfig"
+
+
+def test_train_without_tuning_flags_uses_train_config_defaults(pipeline, tmp_path, monkeypatch):
+    _, trees, vocab, _ = pipeline
+    captured = []
+
+    class Captured(Exception):
+        pass
+
+    def fake_train(corpus, voc, config, log=None):
+        captured.append(config)
+        raise Captured
+
+    monkeypatch.setattr(cli, "train", fake_train)
+    with pytest.raises(Captured):
+        cli.main(["train", str(trees), str(vocab), str(tmp_path / "m.bin")])
+    assert captured == [TrainConfig()]
 
 
 def test_compose_prints_vector(pipeline):

@@ -364,6 +364,18 @@ def test_model_truncated_reports_offset(tmp_path):
     assert err.value.offset == len(blob) - 50
 
 
+def test_model_trailing_bytes_rejected(tmp_path):
+    vocab = make_vocab(n_words=4)
+    params = init_params(vocab, 4, np.random.default_rng(21))
+    path = tmp_path / "model.bin"
+    save_model(params, vocab, path)
+    blob = path.read_bytes()
+    longer = tmp_path / "longer.bin"
+    longer.write_bytes(blob + b"\0")
+    with pytest.raises(DimensionMismatch, match=f"byte offset {len(blob)}"):
+        load_model(longer)
+
+
 def test_model_header_mismatch(tmp_path):
     vocab = make_vocab(n_words=4)
     params = init_params(vocab, 4, np.random.default_rng(22))

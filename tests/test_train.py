@@ -1,4 +1,6 @@
+import importlib
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -408,6 +410,29 @@ def test_train_multiworker_runs():
     params, stats = train(trees, vocab, cfg)
     assert stats.total_steps > 0
     assert np.all(np.isfinite(params.V))
+
+
+@pytest.mark.parametrize("workers", [2, 4])
+def test_train_workers_share_one_step_index_sequence(monkeypatch, workers):
+    # the linear LR schedule must see each index once, whatever the thread count
+    train_module = importlib.import_module("dcsvec.train")
+    real_step = train_module.step
+    seen = []
+
+    def recording_step(params, pos, noises, config, step_index):
+        seen.append(step_index)
+        return real_step(params, pos, noises, config, step_index)
+
+    monkeypatch.setattr(train_module, "step", recording_step)
+    trees = toy_corpus() * 4
+    vocab = build_vocab(trees, 1, 1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        _, stats = train(trees, vocab, TrainConfig(dim=6, epochs=2, seed=2, workers=workers))
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(seen) == list(range(stats.total_steps))
 
 
 def test_non_finite_gradient_aborts_with_diagnostics():
