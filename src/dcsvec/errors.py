@@ -14,7 +14,7 @@ class InputError(DcsvecError):
 
 
 class InvalidConfig(InputError, ValueError):
-    """A training setting is out of range."""
+    """A setting is out of range: training, vocab thresholds, query k."""
 
 
 class MissingField(DcsvecError):

@@ -26,6 +26,7 @@ import numpy as np
 from .errors import (
     BadMagic,
     DimensionMismatch,
+    InvalidConfig,
     TruncatedFile,
     UnknownField,
     UnknownWord,
@@ -190,7 +191,7 @@ def nearest_answers(
     """Top-k words by dot product with the answer vectors; ties break by
     vocabulary index, POS filter applies before ranking."""
     if k < 1:
-        raise ValueError("k must be >= 1")
+        raise InvalidConfig(f"k must be >= 1, got {k}")
     if pos_filter is None:
         candidates = np.arange(len(params.words))
     else:

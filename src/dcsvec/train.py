@@ -6,8 +6,9 @@ slots j < i and redraws everything from a uniformly chosen slot i on
 (fields slot-by-slot from the field unigram, the end word from the word
 unigram, slot parity preserved).  A step updates only the start query
 vector, the two positive-path maps straddling the noise boundary, the
-noise map at the boundary, and the two answer vectors; touched maps also
-receive the inverse-consistency and orthogonality regularizer gradients.
+noise map at the boundary, and the two answer vectors.  The
+inverse-consistency and orthogonality regularizer is computed once per
+touched field, for just the maps of that field the step touches.
 Per-parameter gradients whose norm exceeds the clip threshold are
 rescaled to it.
 
@@ -137,6 +138,13 @@ def nce_loss(params: ModelParams, pos: PathSample, noises: list[NoisedExample]) 
     return loss
 
 
+def _trace_centered(B: np.ndarray) -> np.ndarray:
+    """B - (tr(B)/d) I, written into the fresh d x d product B."""
+    d = B.shape[0]
+    B.flat[:: d + 1] -= np.trace(B) / d
+    return B
+
+
 def regularizer_penalties(
     M: np.ndarray, Minv: np.ndarray, gamma: float, kappa: float
 ) -> tuple[float, float]:
@@ -144,34 +152,50 @@ def regularizer_penalties(
     scaled inverse; kappa * ||M^T M - (tr(M^T M)/d) I||_F^2 drives M
     toward orthogonal.  The identity is trace-scaled so growing M cannot
     cheat by shrinking Minv."""
-    d = M.shape[0]
     M = np.asarray(M, dtype=np.float64)
     Minv = np.asarray(Minv, dtype=np.float64)
-    B = Minv @ M
-    E = B - (np.trace(B) / d) * np.eye(d)
-    F = M.T @ M
-    F = F - (np.trace(F) / d) * np.eye(d)
+    E = _trace_centered(Minv @ M)
+    F = _trace_centered(M.T @ M)
     return gamma * float(np.sum(E * E)), kappa * float(np.sum(F * F))
 
 
 def regularizer_grads(
-    M: np.ndarray, Minv: np.ndarray, gamma: float, kappa: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Analytic gradients of both penalty terms, (d/dM, d/dMinv)."""
+    M: np.ndarray,
+    Minv: np.ndarray,
+    gamma: float,
+    kappa: float,
+    *,
+    need_M: bool = True,
+    need_Minv: bool = True,
+) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """Analytic gradients of both penalty terms, (d/dM, d/dMinv).
+
+    An output not asked for is None, and the products only it needs are
+    skipped: Minv alone costs 2 d x d matmuls, M alone 4, both 5.
+    """
     d = M.shape[0]
     M = np.asarray(M, dtype=np.float64)
     Minv = np.asarray(Minv, dtype=np.float64)
-    gM = np.zeros((d, d))
-    gMinv = np.zeros((d, d))
+    gM = gMinv = None
     if gamma != 0.0:
-        B = Minv @ M
-        E = B - (np.trace(B) / d) * np.eye(d)
-        gM += 2.0 * gamma * (Minv.T @ E)
-        gMinv += 2.0 * gamma * (E @ M.T)
-    if kappa != 0.0:
-        F = M.T @ M
-        F = F - (np.trace(F) / d) * np.eye(d)
-        gM += 4.0 * kappa * (M @ F)
+        E = _trace_centered(Minv @ M)
+        if need_M:
+            gM = Minv.T @ E
+            gM *= 2.0 * gamma
+        if need_Minv:
+            gMinv = E @ M.T
+            gMinv *= 2.0 * gamma
+    if kappa != 0.0 and need_M:
+        term = M @ _trace_centered(M.T @ M)
+        term *= 4.0 * kappa
+        if gM is None:
+            gM = term
+        else:
+            gM += term
+    if need_M and gM is None:
+        gM = np.zeros((d, d))
+    if need_Minv and gMinv is None:
+        gMinv = np.zeros((d, d))
     return gM, gMinv
 
 
@@ -184,8 +208,9 @@ def loss_and_gradients(
     """NCE loss and the sparse gradient set for one example.
 
     Keys are ("v", row), ("u", row), ("M", field id), ("Minv", field id);
-    contributions to a shared parameter accumulate.  Regularizer
-    gradients are folded into every touched map.
+    contributions to a shared parameter accumulate.  The regularizer
+    runs once per touched field (one `regularizer_grads` call) and adds
+    its gradient to that field's touched maps only.
     """
     xi = params.word_id(pos.start)
     yi = params.word_id(pos.end)
@@ -272,12 +297,22 @@ def loss_and_gradients(
         add(("Minv" if inv else "M", fid), g_neg * np.outer(rows[ri], ncols[ri + 1]))
 
     if config.gamma != 0.0 or config.kappa != 0.0:
-        touched = [key for key in grads if key[0] in ("M", "Minv")]
-        for kind, fid in touched:
-            gM, gMinv = regularizer_grads(
-                params.M[fid], params.Minv[fid], config.gamma, config.kappa
+        touched: dict[int, set[str]] = {}
+        for kind, fid in grads:
+            if kind in ("M", "Minv"):
+                touched.setdefault(fid, set()).add(kind)
+        for fid, kinds in touched.items():
+            reg = regularizer_grads(
+                params.M[fid],
+                params.Minv[fid],
+                config.gamma,
+                config.kappa,
+                need_M="M" in kinds,
+                need_Minv="Minv" in kinds,
             )
-            grads[(kind, fid)] = grads[(kind, fid)] + (gM if kind == "M" else gMinv)
+            for kind, g in zip(("M", "Minv"), reg):
+                if g is not None:
+                    grads[(kind, fid)] = grads[(kind, fid)] + g
     return loss, grads
 
 

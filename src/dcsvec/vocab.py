@@ -23,7 +23,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import BadMagic, EmptyCorpus, MalformedLine
+from .errors import BadMagic, EmptyCorpus, InvalidConfig, MalformedLine
 from .trees import (
     CORE_FIELDS,
     POS_TAGS,
@@ -104,7 +104,7 @@ def build_vocab(
     """Count path endpoints and traversed fields exactly, then apply the
     rare-word / rare-preposition thresholds."""
     if word_min < 1 or prep_min < 1:
-        raise ValueError("thresholds must be >= 1")
+        raise InvalidConfig(f"thresholds must be >= 1, got word_min={word_min} prep_min={prep_min}")
     word_acc: dict[Word, Fraction] = {}
     field_acc: dict[FieldId, Fraction] = {}
     saw_tree = False

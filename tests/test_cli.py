@@ -171,6 +171,23 @@ def test_train_bad_value_exits_2(pipeline, tmp_path, flag, value):
     assert kind == "error" and name == "InvalidConfig"
 
 
+@pytest.mark.parametrize("flag", ["--word-min", "--prep-min"])
+def test_build_vocab_threshold_below_one_exits_2(pipeline, tmp_path, flag):
+    _, trees, _, _ = pipeline
+    proc = run_cli("build-vocab", trees, tmp_path / "v.txt", flag, 0, expect=2)
+    (line,) = proc.stderr.splitlines()
+    kind, name, _ = line.split("\t", 2)
+    assert kind == "error" and name == "InvalidConfig"
+
+
+def test_nearest_k_below_one_exits_2(pipeline):
+    _, _, _, model = pipeline
+    proc = run_cli("nearest", model, "--tree", "food/N -ARG:COMP-> eat/V", "--k", 0, expect=2)
+    (line,) = proc.stderr.splitlines()
+    kind, name, _ = line.split("\t", 2)
+    assert kind == "error" and name == "InvalidConfig"
+
+
 def test_train_without_tuning_flags_uses_train_config_defaults(pipeline, tmp_path, monkeypatch):
     _, trees, vocab, _ = pipeline
     captured = []

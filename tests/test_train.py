@@ -1,4 +1,6 @@
+import dataclasses
 import importlib
+import io
 import math
 import sys
 
@@ -6,7 +8,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from dcsvec.model import ModelParams, init_params
+from dcsvec.model import ModelParams, init_params, save_model
 from dcsvec.train import (
     NoisedExample,
     TrainConfig,
@@ -20,7 +22,7 @@ from dcsvec.train import (
 )
 from dcsvec.trees import ARG, COMP, SUBJ, DcsTree, Edge, Word
 from dcsvec.vocab import PathSample, Vocabulary, build_vocab
-from helpers import random_orthogonal
+from helpers import random_orthogonal, random_tree
 
 
 def w(lemma, pos="N"):
@@ -330,6 +332,164 @@ def test_regularizer_grads_match_finite_differences():
                         fd[r, c] = (total(M, Minv + dm) - total(M, Minv - dm)) / (2 * h)
             rel = np.linalg.norm(fd - grad) / np.linalg.norm(fd)
             assert rel <= 1e-5
+
+
+def _per_key_regularizer_grads(M, Minv, gamma, kappa):
+    # reference regularizer: both outputs, all five products and np.eye
+    # temporaries on every call, with the accumulation order (0 + a) + b
+    d = M.shape[0]
+    M = np.asarray(M, dtype=np.float64)
+    Minv = np.asarray(Minv, dtype=np.float64)
+    gM = np.zeros((d, d))
+    gMinv = np.zeros((d, d))
+    if gamma != 0.0:
+        B = Minv @ M
+        E = B - (np.trace(B) / d) * np.eye(d)
+        gM += 2.0 * gamma * (Minv.T @ E)
+        gMinv += 2.0 * gamma * (E @ M.T)
+    if kappa != 0.0:
+        F = M.T @ M
+        F = F - (np.trace(F) / d) * np.eye(d)
+        gM += 4.0 * kappa * (M @ F)
+    return gM, gMinv
+
+
+def per_key_loss_and_gradients(params, pos, noises, config):
+    """Slow-path oracle: the data gradients of loss_and_gradients, then one
+    full regularizer call per touched map key."""
+    unregularized = dataclasses.replace(config, gamma=0.0, kappa=0.0)
+    loss, grads = loss_and_gradients(params, pos, noises, unregularized)
+    if config.gamma != 0.0 or config.kappa != 0.0:
+        for kind, fid in [key for key in grads if key[0] in ("M", "Minv")]:
+            gM, gMinv = _per_key_regularizer_grads(
+                params.M[fid], params.Minv[fid], config.gamma, config.kappa
+            )
+            grads[(kind, fid)] = grads[(kind, fid)] + (gM if kind == "M" else gMinv)
+    return loss, grads
+
+
+def touched_kinds(grads):
+    kinds = {}
+    for kind, fid in grads:
+        if kind in ("M", "Minv"):
+            kinds.setdefault(fid, set()).add(kind)
+    return kinds
+
+
+FID = {f: i for i, f in enumerate(FIELDS)}
+
+# (positive hops, noise, the kinds each listed field must be touched as)
+FUSION_CASES = [
+    # M[SUBJ] and Minv[ARG] on the path, boundary noise map Minv[COMP]
+    (((SUBJ, ARG), (COMP, "of")), NoisedExample(2, (COMP, "in", "on"), w("w2")),
+     {SUBJ: {"M"}, ARG: {"Minv"}, COMP: {"Minv"}}),
+    # M[COMP] only on the path; noise map M["to"] also M-only
+    (((SUBJ, ARG), (COMP, "of")), NoisedExample(3, ("to", "in"), w("w2")),
+     {ARG: {"Minv"}, COMP: {"M"}, "to": {"M"}}),
+    # one field touched as both M and Minv
+    (((ARG, ARG),), NoisedExample(2, (COMP,), w("w3")), {ARG: {"M", "Minv"}, COMP: {"Minv"}}),
+    # the noise map is the positive-path map Minv[SUBJ]
+    (((ARG, SUBJ),), NoisedExample(2, (SUBJ,), w("w3")), {ARG: {"M"}, SUBJ: {"Minv"}}),
+    # noise map M[ARG] meets Minv[ARG] of the positive path
+    (((SUBJ, ARG), (COMP, "of")), NoisedExample(3, (ARG, "of"), w("w4")),
+     {ARG: {"M", "Minv"}, COMP: {"M"}}),
+]
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("gamma, kappa", [(0.0, 0.0), (0.01, 0.0), (0.0, 0.003), (0.01, 0.003)])
+@pytest.mark.parametrize("case", range(len(FUSION_CASES)))
+def test_fused_regularizer_matches_per_key_oracle(case, gamma, kappa, dtype):
+    hops, noise, expected_kinds = FUSION_CASES[case]
+    params = make_params(np.random.default_rng(20 + case), dim=7, dtype=dtype)
+    pos = PathSample(w("w0"), w("w1"), hops)
+    second = NoisedExample(2, tuple(FIELDS[: 2 * len(hops) - 1]), w("w5"))
+    for noises in ([noise], [noise, second]):
+        cfg = TrainConfig(dim=7, gamma=gamma, kappa=kappa)
+        loss, grads = loss_and_gradients(params, pos, noises, cfg)
+        want_loss, want = per_key_loss_and_gradients(params, pos, noises, cfg)
+        assert loss == want_loss
+        assert grads.keys() == want.keys()
+        for key in want:
+            assert grads[key].dtype == want[key].dtype
+            assert np.array_equal(grads[key], want[key]), key
+    kinds = touched_kinds(loss_and_gradients(params, pos, [noise], cfg)[1])
+    for f, expected in expected_kinds.items():
+        assert kinds[FID[f]] == expected
+
+
+def test_fused_regularizer_training_bytes_match_per_key_oracle(monkeypatch):
+    rng = np.random.default_rng(21)
+    trees = [random_tree(rng, int(rng.integers(2, 6)), 10) for _ in range(60)]
+    vocab = build_vocab(trees, 1, 1)
+    cfg = TrainConfig(dim=8, epochs=2, seed=6, workers=1, gamma=0.02, kappa=0.005)
+    train_module = importlib.import_module("dcsvec.train")
+
+    def model_bytes():
+        params, stats = train(trees, vocab, cfg)
+        buf = io.BytesIO()
+        save_model(params, vocab, buf)
+        return buf.getvalue(), stats.total_steps
+
+    fused, steps = model_bytes()
+    monkeypatch.setattr(train_module, "loss_and_gradients", per_key_loss_and_gradients)
+    per_key, oracle_steps = model_bytes()
+    assert steps == oracle_steps and steps >= 300
+    assert fused == per_key
+
+
+def test_regularizer_runs_once_per_touched_field(monkeypatch):
+    train_module = importlib.import_module("dcsvec.train")
+    real = train_module.regularizer_grads
+    calls = []
+
+    def counting(M, Minv, gamma, kappa, **flags):
+        out = real(M, Minv, gamma, kappa, **flags)
+        calls.append((flags["need_M"], flags["need_Minv"], out))
+        return out
+
+    monkeypatch.setattr(train_module, "regularizer_grads", counting)
+    rng = np.random.default_rng(22)
+    vocab = make_vocab()
+    params = make_params(rng, dim=6)
+    seen = set()
+    for _ in range(60):
+        l = int(rng.integers(1, 3))
+        hops = tuple(
+            (FIELDS[int(rng.integers(3))], FIELDS[int(rng.integers(3))]) for _ in range(l)
+        )
+        pos = PathSample(w("w0"), w("w1"), hops)
+        noises = make_noise(pos, vocab, rng, k=int(rng.integers(1, 3)))
+        calls.clear()
+        _, grads = loss_and_gradients(params, pos, noises, TrainConfig(dim=6))
+        kinds = touched_kinds(grads)
+        assert len(calls) == len(kinds)
+        assert sorted((m, i) for m, i, _ in calls) == sorted(
+            ("M" in k, "Minv" in k) for k in kinds.values()
+        )
+        for need_M, need_Minv, (gM, gMinv) in calls:
+            assert (gM is not None) == need_M and (gMinv is not None) == need_Minv
+            seen.add((need_M, need_Minv))
+    assert seen == {(True, False), (False, True), (True, True)}
+
+    calls.clear()
+    pos = sample(l=2)
+    noises = [NoisedExample(2, (ARG, SUBJ, COMP), w("w2"))]
+    loss_and_gradients(params, pos, noises, TrainConfig(dim=6, gamma=0.0, kappa=0.0))
+    loss_and_gradients(params, pos, noises, TrainConfig(dim=6, mode="no_matrix"))
+    assert calls == []
+
+
+def test_regularizer_grads_skips_outputs_not_asked_for():
+    rng = np.random.default_rng(23)
+    M = np.eye(5) + rng.standard_normal((5, 5)) * 0.3
+    Minv = np.eye(5) + rng.standard_normal((5, 5)) * 0.3
+    gM, gMinv = regularizer_grads(M, Minv, 0.01, 0.003)
+    only_M = regularizer_grads(M, Minv, 0.01, 0.003, need_Minv=False)
+    only_Minv = regularizer_grads(M, Minv, 0.01, 0.003, need_M=False)
+    assert only_M[1] is None and np.array_equal(only_M[0], gM)
+    assert only_Minv[0] is None and np.array_equal(only_Minv[1], gMinv)
+    assert regularizer_grads(M, Minv, 0.01, 0.003, need_M=False, need_Minv=False) == (None, None)
 
 
 def toy_corpus():
