@@ -13,6 +13,11 @@ and tree composition is
 
 Storage defaults to float32; score and composition arithmetic promotes
 to float64.
+
+``normalize`` returns parameters whose tables are read-only.  Queries
+against such a model reuse one memoized ``AnswerIndex`` (a float64 copy of
+U with rows grouped by POS); a writeable model, raw or in training, gets a
+fresh index on every query, so an in-place edit is never missed.
 """
 
 from __future__ import annotations
@@ -51,6 +56,8 @@ class ModelParams:
     Minv: np.ndarray  # (n_fields, dim, dim) learned inverse maps
     word_index: dict = field(init=False, repr=False)
     field_index: dict = field(init=False, repr=False)
+    # (U, AnswerIndex) once a query has run against a read-only U
+    _answers: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.word_index = {w: i for i, w in enumerate(self.words)}
@@ -78,6 +85,7 @@ class ModelParams:
         return idx
 
     def copy(self) -> "ModelParams":
+        """Writeable copies of the tables, without the memoized index."""
         return ModelParams(
             self.dim, self.words, self.fields,
             self.V.copy(), self.U.copy(), self.M.copy(), self.Minv.copy(),
@@ -144,26 +152,34 @@ def compose_query(params: ModelParams, tree: DcsTree, strict: bool = True) -> np
     Every node is composed once; out-of-vocabulary words fall back to the
     per-POS placeholder row unless ``strict``.
     """
+    return _compose(params, tree, tree.root, strict)
 
-    def compose(node: int) -> np.ndarray:
-        q = params.V[params.word_id(tree.words[node], strict)].astype(np.float64)
-        children = tree.child_edges(node)
-        if children:
-            acc = np.zeros(params.dim, dtype=np.float64)
-            for e in children:
-                sub = compose(e.child)
-                sub = sub @ params.M[params.field_id(e.child_field, strict)]
-                sub = sub @ params.Minv[params.field_id(e.parent_field, strict)]
-                acc += sub
-            q = q + acc / len(children)
-        return q
 
-    return compose(tree.root)
+def _compose(params: ModelParams, tree: DcsTree, node: int, strict: bool) -> np.ndarray:
+    # Module-level rather than a closure that calls itself: such a closure
+    # is a reference cycle through ``params``, which would keep a model its
+    # caller has dropped (answer index included) alive until the cyclic
+    # collector runs.
+    q = params.V[params.word_id(tree.words[node], strict)].astype(np.float64)
+    children = tree.child_edges(node)
+    if children:
+        acc = np.zeros(params.dim, dtype=np.float64)
+        for e in children:
+            sub = _compose(params, tree, e.child, strict)
+            sub = sub @ params.M[params.field_id(e.child_field, strict)]
+            sub = sub @ params.Minv[params.field_id(e.parent_field, strict)]
+            acc += sub
+        q = q + acc / len(children)
+    return q
 
 
 def normalize(params: ModelParams) -> ModelParams:
     """New parameters with unit vectors and Frobenius norm sqrt(dim) maps;
-    applied once after training, before evaluation."""
+    applied once after training, before evaluation.
+
+    The returned V/U/M/Minv are read-only, so ``nearest_answers`` can keep
+    its answer index on the result; ``copy()`` gives an editable model.
+    """
     d = params.dim
     out = params.copy()
     for name, table in (("V", out.V), ("U", out.U)):
@@ -179,7 +195,50 @@ def normalize(params: ModelParams) -> ModelParams:
             row = int(np.argmin(norms))
             raise ZeroNorm(f"{name} for field {out.fields[row]} is zero")
         table[:] = (table.astype(np.float64) * (target / norms)[:, None, None]).astype(table.dtype)
+    for table in (out.V, out.U, out.M, out.Minv):
+        table.flags.writeable = False
     return out
+
+
+@dataclass(frozen=True, eq=False)
+class AnswerIndex:
+    """U as float64 with rows ordered by (POS, vocabulary index): the rows
+    of one tag are the contiguous range ``spans[tag]`` of ``table``, and
+    ``rows`` holds the vocabulary index of each table row."""
+
+    table: np.ndarray  # (n_words, dim) float64
+    rows: np.ndarray  # (n_words,) int64
+    spans: dict  # POS tag -> (start, stop)
+
+
+def build_answer_index(params: ModelParams) -> AnswerIndex:
+    """A fresh index of the current U; ``answer_index`` decides when one
+    can be reused."""
+    pos = [w.pos for w in params.words]
+    tags = sorted(set(pos))  # the few distinct tags, not the words
+    code = {t: i for i, t in enumerate(tags)}
+    # the narrowest code type: a stable argsort of uint8/uint16 is a radix sort
+    tag_of_word = np.fromiter(map(code.__getitem__, pos), np.min_scalar_type(len(tags)), len(pos))
+    rows = np.argsort(tag_of_word, kind="stable")
+    stops = np.cumsum(np.bincount(tag_of_word, minlength=len(tags))).tolist()
+    spans = {t: (start, stop) for t, start, stop in zip(tags, [0] + stops, stops)}
+    # widened block by block: no float32 copy of the whole of U next to the table
+    table = np.empty(params.U.shape, dtype=np.float64)
+    for start in range(0, len(rows), 2048):
+        table[start : start + 2048] = params.U[rows[start : start + 2048]]
+    table.flags.writeable = rows.flags.writeable = False
+    return AnswerIndex(table, rows, spans)
+
+
+def answer_index(params: ModelParams) -> AnswerIndex:
+    """The model's answer index, memoized only while U is read-only (as
+    ``normalize`` leaves it); a writeable U is indexed afresh each call."""
+    if params._answers is not None and params._answers[0] is params.U:
+        return params._answers[1]
+    index = build_answer_index(params)
+    if not params.U.flags.writeable:
+        params._answers = (params.U, index)
+    return index
 
 
 def nearest_answers(
@@ -189,20 +248,24 @@ def nearest_answers(
     pos_filter: str | None = None,
 ) -> list[tuple[Word, float]]:
     """Top-k words by dot product with the answer vectors; ties break by
-    vocabulary index, POS filter applies before ranking."""
+    vocabulary index, NaN scores rank last, POS filter applies before
+    ranking.  Scores one slice of the answer index and sorts only the rows
+    that reach the k-th score."""
     if k < 1:
         raise InvalidConfig(f"k must be >= 1, got {k}")
-    if pos_filter is None:
-        candidates = np.arange(len(params.words))
-    else:
-        candidates = np.array(
-            [i for i, w in enumerate(params.words) if w.pos == pos_filter], dtype=np.int64
-        )
-    if candidates.size == 0:
+    index = answer_index(params)
+    start, stop = (0, len(index.rows)) if pos_filter is None else index.spans.get(pos_filter, (0, 0))
+    if start == stop:
         return []
-    scores = params.U[candidates].astype(np.float64) @ np.asarray(query, dtype=np.float64)
-    order = np.argsort(-scores, kind="stable")[:k]
-    return [(params.words[int(candidates[i])], float(scores[i])) for i in order]
+    scores = index.table[start:stop] @ np.asarray(query, dtype=np.float64)
+    rows = index.rows[start:stop]
+    neg = -scores  # NaN sorts last in partition and lexsort alike
+    # keep every row at or above the k-th score; all rows when k covers
+    # them or the k-th score is NaN
+    kth = np.partition(neg, k - 1)[k - 1] if k < len(neg) else np.nan
+    keep = np.arange(len(neg)) if np.isnan(kth) else np.flatnonzero(neg <= kth)
+    top = keep[np.lexsort((rows[keep], neg[keep]))[:k]]
+    return [(params.words[r], s) for r, s in zip(rows[top].tolist(), scores[top].tolist())]
 
 
 def _header_lines(params: ModelParams, vocab: Vocabulary) -> list[str]:
@@ -287,19 +350,19 @@ def load_model(src) -> tuple[ModelParams, Vocabulary]:
         raise DimensionMismatch("missing blank line before binary payload")
 
     offset = buf.tell()
-    payload = blob[offset:]
+    payload_len = len(blob) - offset
     expected = 4 * (2 * n_words * dim + 2 * n_fields * dim * dim)
-    if len(payload) < expected:
+    if payload_len < expected:
         raise TruncatedFile(
-            f"expected {expected} payload bytes, found {len(payload)}",
-            offset=offset + len(payload),
+            f"expected {expected} payload bytes, found {payload_len}",
+            offset=offset + payload_len,
         )
-    if len(payload) > expected:
+    if payload_len > expected:
         raise DimensionMismatch(
             f"trailing bytes after the payload at byte offset {offset + expected} "
             f"(file is {len(blob)} bytes)"
         )
-    flat = np.frombuffer(payload, dtype="<f4")
+    flat = np.frombuffer(blob, dtype="<f4", offset=offset)  # a view: no copy of the payload
     pos = 0
 
     def take(count: int, shape) -> np.ndarray:

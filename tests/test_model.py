@@ -1,4 +1,7 @@
+import gc
 import io
+import math
+import weakref
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from dcsvec.errors import (
     UnknownWord,
     ZeroNorm,
 )
+import dcsvec.model as model_mod
 from dcsvec.model import (
     ModelParams,
     compose_query,
@@ -324,6 +328,160 @@ def test_nearest_answers_pos_filter():
     )
     ranked = nearest_answers(params, np.array([1.0, 0.0]), 5, pos_filter="N")
     assert [word.render() for word, _ in ranked] == ["b/N", "a/N"]
+
+
+def nearest_answers_oracle(params, query, k, pos_filter=None):
+    """The per-call scan that the answer index replaced: candidates in
+    vocabulary order, scored in float64, fully stable-sorted."""
+    if pos_filter is None:
+        candidates = np.arange(len(params.words))
+    else:
+        candidates = np.array(
+            [i for i, w in enumerate(params.words) if w.pos == pos_filter], dtype=np.int64
+        )
+    if candidates.size == 0:
+        return []
+    scores = params.U[candidates].astype(np.float64) @ np.asarray(query, dtype=np.float64)
+    order = np.argsort(-scores, kind="stable")[:k]
+    return [(params.words[int(candidates[i])], float(scores[i])) for i in order]
+
+
+def tie_params(rng, n_tags, dtype, dim=6, n_words=40):
+    """Answer rows are dyadic with power-of-two norms (one entry of ±1 or
+    four of ±1/2, times 1/2, 1 or 2), so raw and normalized scores against
+    a dyadic query are exact in any summation order: equal rows and equal
+    sums tie exactly.  Some rows are copies of others, and the last row is
+    NaN."""
+    U = np.zeros((n_words, dim))
+    for row in U:
+        if rng.random() < 0.5:
+            row[rng.integers(dim)] = 1.0
+        else:
+            row[rng.choice(dim, 4, replace=False)] = 0.5
+        row *= rng.choice([-1.0, 1.0], dim) * 2.0 ** rng.integers(-1, 2)
+    U[rng.choice(n_words - 1, 8, replace=False)] = U[rng.integers(n_words - 1)]
+    U[-1] = np.nan
+    words = tuple(w(f"w{i}", "NVJPRX"[rng.integers(n_tags)]) for i in range(n_words))
+    return ModelParams(
+        dim, words, (ARG,), rng.standard_normal((n_words, dim)).astype(dtype), U.astype(dtype),
+        (np.eye(dim) + rng.standard_normal((dim, dim)) * 0.5)[None].astype(dtype),
+        (np.eye(dim) + rng.standard_normal((dim, dim)) * 0.5)[None].astype(dtype),
+    )
+
+
+def gaussian_params(rng, n_tags, dtype, dim=5, n_words=60):
+    base = make_params(rng, dim=dim, n_words=n_words, dtype=dtype)
+    base.U[7] = np.nan
+    words = tuple(w(f"w{i}", "NVJPRX"[rng.integers(n_tags)]) for i in range(n_words))
+    return ModelParams(dim, words, base.fields, base.V, base.U, base.M, base.Minv)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("make", [tie_params, gaussian_params])
+def test_nearest_answers_matches_the_full_scan(dtype, make):
+    rng = np.random.default_rng(24)
+    ties_at_k = 0
+    for n_tags in range(1, 7):
+        raw = make(rng, n_tags, dtype)
+        for params in (raw, normalize(raw)):
+            nan_word = params.words[int(np.flatnonzero(np.isnan(params.U[:, 0]))[0])]
+            for _ in range(4):
+                if make is tie_params:
+                    query = rng.integers(-4, 5, params.dim) / 4.0
+                else:
+                    query = rng.standard_normal(params.dim)
+                for pos in [None, *sorted({word.pos for word in params.words}), "Z"]:
+                    n = sum(pos in (None, word.pos) for word in params.words)
+                    for k in sorted({1, max(1, n // 2), max(1, n), n + 3}):
+                        got = nearest_answers(params, query, k, pos_filter=pos)
+                        want = nearest_answers_oracle(params, query, k, pos_filter=pos)
+                        assert [word for word, _ in got] == [word for word, _ in want]
+                        for (_, a), (_, b) in zip(got, want):
+                            assert (math.isnan(a) and math.isnan(b)) or abs(a - b) <= 1e-12 * (1 + abs(b))
+                        if pos == "Z":
+                            assert got == []
+                        if k >= n and nan_word.pos in (None, pos):
+                            assert got[-1][0] == nan_word
+                        full = nearest_answers_oracle(params, query, k + 1, pos_filter=pos)
+                        ties_at_k += len(full) > k and full[k - 1][1] == full[k][1]
+    if make is tie_params:
+        assert ties_at_k > 50, ties_at_k  # exact ties straddle the k-th rank
+
+
+def test_normalized_model_is_read_only_and_memoizes_its_answer_index(monkeypatch):
+    built = []
+    build = model_mod.build_answer_index
+    monkeypatch.setattr(model_mod, "build_answer_index", lambda p: built.append(p) or build(p))
+    rng = np.random.default_rng(25)
+    raw = tie_params(rng, 3, np.float32)
+    out = normalize(raw)
+    for table in (out.V, out.U, out.M, out.Minv):
+        with pytest.raises(ValueError):
+            table[0] = 0.0
+    for i in range(50):
+        query = rng.integers(-4, 5, out.dim) / 4.0
+        pos = (None, "N", "V", "J", "Z")[i % 5]
+        assert nearest_answers(out, query, 3, pos) == nearest_answers_oracle(out, query, 3, pos)
+    assert len(built) == 1
+    # a writeable model is indexed afresh on every call
+    for _ in range(3):
+        nearest_answers(raw, rng.standard_normal(raw.dim), 3)
+    assert len(built) == 4
+    editable = out.copy()
+    assert all(t.flags.writeable for t in (editable.V, editable.U, editable.M, editable.Minv))
+    assert editable._answers is None
+    # a new U table replaces the memoized index
+    U = np.ascontiguousarray(out.U[::-1])
+    U.flags.writeable = False
+    out.U = U
+    query = rng.integers(-4, 5, out.dim) / 4.0
+    assert nearest_answers(out, query, 5) == nearest_answers_oracle(out, query, 5)
+
+
+def test_answer_index_orders_rows_by_pos_then_vocabulary_index():
+    params = gaussian_params(np.random.default_rng(27), 4, np.float32)
+    index = model_mod.answer_index(params)
+    assert sorted(index.rows.tolist()) == list(range(len(params.words)))
+    assert np.array_equal(index.table, params.U[index.rows].astype(np.float64), equal_nan=True)
+    tags = sorted({word.pos for word in params.words})
+    bounds = [index.spans[tag] for tag in tags]
+    assert sorted(index.spans) == tags
+    assert [start for start, _ in bounds] == [0] + [stop for _, stop in bounds[:-1]]
+    assert bounds[-1][1] == len(params.words)
+    for tag, (start, stop) in zip(tags, bounds):
+        rows = index.rows[start:stop].tolist()
+        assert rows == sorted(rows)
+        assert {params.words[r].pos for r in rows} == {tag}
+
+
+def test_nearest_answers_sees_in_place_edits_of_a_raw_model():
+    params = make_params(np.random.default_rng(26))
+    query = np.ones(4)
+    before = nearest_answers(params, query, 100)
+    params.U[:] = 1.0
+    params.U[4] = 2.0
+    after = nearest_answers(params, query, 100)
+    assert after != before
+    assert [word.lemma for word, _ in after] == ["w4", "w0", "w1", "w2", "w3", "w5"]
+    assert after == nearest_answers_oracle(params, query, 100)
+
+
+def test_a_dropped_model_is_freed_without_the_cycle_collector():
+    # composing and ranking must leave no reference cycle through the
+    # model: a caller that drops it gets its tables and answer index back
+    # at once, not whenever the cyclic collector next runs
+    vocab = make_vocab(n_words=6)
+    params = normalize(init_params(vocab, 4, np.random.default_rng(23)))
+    tree = DcsTree((w("w0"), w("w1"), w("w2")), 0, (Edge(0, 1, COMP, ARG), Edge(1, 2, ARG, SUBJ)))
+    gc.disable()
+    try:
+        query = compose_query(params, tree)
+        assert nearest_answers(params, query, 3, pos_filter="N")
+        ref = weakref.ref(params)
+        del params
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_model_roundtrip_bitwise(tmp_path):
