@@ -25,10 +25,10 @@ from .trees import (
     DcsTree,
     Edge,
     Word,
-    enumerate_paths,
     extract_subtree,
     lca,
     reroot,
+    tree_path,
 )
 from .ud import UdSentence, UdToken, convert_sentence
 
@@ -302,9 +302,9 @@ def completion_score(
     weighted: bool = True,
     strict: bool = False,
 ) -> float:
-    """Fill the blank, convert, and pool log sigmoid path scores over all
-    paths ending at the blank node: weighted mean by path weight, or a
-    plain sum with ``weighted=False``."""
+    """Fill the blank, convert, and pool log sigmoid path scores over the
+    n - 1 paths ending at the blank node, in ascending start order:
+    weighted mean by path weight, or a plain sum with ``weighted=False``."""
     conv = convert_sentence(_fill_blank(item, candidate))
     if conv is None:
         raise ConversionFailure("sentence does not convert with this candidate")
@@ -314,9 +314,10 @@ def completion_score(
     tree = conv.tree
     total = 0.0
     weight_sum = 0.0
-    for path in enumerate_paths(tree):
-        if path.end != node:
+    for start in range(tree.n_nodes):
+        if start == node:
             continue
+        path = tree_path(tree, start, node)
         s = path_score(
             params, tree.words[path.start], path.hops, tree.words[path.end], strict=strict
         )

@@ -247,10 +247,12 @@ def nearest_answers(
     k: int,
     pos_filter: str | None = None,
 ) -> list[tuple[Word, float]]:
-    """Top-k words by dot product with the answer vectors; ties break by
-    vocabulary index, NaN scores rank last, POS filter applies before
-    ranking.  Scores one slice of the answer index and sorts only the rows
-    that reach the k-th score."""
+    """Top-k words by dot product with the answer vectors; ties (bitwise-
+    equal scores) break by vocabulary index, NaN scores rank last, POS
+    filter applies before ranking.  Scores one slice of the answer index
+    and sorts only the rows that reach the k-th score.  Equal answer
+    vectors need not tie: BLAS may round a row's product differently by
+    its position in the table, one ulp apart."""
     if k < 1:
         raise InvalidConfig(f"k must be >= 1, got {k}")
     index = answer_index(params)

@@ -14,6 +14,13 @@ rescaled to it.
 
 Gradients are taken per slot occurrence: a map repeated in an unselected
 slot is held constant there.
+
+Three modes (`TrainConfig.mode`) share one forward/backward, and during a
+step only `loss_and_gradients` reads the mode.  `full` is the model above.
+`no_matrix` scores a path with no map slots: s+ = v.u, each noise
+replaces only the end word (s- = v.u_z), and no map is updated or
+regularized; `train()` pins the saved maps to the identity.  `no_inverse`
+reads gamma as 0, dropping the inverse-consistency penalty.
 """
 
 from __future__ import annotations
@@ -211,6 +218,10 @@ def loss_and_gradients(
     contributions to a shared parameter accumulate.  The regularizer
     runs once per touched field (one `regularizer_grads` call) and adds
     its gradient to that field's touched maps only.
+
+    The mode is read here and nowhere else in a step: `no_matrix` runs
+    this code on an empty slot list, so the noise boundary clamps to slot
+    0 and no map key appears; `no_inverse` uses gamma = 0.
     """
     xi = params.word_id(pos.start)
     yi = params.word_id(pos.end)
@@ -222,25 +233,8 @@ def loss_and_gradients(
         else:
             grads[key] = value
 
-    if config.mode == "no_matrix":
-        v = params.V[xi].astype(np.float64)
-        u = params.U[yi].astype(np.float64)
-        s_pos = float(v @ u)
-        g_pos = _sigmoid(s_pos) - 1.0
-        loss = softplus(-s_pos)
-        add(("v", xi), g_pos * u)
-        add(("u", yi), g_pos * v)
-        for noise in noises:
-            zi = params.word_id(noise.word)
-            uz = params.U[zi].astype(np.float64)
-            s_neg = float(v @ uz)
-            g_neg = _sigmoid(s_neg)
-            loss += softplus(s_neg)
-            add(("v", xi), g_neg * uz)
-            add(("u", zi), g_neg * v)
-        return loss, grads
-
-    slots = _pos_slots(params, pos)
+    slots = [] if config.mode == "no_matrix" else _pos_slots(params, pos)
+    gamma = 0.0 if config.mode == "no_inverse" else config.gamma
     two_l = len(slots)
     v = params.V[xi].astype(np.float64)
     u = params.U[yi].astype(np.float64)
@@ -261,7 +255,7 @@ def loss_and_gradients(
 
     noise_data = []
     for noise in noises:
-        ri = noise.i - 1  # first replaced slot, 0-based
+        ri = min(noise.i - 1, two_l)  # first replaced slot, 0-based; 0 with no slots
         nslots = [
             (params.field_id(noise.fields[j - ri]), slots[j][1]) if j >= ri else slots[j]
             for j in range(two_l)
@@ -283,6 +277,9 @@ def loss_and_gradients(
         add(("u", zi), g_neg * nr)
         noise_data.append((ri, nslots, ncols, g_neg))
 
+    if not slots:  # no_matrix: no map gradient, so no regularizer either
+        return loss, grads
+
     # positive-path maps at the noise boundary, then the boundary noise map
     selected = sorted({j for ri, _, _, _ in noise_data for j in (ri - 1, ri)})
     for j in selected:
@@ -296,7 +293,7 @@ def loss_and_gradients(
         fid, inv = nslots[ri]
         add(("Minv" if inv else "M", fid), g_neg * np.outer(rows[ri], ncols[ri + 1]))
 
-    if config.gamma != 0.0 or config.kappa != 0.0:
+    if gamma != 0.0 or config.kappa != 0.0:
         touched: dict[int, set[str]] = {}
         for kind, fid in grads:
             if kind in ("M", "Minv"):
@@ -305,7 +302,7 @@ def loss_and_gradients(
             reg = regularizer_grads(
                 params.M[fid],
                 params.Minv[fid],
-                config.gamma,
+                gamma,
                 config.kappa,
                 need_M="M" in kinds,
                 need_Minv="Minv" in kinds,
@@ -333,8 +330,8 @@ def step(
     loss, grads = loss_and_gradients(params, pos, noises, config)
     lr_v = _lr_at(config.lr_vec, config, step_index)
     lr_m = _lr_at(config.lr_mat, config, step_index)
-    for key, g in grads.items():
-        kind, idx = key
+    tables = {"v": params.V, "u": params.U, "M": params.M, "Minv": params.Minv}
+    for (kind, idx), g in grads.items():
         is_vec = kind in ("v", "u")
         clip = config.clip_norm_vec if is_vec else config.clip_norm_mat
         norm = float(np.linalg.norm(g))
@@ -344,18 +341,9 @@ def step(
             )
         if norm > clip:
             g = g * (clip / norm)
-        if kind == "v":
-            _apply(params.V, idx, lr_v, g)
-        elif kind == "u":
-            _apply(params.U, idx, lr_v, g)
-        elif config.mode != "no_matrix":
-            table = params.M if kind == "M" else params.Minv
-            _apply(table, idx, lr_m, g)
+        # float64 arithmetic, rounded once to the table's dtype
+        tables[kind][idx] -= (lr_v if is_vec else lr_m) * g
     return loss
-
-
-def _apply(table: np.ndarray, idx: int, lr: float, g: np.ndarray) -> None:
-    table[idx] = (table[idx].astype(np.float64) - lr * g).astype(table.dtype)
 
 
 @dataclass
@@ -399,8 +387,6 @@ def train(
         raise EmptyCorpus("no multi-node trees to train on")
 
     cfg = config
-    if cfg.mode == "no_inverse":
-        cfg = replace(cfg, gamma=0.0)
     if cfg.total_steps is None and cfg.lr_schedule == "linear":
         cfg = replace(
             cfg, total_steps=max(1, math.ceil(cfg.epochs * expected_steps_per_epoch(usable)))

@@ -417,3 +417,69 @@ def test_cosine_zero_raises():
 
     with pytest.raises(ZeroNorm):
         cosine(np.zeros(3), np.ones(3))
+
+
+def enumerate_all_completion_score(params, item, candidate, weighted=True):
+    """Slow-path oracle: enumerate all n(n-1) paths of the filled tree and
+    keep those that end at the blank."""
+    from dcsvec.model import path_score
+    from dcsvec.trees import enumerate_paths
+    from dcsvec.ud import convert_sentence
+
+    conv = convert_sentence(_fill(item, candidate))
+    node = conv.node_of_token(item.blank_id)
+    tree = conv.tree
+    total = weight_sum = 0.0
+    for path in enumerate_paths(tree):
+        if path.end != node:
+            continue
+        s = path_score(params, tree.words[path.start], path.hops, tree.words[path.end], strict=False)
+        logp = -_softplus(-s)
+        if weighted:
+            total += path.weight * logp
+            weight_sum += path.weight
+        else:
+            total += logp
+    return total / weight_sum if weighted else total
+
+
+def long_completion_item(rng, n_nouns):
+    """A verb with subject and object, grown by adjectives and
+    prepositional noun phrases on random nouns; the blank is a noun."""
+    tokens = []
+
+    def add(lemma, upos, head, deprel):
+        tokens.append(UdToken(len(tokens) + 1, lemma, lemma, upos, head, deprel))
+        return len(tokens)
+
+    nouns_pool = ("farmer", "bread", "car", "dog", "piano", "barn")
+    verb = add("eat", "VERB", 0, "root")
+    nouns = [add("farmer", "NOUN", verb, "nsubj"), add("bread", "NOUN", verb, "obj")]
+    while len(nouns) < n_nouns:
+        anchor = nouns[int(rng.integers(len(nouns)))]
+        if rng.random() < 0.3:
+            add("big", "ADJ", anchor, "amod")
+        else:
+            pp = add(nouns_pool[int(rng.integers(len(nouns_pool)))], "NOUN", anchor, "nmod")
+            add("of", "ADP", pp, "case")
+            nouns.append(pp)
+    blank = nouns[int(rng.integers(len(nouns)))]
+    return CompletionItem(
+        UdSentence(tuple(tokens)), blank, tuple(w(x) for x in nouns_pool[1:]), 0
+    )
+
+
+def test_completion_score_matches_all_pairs_enumeration_on_long_sentences():
+    rng = np.random.default_rng(12)
+    params = completion_vocab_params(seed=12)
+    params.U[:] = params.U * 3  # spread the scores away from 0
+    sizes = set()
+    for _ in range(12):
+        item = long_completion_item(rng, int(rng.integers(8, 20)))
+        for candidate in item.choices:
+            for weighted in (True, False):
+                got = completion_score(params, item, candidate, weighted=weighted)
+                want = enumerate_all_completion_score(params, item, candidate, weighted)
+                assert got == want
+        sizes.add(len(item.sentence.tokens))
+    assert max(sizes) >= 20

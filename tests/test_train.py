@@ -3,6 +3,7 @@ import importlib
 import io
 import math
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -630,3 +631,170 @@ def test_stats_log_line_format():
     for line in lines:
         epoch, steps, loss, speed = line.split("\t")
         int(epoch), int(steps), float(loss), float(speed)
+
+
+# --- one step for every mode ----------------------------------------------
+
+
+def separate_no_matrix_loss_and_gradients(params, pos, noises, config):
+    """Slow-path oracle: the additive model's own forward/backward,
+    s+ = v.u and s- = v.u_z, with no map touched."""
+    train_module = importlib.import_module("dcsvec.train")
+    sigmoid, softplus = train_module._sigmoid, train_module.softplus
+    grads = {}
+
+    def add(key, value):
+        grads[key] = grads[key] + value if key in grads else value
+
+    xi, yi = params.word_id(pos.start), params.word_id(pos.end)
+    v = params.V[xi].astype(np.float64)
+    u = params.U[yi].astype(np.float64)
+    s_pos = float(v @ u)
+    g_pos = sigmoid(s_pos) - 1.0
+    loss = softplus(-s_pos)
+    add(("v", xi), g_pos * u)
+    add(("u", yi), g_pos * v)
+    for noise in noises:
+        zi = params.word_id(noise.word)
+        uz = params.U[zi].astype(np.float64)
+        s_neg = float(v @ uz)
+        g_neg = sigmoid(s_neg)
+        loss += softplus(s_neg)
+        add(("v", xi), g_neg * uz)
+        add(("u", zi), g_neg * v)
+    return loss, grads
+
+
+def mode_oracle_loss_and_gradients(params, pos, noises, config):
+    """Slow-path oracle of all three modes: no_matrix through its separate
+    forward/backward, no_inverse as full with gamma set to 0."""
+    if config.mode == "no_matrix":
+        return separate_no_matrix_loss_and_gradients(params, pos, noises, config)
+    if config.mode == "no_inverse":
+        config = dataclasses.replace(config, mode="full", gamma=0.0)
+    return per_key_loss_and_gradients(params, pos, noises, config)
+
+
+def oracle_step(params, pos, noises, config, step_index):
+    """Slow-path oracle of `step`: the mode oracle's gradients, each
+    clipped and written back as float64 arithmetic cast to the table."""
+    lr_at = importlib.import_module("dcsvec.train")._lr_at
+    loss, grads = mode_oracle_loss_and_gradients(params, pos, noises, config)
+    lr_v = lr_at(config.lr_vec, config, step_index)
+    lr_m = lr_at(config.lr_mat, config, step_index)
+    for (kind, idx), g in grads.items():
+        is_vec = kind in ("v", "u")
+        clip = config.clip_norm_vec if is_vec else config.clip_norm_mat
+        norm = float(np.linalg.norm(g))
+        if norm > clip:
+            g = g * (clip / norm)
+        table = {"v": params.V, "u": params.U, "M": params.M, "Minv": params.Minv}[kind]
+        lr = lr_v if is_vec else lr_m
+        table[idx] = (table[idx].astype(np.float64) - lr * g).astype(table.dtype)
+    return loss
+
+
+def random_example(rng, vocab, k):
+    l = int(rng.integers(1, 4))
+    hops = tuple(
+        (FIELDS[int(rng.integers(len(FIELDS)))], FIELDS[int(rng.integers(len(FIELDS)))])
+        for _ in range(l)
+    )
+    start, end = (w(f"w{int(i)}") for i in rng.integers(0, 8, size=2))
+    pos = PathSample(start, end, hops)
+    noises = make_noise(pos, vocab, rng, k=k)
+    # one noise word equal to the end word, so its u gradient accumulates
+    noises[0] = dataclasses.replace(noises[0], word=end)
+    return pos, noises
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("mode", ["full", "no_matrix", "no_inverse"])
+def test_every_mode_matches_its_oracle_bitwise(mode, k, dtype):
+    rng = np.random.default_rng(30 + k)
+    vocab = make_vocab()
+    params = make_params(rng, dim=6, dtype=dtype)
+    cfg = TrainConfig(dim=6, gamma=0.02, kappa=0.005, mode=mode)
+    hop_counts = set()
+    for _ in range(40):
+        pos, noises = random_example(rng, vocab, k)
+        hop_counts.add(len(pos.hops))
+        loss, grads = loss_and_gradients(params, pos, noises, cfg)
+        want_loss, want = mode_oracle_loss_and_gradients(params, pos, noises, cfg)
+        assert loss == want_loss
+        assert list(grads) == list(want)
+        for key in want:
+            assert grads[key].dtype == want[key].dtype
+            assert np.array_equal(grads[key], want[key]), key
+        if mode == "no_matrix":
+            assert all(kind in ("v", "u") for kind, _ in grads)
+    assert hop_counts == {1, 2, 3}
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("mode", ["full", "no_matrix", "no_inverse"])
+def test_step_updates_in_place_like_the_oracle(mode, dtype):
+    rng = np.random.default_rng(33)
+    vocab = make_vocab()
+    params = make_params(rng, dim=6, dtype=dtype)
+    params.V *= 4  # large scores, so some gradients are clipped
+    before = params.copy()
+    expected = params.copy()
+    cfg = TrainConfig(dim=6, gamma=0.02, kappa=0.005, mode=mode, total_steps=60)
+    for index in range(60):
+        pos, noises = random_example(rng, vocab, int(rng.integers(1, 4)))
+        assert step(params, pos, noises, cfg, index) == oracle_step(
+            expected, pos, noises, cfg, index
+        )
+    for name in ("V", "U", "M", "Minv"):
+        assert getattr(params, name).dtype == dtype
+        assert np.array_equal(getattr(params, name), getattr(expected, name)), name
+    assert not np.array_equal(params.U, before.U)
+    assert np.array_equal(params.M, before.M) == (mode == "no_matrix")
+
+
+def test_training_bytes_match_the_mode_oracle_in_every_mode(monkeypatch):
+    rng = np.random.default_rng(34)
+    trees = [random_tree(rng, int(rng.integers(2, 6)), 10) for _ in range(60)]
+    vocab = build_vocab(trees, 1, 1)
+    train_module = importlib.import_module("dcsvec.train")
+
+    def model_bytes(mode):
+        cfg = TrainConfig(dim=8, epochs=2, seed=7, workers=1, gamma=0.02, kappa=0.005, mode=mode)
+        params, stats = train(trees, vocab, cfg)
+        buf = io.BytesIO()
+        save_model(params, vocab, buf)
+        return buf.getvalue(), stats.total_steps
+
+    modes = ("full", "no_matrix", "no_inverse")
+    fast = {mode: model_bytes(mode) for mode in modes}
+    monkeypatch.setattr(train_module, "step", oracle_step)
+    slow = {mode: model_bytes(mode) for mode in modes}
+    for mode in modes:
+        assert fast[mode][1] == slow[mode][1] and fast[mode][1] >= 300
+        assert fast[mode][0] == slow[mode][0], mode
+    assert len({fast[mode][0] for mode in modes}) == 3
+
+
+def test_no_inverse_is_read_by_a_direct_call():
+    rng = np.random.default_rng(35)
+    vocab = make_vocab()
+    params = make_params(rng, dim=6)
+    no_inverse = TrainConfig(dim=6, mode="no_inverse", gamma=0.5)
+    full_without_gamma = TrainConfig(dim=6, mode="full", gamma=0.0)
+    for _ in range(20):
+        pos, noises = random_example(rng, vocab, 2)
+        got = loss_and_gradients(params, pos, noises, no_inverse)
+        want = loss_and_gradients(params, pos, noises, full_without_gamma)
+        assert got[0] == want[0]
+        assert list(got[1]) == list(want[1])
+        for key in want[1]:
+            assert np.array_equal(got[1][key], want[1][key]), key
+
+
+def test_import_dcsvec_train_gives_the_module():
+    import dcsvec.train as module
+
+    assert isinstance(module, types.ModuleType)
+    assert callable(module.train)
