@@ -29,7 +29,7 @@ from .evaluate import (
 )
 from .model import ModelParams, compose_query, load_model, nearest_answers, normalize, save_model
 from .train import MODES, TrainConfig, train
-from .trees import DcsTree, Edge, Word, load_trees, read_trees, tree_from_line, tree_to_line
+from .trees import DcsTree, Edge, Word, load_trees, read_trees, save_trees, tree_from_line
 from .ud import convert_sentence, parse_conllu_file
 from .vocab import build_vocab, dump_path_samples, load_vocab, sample_paths, save_vocab
 
@@ -148,15 +148,18 @@ def _load_model_for_eval(args) -> ModelParams:
 
 
 def cmd_convert(args) -> int:
-    converted = skipped = 0
-    with open(args.trees_out, "w", encoding="utf-8") as out:
+    skipped = 0
+
+    def converted_trees():  # streamed: one sentence in memory at a time
+        nonlocal skipped
         for sent in parse_conllu_file(args.conllu_in):
             conv = convert_sentence(sent)
             if conv is None:
                 skipped += 1
-                continue
-            out.write(tree_to_line(conv.tree) + "\n")
-            converted += 1
+            else:
+                yield conv.tree
+
+    converted = save_trees(converted_trees(), args.trees_out)
     print(f"converted\t{converted}\tskipped\t{skipped}")
     if converted == 0:
         print("warning: no sentences converted", file=sys.stderr)
@@ -179,7 +182,7 @@ def cmd_train(args) -> int:
         rng = np.random.default_rng(args.seed)
         with open(args.dump_paths, "w", encoding="utf-8") as fh:
             for tree in corpus:
-                dump_path_samples(sample_paths(tree, voc, rng), fh)
+                dump_path_samples(sample_paths(tree, voc, rng), voc, fh)
     params, stats = train(corpus, voc, config, log=print)
     save_model(params, voc, args.model_out)
     print(f"steps\t{stats.total_steps}\tskipped_trees\t{stats.skipped_trees}")
@@ -276,7 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=MODES, default=None)
     p.add_argument("--lr-schedule", dest="lr_schedule", choices=("linear", "constant"), default=None)
     p.add_argument("--dump-paths", dest="dump_paths", default=None,
-                   help="write one epoch of sampled paths to this file before training")
+                   help="before training, write one epoch of sampled paths to this file; an "
+                        "independent sample from default_rng(--seed), not the trainer's stream")
     _add_common(p)
     p.set_defaults(func=cmd_train)
 

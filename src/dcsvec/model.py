@@ -11,8 +11,9 @@ and tree composition is
 
     q(x) = v_x + (1/n) * sum_i q(y_i) @ M[child_field_i] @ Minv[parent_field_i]
 
-Storage defaults to float32; score and composition arithmetic promotes
-to float64.
+Rows are found through the ``Vocabulary`` the parameters were built
+from (``params.vocab``), which owns the name-to-row index.  Storage
+defaults to float32; score and composition arithmetic promotes to float64.
 
 ``normalize`` returns parameters whose tables are read-only.  Queries
 against such a model reuse one memoized ``AnswerIndex`` (a float64 copy of
@@ -28,16 +29,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    BadMagic,
-    DimensionMismatch,
-    InvalidConfig,
-    TruncatedFile,
-    UnknownField,
-    UnknownWord,
-    ZeroNorm,
-)
-from .trees import UNKNOWN_FIELD, DcsTree, FieldId, Word, unknown_word
+from .errors import BadMagic, DimensionMismatch, InvalidConfig, TruncatedFile, ZeroNorm
+from .trees import DcsTree, FieldId, Word
 from .vocab import Vocabulary
 
 MODEL_MAGIC = "VECDCS 1"
@@ -48,47 +41,33 @@ Hop = tuple[FieldId, FieldId]
 @dataclass(eq=False)
 class ModelParams:
     dim: int
-    words: tuple[Word, ...]
-    fields: tuple[FieldId, ...]
+    vocab: Vocabulary  # rows of V/U are its words, rows of M/Minv its fields
     V: np.ndarray  # (n_words, dim) query vectors
     U: np.ndarray  # (n_words, dim) answer vectors
     M: np.ndarray  # (n_fields, dim, dim) field maps
     Minv: np.ndarray  # (n_fields, dim, dim) learned inverse maps
-    word_index: dict = field(init=False, repr=False)
-    field_index: dict = field(init=False, repr=False)
     # (U, AnswerIndex) once a query has run against a read-only U
     _answers: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        self.word_index = {w: i for i, w in enumerate(self.words)}
-        self.field_index = {f: i for i, f in enumerate(self.fields)}
-        n, m, d = len(self.words), len(self.fields), self.dim
+        n, m, d = self.vocab.n_words, self.vocab.n_fields, self.dim
         if self.V.shape != (n, d) or self.U.shape != (n, d):
             raise DimensionMismatch("vector table shape does not match vocabulary")
         if self.M.shape != (m, d, d) or self.Minv.shape != (m, d, d):
             raise DimensionMismatch("matrix table shape does not match field list")
 
-    def word_id(self, w: Word, strict: bool = True) -> int:
-        idx = self.word_index.get(w)
-        if idx is None and not strict:
-            idx = self.word_index.get(unknown_word(w.pos))
-        if idx is None:
-            raise UnknownWord(f"{w.render()} not in vocabulary")
-        return idx
+    @property
+    def words(self) -> tuple[Word, ...]:
+        return self.vocab.words
 
-    def field_id(self, f: FieldId, strict: bool = True) -> int:
-        idx = self.field_index.get(f)
-        if idx is None and not strict:
-            idx = self.field_index.get(UNKNOWN_FIELD)
-        if idx is None:
-            raise UnknownField(f"field {f} has no learned maps")
-        return idx
+    @property
+    def fields(self) -> tuple[FieldId, ...]:
+        return self.vocab.fields
 
     def copy(self) -> "ModelParams":
         """Writeable copies of the tables, without the memoized index."""
         return ModelParams(
-            self.dim, self.words, self.fields,
-            self.V.copy(), self.U.copy(), self.M.copy(), self.Minv.copy(),
+            self.dim, self.vocab, self.V.copy(), self.U.copy(), self.M.copy(), self.Minv.copy()
         )
 
 
@@ -110,7 +89,7 @@ def init_params(
     G = rng.standard_normal((m, dim, dim)) * scale
     M = ((np.eye(dim) + G) / 2.0).astype(dtype)
     Minv = np.transpose(M, (0, 2, 1)).copy()
-    return ModelParams(dim, vocab.words, vocab.fields, V, U, M, Minv)
+    return ModelParams(dim, vocab, V, U, M, Minv)
 
 
 def identity_maps(params: ModelParams) -> None:
@@ -126,8 +105,8 @@ def path_matrix(params: ModelParams, hops: Sequence[Hop], strict: bool = True) -
         raise ValueError("need at least one hop")
     A = np.eye(params.dim, dtype=np.float64)
     for near, far in hops:
-        A = A @ params.M[params.field_id(near, strict)]
-        A = A @ params.Minv[params.field_id(far, strict)]
+        A = A @ params.M[params.vocab.field_id(near, strict)]
+        A = A @ params.Minv[params.vocab.field_id(far, strict)]
     return A
 
 
@@ -138,11 +117,11 @@ def path_score(
     end: Word,
     strict: bool = True,
 ) -> float:
-    r = params.V[params.word_id(start, strict)].astype(np.float64)
+    r = params.V[params.vocab.word_id(start, strict)].astype(np.float64)
     for near, far in hops:
-        r = r @ params.M[params.field_id(near, strict)]
-        r = r @ params.Minv[params.field_id(far, strict)]
-    return float(r @ params.U[params.word_id(end, strict)].astype(np.float64))
+        r = r @ params.M[params.vocab.field_id(near, strict)]
+        r = r @ params.Minv[params.vocab.field_id(far, strict)]
+    return float(r @ params.U[params.vocab.word_id(end, strict)].astype(np.float64))
 
 
 def compose_query(params: ModelParams, tree: DcsTree, strict: bool = True) -> np.ndarray:
@@ -160,14 +139,14 @@ def _compose(params: ModelParams, tree: DcsTree, node: int, strict: bool) -> np.
     # is a reference cycle through ``params``, which would keep a model its
     # caller has dropped (answer index included) alive until the cyclic
     # collector runs.
-    q = params.V[params.word_id(tree.words[node], strict)].astype(np.float64)
+    q = params.V[params.vocab.word_id(tree.words[node], strict)].astype(np.float64)
     children = tree.child_edges(node)
     if children:
         acc = np.zeros(params.dim, dtype=np.float64)
         for e in children:
             sub = _compose(params, tree, e.child, strict)
-            sub = sub @ params.M[params.field_id(e.child_field, strict)]
-            sub = sub @ params.Minv[params.field_id(e.parent_field, strict)]
+            sub = sub @ params.M[params.vocab.field_id(e.child_field, strict)]
+            sub = sub @ params.Minv[params.vocab.field_id(e.parent_field, strict)]
             acc += sub
         q = q + acc / len(children)
     return q
@@ -303,6 +282,7 @@ def save_model(params: ModelParams, vocab: Vocabulary, dest) -> None:
 
 
 def load_model(src) -> tuple[ModelParams, Vocabulary]:
+    """The parameters and ``params.vocab``, the vocabulary of the header."""
     own = isinstance(src, (str, bytes)) or hasattr(src, "__fspath__")
     fh = open(src, "rb") if own else src
     try:
@@ -329,25 +309,27 @@ def load_model(src) -> tuple[ModelParams, Vocabulary]:
         raise DimensionMismatch(f"bad header line: {exc}") from exc
     if dim < 2 or n_words < 1 or n_fields < 1:
         raise DimensionMismatch(f"implausible header: dim={dim} words={n_words} fields={n_fields}")
-    words: list[Word] = []
-    word_counts: dict[Word, float] = {}
+    word_counts: dict[Word, float] = {}  # in header order
     for _ in range(n_words):
         entry, _, count = text_line().partition("\t")
         try:
             w = Word.parse(entry)
-            word_counts[w] = float(count)
+            c = float(count)
         except ValueError as exc:
             raise DimensionMismatch(f"bad word line {entry!r}: {exc}") from exc
-        words.append(w)
-    fields: list[FieldId] = []
+        if w in word_counts:
+            raise DimensionMismatch(f"word {entry!r} is listed twice")
+        word_counts[w] = c
     field_counts: dict[FieldId, float] = {}
     for _ in range(n_fields):
         entry, _, count = text_line().partition("\t")
         try:
-            field_counts[entry] = float(count)
+            c = float(count)
         except ValueError as exc:
             raise DimensionMismatch(f"bad field line {entry!r}: {exc}") from exc
-        fields.append(entry)
+        if entry in field_counts:
+            raise DimensionMismatch(f"field {entry!r} is listed twice")
+        field_counts[entry] = c
     if text_line() != "":
         raise DimensionMismatch("missing blank line before binary payload")
 
@@ -380,6 +362,6 @@ def load_model(src) -> tuple[ModelParams, Vocabulary]:
     for i in range(n_fields):
         M[i] = take(dim * dim, (dim, dim))
         Minv[i] = take(dim * dim, (dim, dim))
-    params = ModelParams(dim, tuple(words), tuple(fields), V, U, M, Minv)
-    vocab = Vocabulary(tuple(words), tuple(fields), word_counts, field_counts)
-    return params, vocab
+    vocab = Vocabulary(tuple(word_counts), tuple(field_counts), word_counts, field_counts)
+    params = ModelParams(dim, vocab, V, U, M, Minv)
+    return params, params.vocab

@@ -13,7 +13,8 @@ Per-parameter gradients whose norm exceeds the clip threshold are
 rescaled to it.
 
 Gradients are taken per slot occurrence: a map repeated in an unselected
-slot is held constant there.
+slot is held constant there.  Examples hold vocabulary row ids, so a
+step looks up no name.
 
 Three modes (`TrainConfig.mode`) share one forward/backward, and during a
 step only `loss_and_gradients` reads the mode.  `full` is the model above.
@@ -38,7 +39,7 @@ import numpy as np
 
 from .errors import EmptyCorpus, InvalidConfig, NonFiniteGradient
 from .model import ModelParams, identity_maps, init_params
-from .trees import DcsTree, FieldId, Word, enumerate_paths
+from .trees import DcsTree, enumerate_paths
 from .vocab import PathSample, Vocabulary, sample_paths
 
 MODES = ("full", "no_matrix", "no_inverse")
@@ -88,12 +89,12 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class NoisedExample:
-    """Replacement index i in [2, 2l], the redrawn fields for slots j >= i
-    (in slot order), and the redrawn end word."""
+    """Replacement index i in [2, 2l], the field rows redrawn for slots
+    j >= i (in slot order), and the redrawn end word's row."""
 
     i: int
-    fields: tuple[FieldId, ...]
-    word: Word
+    fields: tuple[int, ...]
+    word: int
 
     def __post_init__(self):
         if self.i < 2:
@@ -110,15 +111,6 @@ def make_noise(
         fields = tuple(vocab.unigram_draw_field(rng) for _ in range(hi - i + 1))
         out.append(NoisedExample(i, fields, vocab.unigram_draw_word(rng)))
     return out
-
-
-def _pos_slots(params: ModelParams, path: PathSample) -> list[tuple[int, bool]]:
-    # (field id, is_inverse) per slot; slot 2t holds M[near], 2t+1 Minv[far]
-    slots = []
-    for near, far in path.hops:
-        slots.append((params.field_id(near), False))
-        slots.append((params.field_id(far), True))
-    return slots
 
 
 def _slot_mat(params: ModelParams, fid: int, inv: bool) -> np.ndarray:
@@ -223,8 +215,7 @@ def loss_and_gradients(
     this code on an empty slot list, so the noise boundary clamps to slot
     0 and no map key appears; `no_inverse` uses gamma = 0.
     """
-    xi = params.word_id(pos.start)
-    yi = params.word_id(pos.end)
+    xi, yi = pos.start, pos.end
     grads: dict[tuple[str, int], np.ndarray] = {}
 
     def add(key, value):
@@ -233,7 +224,10 @@ def loss_and_gradients(
         else:
             grads[key] = value
 
-    slots = [] if config.mode == "no_matrix" else _pos_slots(params, pos)
+    # (field row, is_inverse) per slot; slot 2t holds M[near], 2t+1 Minv[far]
+    slots = [] if config.mode == "no_matrix" else [
+        slot for near, far in pos.hops for slot in ((near, False), (far, True))
+    ]
     gamma = 0.0 if config.mode == "no_inverse" else config.gamma
     two_l = len(slots)
     v = params.V[xi].astype(np.float64)
@@ -257,10 +251,10 @@ def loss_and_gradients(
     for noise in noises:
         ri = min(noise.i - 1, two_l)  # first replaced slot, 0-based; 0 with no slots
         nslots = [
-            (params.field_id(noise.fields[j - ri]), slots[j][1]) if j >= ri else slots[j]
+            (noise.fields[j - ri], slots[j][1]) if j >= ri else slots[j]
             for j in range(two_l)
         ]
-        zi = params.word_id(noise.word)
+        zi = noise.word
         ncols = [None] * (two_l + 1)
         ncols[two_l] = params.U[zi].astype(np.float64)
         for j in range(two_l - 1, -1, -1):

@@ -9,6 +9,9 @@ threshold collapse to one placeholder per POS, prepositions under the
 preposition threshold collapse to one placeholder field; ARG/SUBJ/COMP
 are never collapsed.
 
+``Vocabulary.word_id``/``field_id`` are the one name-to-row index and
+hold the placeholder rule; training examples carry their row ids.
+
 The sampler starts one walk per directed edge and always continues at
 internal nodes, choosing uniformly among the non-entry edges, emitting
 every prefix; the expected emission count of a path then equals its
@@ -23,7 +26,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import BadMagic, EmptyCorpus, InvalidConfig, MalformedLine
+from .errors import BadMagic, EmptyCorpus, InvalidConfig, MalformedLine, UnknownField, UnknownWord
 from .trees import (
     CORE_FIELDS,
     POS_TAGS,
@@ -42,11 +45,12 @@ VOCAB_MAGIC = "VDCS-VOCAB 1"
 
 @dataclass(frozen=True)
 class PathSample:
-    """One sampled training path, already mapped through the vocabulary."""
+    """One sampled training path as vocabulary row ids: start and end
+    word rows, and a (near, far) field row pair per hop."""
 
-    start: Word
-    end: Word
-    hops: tuple[tuple[FieldId, FieldId], ...]
+    start: int
+    end: int
+    hops: tuple[tuple[int, int], ...]
 
 
 @dataclass(eq=False)
@@ -78,17 +82,29 @@ class Vocabulary:
     def n_fields(self) -> int:
         return len(self.fields)
 
-    def map_word(self, w: Word) -> Word:
-        return w if w in self.word_index else unknown_word(w.pos)
+    def word_id(self, w: Word, strict: bool = True) -> int:
+        """Row of ``w``; unless ``strict``, unknown words take their POS placeholder's."""
+        idx = self.word_index.get(w)
+        if idx is None and not strict:
+            idx = self.word_index.get(unknown_word(w.pos))
+        if idx is None:
+            raise UnknownWord(f"{w.render()} not in vocabulary")
+        return idx
 
-    def map_field(self, f: FieldId) -> FieldId:
-        return f if f in self.field_index else UNKNOWN_FIELD
+    def field_id(self, f: FieldId, strict: bool = True) -> int:
+        """Row of ``f``; unless ``strict``, unknown fields take the placeholder's."""
+        idx = self.field_index.get(f)
+        if idx is None and not strict:
+            idx = self.field_index.get(UNKNOWN_FIELD)
+        if idx is None:
+            raise UnknownField(f"field {f} has no learned maps")
+        return idx
 
-    def unigram_draw_word(self, rng: np.random.Generator) -> Word:
-        return self.words[self._draw(self._word_cum, rng)]
+    def unigram_draw_word(self, rng: np.random.Generator) -> int:
+        return self._draw(self._word_cum, rng)
 
-    def unigram_draw_field(self, rng: np.random.Generator) -> FieldId:
-        return self.fields[self._draw(self._field_cum, rng)]
+    def unigram_draw_field(self, rng: np.random.Generator) -> int:
+        return self._draw(self._field_cum, rng)
 
     @staticmethod
     def _draw(cum: np.ndarray, rng: np.random.Generator) -> int:
@@ -170,9 +186,7 @@ def save_vocab(vocab: Vocabulary, path) -> None:
 
 
 def load_vocab(path) -> Vocabulary:
-    words: list[Word] = []
-    fields: list[FieldId] = []
-    word_counts: dict[Word, float] = {}
+    word_counts: dict[Word, float] = {}  # in file order
     field_counts: dict[FieldId, float] = {}
     with open(path, encoding="utf-8") as fh:
         first = fh.readline().rstrip("\n")
@@ -187,16 +201,14 @@ def load_vocab(path) -> Vocabulary:
                 raise MalformedLine("expected W/F<TAB>entry<TAB>count", line_no)
             try:
                 count = float(parts[2])
+                entry = Word.parse(parts[1]) if parts[0] == "W" else parts[1]
             except ValueError as exc:
                 raise MalformedLine(str(exc), line_no) from exc
-            if parts[0] == "W":
-                w = Word.parse(parts[1])
-                words.append(w)
-                word_counts[w] = count
-            else:
-                fields.append(parts[1])
-                field_counts[parts[1]] = count
-    return Vocabulary(tuple(words), tuple(fields), word_counts, field_counts)
+            counts = word_counts if parts[0] == "W" else field_counts
+            if entry in counts:
+                raise MalformedLine(f"repeated {parts[0]} entry {parts[1]!r}", line_no)
+            counts[entry] = count
+    return Vocabulary(tuple(word_counts), tuple(field_counts), word_counts, field_counts)
 
 
 def _walk_layout(tree: DcsTree):
@@ -255,24 +267,27 @@ def _walk_trajectories(
 def sample_paths(
     tree: DcsTree, vocab: Vocabulary, rng: np.random.Generator
 ) -> list[PathSample]:
-    """One sampling epoch over a tree; placeholder substitution is applied
-    after sampling and never changes the path structure."""
+    """One sampling epoch over a tree, as row ids.  The tree's words and
+    edge fields are mapped once, placeholders included; substitution never
+    changes the path structure."""
     if tree.n_nodes < 2:
         return []
     traj = _walk_trajectories(tree, 1, rng)
-    mapped_words = [vocab.map_word(w) for w in tree.words]
+    word_rows = [vocab.word_id(w, strict=False) for w in tree.words]
+    hop_rows = {}  # (near node, far node) -> (near field row, far field row)
+    for e in tree.edges:
+        pf, cf = (vocab.field_id(f, strict=False) for f in (e.parent_field, e.child_field))
+        hop_rows[e.parent, e.child] = (pf, cf)
+        hop_rows[e.child, e.parent] = (cf, pf)
     out: list[PathSample] = []
-    for row in traj:
-        start = int(row[0])
-        hops: list[tuple[FieldId, FieldId]] = []
-        node = start
-        for col in range(1, len(row)):
-            nxt = int(row[col])
+    for row in traj.tolist():
+        start = node = row[0]
+        hops: list[tuple[int, int]] = []
+        for nxt in row[1:]:
             if nxt < 0:
                 break
-            near, far = hop_fields(tree, node, nxt)
-            hops.append((vocab.map_field(near), vocab.map_field(far)))
-            out.append(PathSample(mapped_words[start], mapped_words[nxt], tuple(hops)))
+            hops.append(hop_rows[node, nxt])
+            out.append(PathSample(word_rows[start], word_rows[nxt], tuple(hops)))
             node = nxt
     return out
 
@@ -302,15 +317,16 @@ def sample_path_counts(
     return counts.reshape(n, n)
 
 
-def path_sample_to_line(sample: PathSample) -> str:
+def path_sample_to_line(sample: PathSample, vocab: Vocabulary) -> str:
     """Debug dump format: ``start_word<TAB>end_word<TAB>near:far,near:far,...``"""
-    hops = ",".join(f"{near}:{far}" for near, far in sample.hops)
-    return f"{sample.start.render()}\t{sample.end.render()}\t{hops}"
+    f = vocab.fields
+    hops = ",".join(f"{f[near]}:{f[far]}" for near, far in sample.hops)
+    return f"{vocab.words[sample.start].render()}\t{vocab.words[sample.end].render()}\t{hops}"
 
 
-def dump_path_samples(samples: Iterable[PathSample], fh) -> int:
+def dump_path_samples(samples: Iterable[PathSample], vocab: Vocabulary, fh) -> int:
     count = 0
     for sample in samples:
-        fh.write(path_sample_to_line(sample) + "\n")
+        fh.write(path_sample_to_line(sample, vocab) + "\n")
         count += 1
     return count

@@ -10,7 +10,9 @@ import itertools
 import numpy as np
 
 from dcsvec.logic import Database, DbTuple
+from dcsvec.train import NoisedExample
 from dcsvec.trees import ARG, COMP, SUBJ, DcsTree, Edge, Word, hop_fields, path_nodes
+from dcsvec.vocab import PathSample
 
 POS_CHOICES = ("N", "V", "J")
 FIELD_CHOICES = (ARG, SUBJ, COMP, "in", "on", "of")
@@ -108,3 +110,18 @@ def brute_force_path(tree: DcsTree, db: Database, start: int, end: int) -> froze
 def random_orthogonal(rng: np.random.Generator, d: int) -> np.ndarray:
     q, r = np.linalg.qr(rng.standard_normal((d, d)))
     return q * np.sign(np.diag(r))
+
+
+def id_example(vocab, start, end, hops, *noises):
+    """A training example written by name, as the row ids the trainer takes:
+    the path start -> end over (near, far) field hops, and one noise per
+    (i, fields, word) triple.  Every name must be in ``vocab``."""
+    pos = PathSample(
+        vocab.word_id(start),
+        vocab.word_id(end),
+        tuple((vocab.field_id(near), vocab.field_id(far)) for near, far in hops),
+    )
+    return pos, [
+        NoisedExample(i, tuple(vocab.field_id(f) for f in fields), vocab.word_id(word))
+        for i, fields, word in noises
+    ]

@@ -31,7 +31,6 @@ from dcsvec.model import (
     save_model,
 )
 from dcsvec.train import (
-    NoisedExample,
     TrainConfig,
     loss_and_gradients,
     nce_loss,
@@ -43,13 +42,12 @@ from dcsvec.train import (
 from dcsvec.trees import Word, enumerate_paths
 from dcsvec.ud import convert_sentence, parse_conllu_file
 from dcsvec.vocab import (
-    PathSample,
     Vocabulary,
     build_vocab,
     sample_path_counts,
 )
 from dcsvec.cli import parse_tree_literal
-from helpers import brute_force_denotation, random_db_for_tree, random_tree
+from helpers import brute_force_denotation, id_example, random_db_for_tree, random_tree
 from test_evaluate import SPEARMAN_FIXTURES
 
 
@@ -116,12 +114,15 @@ def test_criterion_2_logic_oracle():
 GRAD_FIELDS = ("ARG", "SUBJ", "COMP", "of", "in", "on", "to", "at")
 
 
+def _vocab(n_words):
+    words = tuple(Word(f"w{i}", "N") for i in range(n_words))
+    return Vocabulary(words, GRAD_FIELDS, dict.fromkeys(words, 1.0), dict.fromkeys(GRAD_FIELDS, 1.0))
+
+
 def _random_instance(rng, dim):
-    words = tuple(Word(f"w{i}", "N") for i in range(6))
     params = ModelParams(
         dim,
-        words,
-        GRAD_FIELDS,
+        _vocab(6),
         rng.standard_normal((6, dim)) * 0.4,
         rng.standard_normal((6, dim)) * 0.4,
         np.eye(dim) + rng.standard_normal((len(GRAD_FIELDS), dim, dim)) * 0.3,
@@ -131,9 +132,9 @@ def _random_instance(rng, dim):
     pool = list(GRAD_FIELDS)
     rng.shuffle(pool)
     hops = tuple((pool[2 * t], pool[2 * t + 1]) for t in range(l))
-    pos = PathSample(Word("w0", "N"), Word("w1", "N"), hops)
     i = int(rng.integers(2, 2 * l + 1))
-    noise = NoisedExample(i, tuple(pool[4 : 4 + (2 * l - i + 1)]), Word("w2", "N"))
+    noise = (i, tuple(pool[4 : 4 + (2 * l - i + 1)]), Word("w2", "N"))
+    pos, [noise] = id_example(params.vocab, Word("w0", "N"), Word("w1", "N"), hops, noise)
     return params, pos, noise
 
 
@@ -221,24 +222,24 @@ def test_criterion_5_regularizer_convergence():
 def test_criterion_6_sparse_update_footprint():
     with criterion(6, "one step touches at most 3 vectors and 3 maps"):
         rng = np.random.default_rng(606)
-        words = tuple(Word(f"w{i}", "N") for i in range(12))
         params = ModelParams(
             25,
-            words,
-            GRAD_FIELDS,
+            _vocab(12),
             (rng.standard_normal((12, 25)) * 0.2).astype(np.float32),
             (rng.standard_normal((12, 25)) * 0.2).astype(np.float32),
             (np.eye(25) + rng.standard_normal((8, 25, 25)) * 0.2).astype(np.float32),
             (np.eye(25) + rng.standard_normal((8, 25, 25)) * 0.2).astype(np.float32),
         )
         before = params.copy()
-        pos = PathSample(Word("w0", "N"), Word("w1", "N"), (("ARG", "SUBJ"), ("COMP", "of")))
-        noise = NoisedExample(3, ("in", "on"), Word("w2", "N"))
-        step(params, pos, [noise], TrainConfig(dim=25, lr_schedule="constant"), 0)
+        pos, noises = id_example(
+            params.vocab, Word("w0", "N"), Word("w1", "N"), (("ARG", "SUBJ"), ("COMP", "of")),
+            (3, ("in", "on"), Word("w2", "N")),
+        )
+        step(params, pos, noises, TrainConfig(dim=25, lr_schedule="constant"), 0)
         changed_vec = [
             (name, i)
             for name, a, b in (("V", before.V, params.V), ("U", before.U, params.U))
-            for i in range(len(words))
+            for i in range(len(params.words))
             if not np.array_equal(a[i], b[i])
         ]
         changed_mat = [

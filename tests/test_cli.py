@@ -11,7 +11,10 @@ from dcsvec import cli
 from dcsvec.cli import parse_tree_literal
 from dcsvec.errors import InputError
 from dcsvec.train import TrainConfig
-from dcsvec.trees import ARG, COMP, DcsTree, Edge, Word
+from dcsvec.trees import ARG, COMP, DcsTree, Edge, Word, load_trees, tree_to_line
+from dcsvec.ud import convert_sentence, parse_conllu_file
+from dcsvec.vocab import load_vocab
+from test_sampler import name_sample_paths
 
 DATA = Path(__file__).parent / "data"
 SRC = Path(__file__).parent.parent / "src"
@@ -84,6 +87,25 @@ def test_convert_malformed_exits_2(tmp_path):
     assert kind == "error" and name == "MalformedLine" and "line 1" in message
 
 
+def test_convert_streams_through_save_trees(tmp_path, monkeypatch, capsys):
+    real = cli.save_trees
+    calls = []
+
+    def recording(trees, path):
+        calls.append(trees)
+        return real(trees, path)
+
+    monkeypatch.setattr(cli, "save_trees", recording)
+    out = tmp_path / "trees.txt"
+    assert cli.main(["convert", str(DATA / "mini.conllu"), str(out)]) == 0
+    assert capsys.readouterr().out == "converted\t9\tskipped\t1\n"
+    (trees,) = calls
+    assert not isinstance(trees, (list, tuple))  # one sentence at a time
+    convs = [convert_sentence(s) for s in parse_conllu_file(DATA / "mini.conllu")]
+    expected = "".join(tree_to_line(c.tree) + "\n" for c in convs if c is not None)
+    assert out.read_text(encoding="utf-8") == expected
+
+
 def test_missing_input_exits_2(tmp_path):
     proc = run_cli("convert", tmp_path / "nope.conllu", tmp_path / "out.txt", expect=2)
     assert proc.stderr.startswith("error\t")
@@ -143,6 +165,44 @@ def test_train_dump_paths(pipeline, tmp_path):
     for hop in hops.split(","):
         near, far = hop.split(":")
         assert near and far
+    # one epoch drawn from default_rng(seed), rendered by name
+    rng = np.random.default_rng(3)
+    voc = load_vocab(vocab)
+    expected = [
+        f"{a.render()}\t{b.render()}\t" + ",".join(f"{near}:{far}" for near, far in hop_names)
+        for tree in load_trees(trees)
+        for a, b, hop_names in name_sample_paths(tree, voc, rng)
+    ]
+    assert lines == expected
+
+
+def one_error_line(proc):
+    (line,) = proc.stderr.splitlines()
+    kind, name, message = line.split("\t", 2)
+    assert kind == "error"
+    return name, message
+
+
+@pytest.mark.parametrize("entry", ["W\tkid\t1.0", "W\tkid/Q\t1.0", "W\tkid/N\t1.0", "F\tARG\t1.0"])
+def test_train_bad_or_repeated_vocab_entry_exits_2(pipeline, tmp_path, entry):
+    _, trees, _, _ = pipeline
+    bad = tmp_path / "vocab.txt"
+    bad.write_text(f"VDCS-VOCAB 1\nW\tkid/N\t2.0\nF\tARG\t2.0\n{entry}\n", encoding="utf-8")
+    proc = run_cli("train", trees, bad, tmp_path / "m.bin", "--dim", 4, "--epochs", 1, expect=2)
+    name, message = one_error_line(proc)
+    assert name == "MalformedLine" and message.startswith("line 4:")
+
+
+def test_nearest_on_a_model_listing_a_word_twice_exits_2(pipeline, tmp_path):
+    _, _, _, model = pipeline
+    head, sep, payload = model.read_bytes().partition(b"\n\n")
+    lines = head.split(b"\n")
+    lines[5] = lines[4]  # the second word line repeats the first
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(b"\n".join(lines) + sep + payload)
+    proc = run_cli("nearest", bad, "--tree", "food/N -ARG:COMP-> eat/V", expect=2)
+    name, message = one_error_line(proc)
+    assert name == "DimensionMismatch" and "listed twice" in message
 
 
 def test_train_stats_lines(pipeline):

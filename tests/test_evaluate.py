@@ -74,12 +74,12 @@ def test_fight_war_query_structure():
     params = params_for(w("fight", "V"), w("war"))
     pair = PhrasePair(phrase_tree("VO", ["fight", "war"]), phrase_tree("VO", ["fight", "war"]), 7.0, "VO")
     q = compose_query(params, pair.left)
-    fi = params.field_index
+    fi = params.vocab.field_index
     expected = (
-        params.V[params.word_index[w("war")]].astype(np.float64)
+        params.V[params.vocab.word_index[w("war")]].astype(np.float64)
         @ params.M[fi[ARG]]
         @ params.Minv[fi[COMP]]
-        + params.V[params.word_index[w("fight", "V")]]
+        + params.V[params.vocab.word_index[w("fight", "V")]]
     )
     assert np.allclose(q, expected, atol=1e-12)
 
@@ -105,7 +105,7 @@ def test_phrase_similarity_no_matrix_identity():
         phrase_tree("VO", ["fight", "war"]), phrase_tree("VO", ["fight", "war"]), 7.0, "VO"
     )
     q = compose_query(params, pair.left)
-    assert np.allclose(q, (params.V[params.word_index[w("war")]] + params.V[params.word_index[w("fight", "V")]]).astype(np.float64), atol=1e-10)
+    assert np.allclose(q, (params.V[params.vocab.word_index[w("war")]] + params.V[params.vocab.word_index[w("fight", "V")]]).astype(np.float64), atol=1e-10)
     assert abs(phrase_similarity(params, pair) - 1.0) < 1e-12
 
 
@@ -222,7 +222,7 @@ def test_relation_features_blocks_are_unit_and_ordered():
         assert abs(np.linalg.norm(feats[b * d : (b + 1) * d]) - 1.0) < 1e-9
     assert np.linalg.norm(feats) <= 2.0 + 1e-9
     # leaf blocks are the normalized word vectors
-    v_smoke = params.V[params.word_index[w("smoke")]].astype(np.float64)
+    v_smoke = params.V[params.vocab.word_index[w("smoke")]].astype(np.float64)
     assert np.allclose(feats[:d], v_smoke / np.linalg.norm(v_smoke), atol=1e-9)
     # block (c) composes the tree re-rooted at smoke
     from dcsvec.trees import reroot
@@ -239,9 +239,9 @@ def test_relation_features_identity_maps_match_direct_sums():
     feats = relation_features(params, inst)
     d = params.dim
     total = (
-        params.V[params.word_index[w("cause", "V")]]
-        + params.V[params.word_index[w("smoke")]]
-        + params.V[params.word_index[w("delay")]]
+        params.V[params.vocab.word_index[w("cause", "V")]]
+        + params.V[params.vocab.word_index[w("smoke")]]
+        + params.V[params.vocab.word_index[w("delay")]]
     ).astype(np.float64)
     for block in (feats[2 * d : 3 * d], feats[3 * d :]):
         assert np.allclose(block, total / np.linalg.norm(total), atol=1e-9)
@@ -305,7 +305,7 @@ def completion_vocab_params(seed=8):
 def test_completion_identical_vectors_tie():
     params = completion_vocab_params()
     item = completion_item()
-    params.U[params.word_index[w("bread")]] = params.U[params.word_index[w("car")]]
+    params.U[params.vocab.word_index[w("bread")]] = params.U[params.vocab.word_index[w("car")]]
     s1 = completion_score(params, item, w("bread"))
     s2 = completion_score(params, item, w("car"))
     assert s1 == s2
@@ -357,7 +357,7 @@ def test_completion_oracle_params_score_perfectly():
     # craft alignment: every query path points at bread, away from the rest
     params.V[:] = 1.0
     params.U[:] = -1.0
-    params.U[params.word_index[w("bread")]] = 1.0
+    params.U[params.vocab.word_index[w("bread")]] = 1.0
     items = [completion_item(answer=0)]
     result = eval_completion(params, items)
     assert result.accuracy == 1.0

@@ -47,13 +47,14 @@ def make_vocab(n_words=6, fields=(ARG, SUBJ, COMP, "of")):
     )
 
 
+def vocab_of(words, fields):
+    return Vocabulary(tuple(words), tuple(fields), dict.fromkeys(words, 1.0), dict.fromkeys(fields, 1.0))
+
+
 def make_params(rng, dim=4, n_words=6, dtype=np.float64, scale=0.5):
-    words = tuple(w(f"w{i}") for i in range(n_words))
-    fields = (ARG, SUBJ, COMP, "of")
     return ModelParams(
         dim,
-        words,
-        fields,
+        vocab_of([w(f"w{i}") for i in range(n_words)], (ARG, SUBJ, COMP, "of")),
         (rng.standard_normal((n_words, dim)) * scale).astype(dtype),
         (rng.standard_normal((n_words, dim)) * scale).astype(dtype),
         (np.eye(dim) + rng.standard_normal((4, dim, dim)) * scale).astype(dtype),
@@ -104,7 +105,7 @@ def test_path_matrix_identity():
 def test_path_matrix_single_hop():
     params = make_params(np.random.default_rng(4))
     A = path_matrix(params, ((SUBJ, ARG),))
-    fi = params.field_index
+    fi = params.vocab.field_index
     expected = params.M[fi[SUBJ]] @ params.Minv[fi[ARG]]
     assert np.allclose(A, expected, atol=1e-12)
 
@@ -113,7 +114,7 @@ def test_path_matrix_two_hops_manual():
     params = make_params(np.random.default_rng(5), dim=3)
     hops = ((ARG, SUBJ), (COMP, "of"))
     A = path_matrix(params, hops)
-    fi = params.field_index
+    fi = params.vocab.field_index
     manual = np.eye(3)
     for name in (("M", ARG), ("Minv", SUBJ), ("M", COMP), ("Minv", "of")):
         table = params.M if name[0] == "M" else params.Minv
@@ -121,6 +122,8 @@ def test_path_matrix_two_hops_manual():
     assert np.allclose(A, manual, atol=1e-12)
     with pytest.raises(UnknownField):
         path_matrix(params, (("nope", ARG),))
+    with pytest.raises(UnknownField):
+        params.vocab.field_id("nope")
     with pytest.raises(ValueError):
         path_matrix(params, ())
 
@@ -143,7 +146,7 @@ def test_path_score_matches_triple_loop_oracle():
     params = make_params(np.random.default_rng(8), dim=4)
     hops = ((SUBJ, ARG), (COMP, "of"))
     got = path_score(params, w("w2"), hops, w("w3"))
-    fi = params.field_index
+    fi = params.vocab.field_index
     order = [
         params.M[fi[SUBJ]], params.Minv[fi[ARG]], params.M[fi[COMP]], params.Minv[fi["of"]],
     ]
@@ -192,18 +195,18 @@ def test_compose_fight_war_structure():
     rng = np.random.default_rng(9)
     words = (w("fight", "V"), w("war"))
     params = ModelParams(
-        4, words, (ARG, SUBJ, COMP, "of"),
+        4, vocab_of(words, (ARG, SUBJ, COMP, "of")),
         rng.standard_normal((2, 4)), rng.standard_normal((2, 4)),
         np.eye(4) + rng.standard_normal((4, 4, 4)) * 0.3,
         np.eye(4) + rng.standard_normal((4, 4, 4)) * 0.3,
     )
     q = compose_query(params, fight_war_tree())
-    fi = params.field_index
+    fi = params.vocab.field_index
     expected = (
-        params.V[params.word_index[w("war")]].astype(np.float64)
+        params.V[params.vocab.word_index[w("war")]].astype(np.float64)
         @ params.M[fi[ARG]]
         @ params.Minv[fi[COMP]]
-        + params.V[params.word_index[w("fight", "V")]]
+        + params.V[params.vocab.word_index[w("fight", "V")]]
     )
     assert np.allclose(q, expected, atol=1e-12)
 
@@ -247,16 +250,16 @@ def test_compose_matches_independent_root_path_accumulation():
     for _ in range(25):
         tree = random_tree(rng, int(rng.integers(1, 13)), n_words=6)
         params = ModelParams(
-            4, all_words, (ARG, SUBJ, COMP, "in", "on", "of"),
+            4, vocab_of(all_words, (ARG, SUBJ, COMP, "in", "on", "of")),
             rng.standard_normal((len(all_words), 4)) * 0.4,
             rng.standard_normal((len(all_words), 4)) * 0.4,
             np.eye(4) + rng.standard_normal((6, 4, 4)) * 0.4,
             np.eye(4) + rng.standard_normal((6, 4, 4)) * 0.4,
         )
-        fi = params.field_index
+        fi = params.vocab.field_index
 
         def contribution(node):
-            vec = params.V[params.word_index[tree.words[node]]].astype(np.float64)
+            vec = params.V[params.vocab.word_index[tree.words[node]]].astype(np.float64)
             cur = node
             while (e := tree.parent_edge(cur)) is not None:
                 vec = vec @ params.M[fi[e.child_field]] @ params.Minv[fi[e.parent_field]]
@@ -275,9 +278,12 @@ def test_compose_oov_fallback_and_strict():
     tree = DcsTree((w("unseen"), w("w1")), 0, (Edge(0, 1, ARG, ARG),))
     with pytest.raises(UnknownWord):
         compose_query(params, tree, strict=True)
+    with pytest.raises(UnknownWord):
+        params.vocab.word_id(w("unseen"))
+    assert params.vocab.word_id(w("unseen"), strict=False) == params.vocab.word_id(unknown_word("N"))
     q = compose_query(params, tree, strict=False)
-    manual_root = params.V[params.word_index[unknown_word("N")]].astype(np.float64)
-    fi = params.field_index
+    manual_root = params.V[params.vocab.word_index[unknown_word("N")]].astype(np.float64)
+    fi = params.vocab.field_index
     manual = manual_root + params.V[1].astype(np.float64) @ params.M[fi[ARG]] @ params.Minv[fi[ARG]]
     assert np.allclose(q, manual, atol=1e-12)
 
@@ -322,7 +328,7 @@ def test_nearest_answers_full_ranking_and_ties():
 def test_nearest_answers_pos_filter():
     words = (w("q", "V"), w("a"), w("b"))
     params = ModelParams(
-        2, words, (ARG,),
+        2, vocab_of(words, (ARG,)),
         np.zeros((3, 2)), np.array([[9.0, 0.0], [1.0, 0.0], [2.0, 0.0]]),
         np.eye(2)[None], np.eye(2)[None],
     )
@@ -363,7 +369,7 @@ def tie_params(rng, n_tags, dtype, dim=6, n_words=40):
     U[-1] = np.nan
     words = tuple(w(f"w{i}", "NVJPRX"[rng.integers(n_tags)]) for i in range(n_words))
     return ModelParams(
-        dim, words, (ARG,), rng.standard_normal((n_words, dim)).astype(dtype), U.astype(dtype),
+        dim, vocab_of(words, (ARG,)), rng.standard_normal((n_words, dim)).astype(dtype), U.astype(dtype),
         (np.eye(dim) + rng.standard_normal((dim, dim)) * 0.5)[None].astype(dtype),
         (np.eye(dim) + rng.standard_normal((dim, dim)) * 0.5)[None].astype(dtype),
     )
@@ -373,7 +379,7 @@ def gaussian_params(rng, n_tags, dtype, dim=5, n_words=60):
     base = make_params(rng, dim=dim, n_words=n_words, dtype=dtype)
     base.U[7] = np.nan
     words = tuple(w(f"w{i}", "NVJPRX"[rng.integers(n_tags)]) for i in range(n_words))
-    return ModelParams(dim, words, base.fields, base.V, base.U, base.M, base.Minv)
+    return ModelParams(dim, vocab_of(words, base.fields), base.V, base.U, base.M, base.Minv)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -545,6 +551,37 @@ def test_model_header_mismatch(tmp_path):
     bad.write_bytes(mangled)
     with pytest.raises(DimensionMismatch):
         load_model(bad)
+
+
+@pytest.mark.parametrize("line, repeat", [(b"w1/N\t1.0", b"w0/N\t1.0"), (b"SUBJ\t1.0", b"ARG\t1.0")])
+def test_model_header_repeated_entry_rejected(tmp_path, line, repeat):
+    vocab = make_vocab(n_words=4)
+    path = tmp_path / "model.bin"
+    save_model(init_params(vocab, 4, np.random.default_rng(22)), vocab, path)
+    blob = path.read_bytes()
+    assert blob.count(b"\n" + line + b"\n") == 1
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(blob.replace(b"\n" + line + b"\n", b"\n" + repeat + b"\n"))
+    with pytest.raises(DimensionMismatch, match="listed twice"):
+        load_model(bad)
+
+
+def test_the_model_keeps_the_vocabulary_it_was_built_from(tmp_path):
+    vocab = make_vocab()
+    params = init_params(vocab, 4, np.random.default_rng(24))
+    assert params.vocab is vocab
+    assert params.words is vocab.words and params.fields is vocab.fields
+    assert params.copy().vocab is vocab
+    assert normalize(params).vocab is vocab
+    save_model(params, vocab, tmp_path / "model.bin")
+    loaded, loaded_vocab = load_model(tmp_path / "model.bin")
+    assert loaded.vocab is loaded_vocab
+    assert loaded_vocab.words == vocab.words and loaded_vocab.fields == vocab.fields
+    # the vocabulary is the one name-to-row index
+    for name in ("word_index", "field_index", "word_id", "field_id"):
+        assert not hasattr(params, name)
+    with pytest.raises(DimensionMismatch):
+        ModelParams(4, make_vocab(n_words=5), params.V, params.U, params.M, params.Minv)
 
 
 def test_save_rejects_mismatched_vocab():

@@ -2,8 +2,20 @@ import math
 
 import numpy as np
 
-from dcsvec.trees import ARG, SUBJ, DcsTree, Edge, Word, enumerate_paths, unknown_word
-from dcsvec.vocab import build_vocab, sample_path_counts, sample_paths
+import worldgen
+from dcsvec.trees import (
+    ARG,
+    SUBJ,
+    UNKNOWN_FIELD,
+    DcsTree,
+    Edge,
+    Word,
+    enumerate_paths,
+    hop_fields,
+    unknown_word,
+)
+from dcsvec.ud import convert_sentence, parse_conllu_file
+from dcsvec.vocab import _walk_trajectories, build_vocab, sample_path_counts, sample_paths
 from helpers import random_tree
 
 
@@ -15,18 +27,86 @@ def identity_vocab(trees):
     return build_vocab(trees, 1, 1)
 
 
+def by_name(samples, vocab):
+    """(start word, end word, hops of field names) of each id sample."""
+    f = vocab.fields
+    return [
+        (vocab.words[s.start], vocab.words[s.end], tuple((f[a], f[b]) for a, b in s.hops))
+        for s in samples
+    ]
+
+
+def name_sample_paths(tree, vocab, rng):
+    """Slow-path oracle: the name-based sampler, which applied the
+    placeholder rule by name to both end words and each hop's fields of
+    every emitted path."""
+
+    def map_word(word):
+        return word if word in vocab.word_index else unknown_word(word.pos)
+
+    def map_field(f):
+        return f if f in vocab.field_index else UNKNOWN_FIELD
+
+    if tree.n_nodes < 2:
+        return []
+    out = []
+    for row in _walk_trajectories(tree, 1, rng):
+        start = int(row[0])
+        hops = []
+        node = start
+        for col in range(1, len(row)):
+            nxt = int(row[col])
+            if nxt < 0:
+                break
+            near, far = hop_fields(tree, node, nxt)
+            hops.append((map_field(near), map_field(far)))
+            out.append((map_word(tree.words[start]), map_word(tree.words[nxt]), tuple(hops)))
+            node = nxt
+    return out
+
+
+def assert_sampler_matches_name_oracle(trees, vocab, seed):
+    fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+    emitted = []
+    for tree in trees:
+        got = by_name(sample_paths(tree, vocab, fast), vocab)
+        assert got == name_sample_paths(tree, vocab, slow)
+        emitted += got
+    assert fast.random() == slow.random()  # the same draws, in the same order
+    # placeholders were exercised on both sides of the index
+    assert any(word.lemma == unknown_word("N").lemma for s in emitted for word in s[:2])
+    assert any(f == UNKNOWN_FIELD for s in emitted for hop in s[2] for f in hop)
+
+
+def test_sampler_matches_name_oracle_on_worldgen_trees(tmp_path):
+    worldgen.generate_corpus(tmp_path / "corpus.conllu", 400, seed=11)
+    convs = (convert_sentence(s) for s in parse_conllu_file(tmp_path / "corpus.conllu"))
+    trees = [c.tree for c in convs if c is not None]
+    # the vocabulary sees half the corpus: rare and unseen words and
+    # prepositions in the other half fall to placeholders
+    vocab = build_vocab(trees[:200], word_min=5, prep_min=20)
+    assert_sampler_matches_name_oracle(trees, vocab, seed=12)
+
+
+def test_sampler_matches_name_oracle_on_random_trees():
+    rng = np.random.default_rng(13)
+    trees = [random_tree(rng, int(rng.integers(1, 9)), 40) for _ in range(120)]
+    vocab = build_vocab(trees[:60], word_min=2, prep_min=490)  # "of" falls, "in" and "on" stay
+    assert_sampler_matches_name_oracle(trees, vocab, seed=14)
+
+
 def test_two_node_tree_emits_exactly_both_paths():
     tree = DcsTree((w("kid"), w("play", "V")), 1, (Edge(1, 0, SUBJ, ARG),))
     vocab = identity_vocab([tree])
     rng = np.random.default_rng(0)
     for _ in range(20):
-        samples = sample_paths(tree, vocab, rng)
+        samples = by_name(sample_paths(tree, vocab, rng), vocab)
         assert len(samples) == 2
-        assert {(s.start.render(), s.end.render()) for s in samples} == {
+        assert {(start.render(), end.render()) for start, end, _ in samples} == {
             ("play/V", "kid/N"),
             ("kid/N", "play/V"),
         }
-        assert all(s.hops in (((SUBJ, ARG),), ((ARG, SUBJ),)) for s in samples)
+        assert all(hops in (((SUBJ, ARG),), ((ARG, SUBJ),)) for _, _, hops in samples)
 
 
 def test_star_leaf_to_leaf_expectation_half():
@@ -51,7 +131,7 @@ def test_counting_kernel_agrees_with_sample_paths():
     rng = np.random.default_rng(2)
     n = 20000
     counts = np.zeros((4, 4))
-    index = {word: i for i, word in enumerate(star.words)}
+    index = {vocab.word_id(word): i for i, word in enumerate(star.words)}
     for _ in range(n):
         for s in sample_paths(star, vocab, rng):
             counts[index[s.start], index[s.end]] += 1
@@ -90,12 +170,12 @@ def test_sampled_paths_are_simple_and_valid():
     tree = random_tree(rng, 7)
     vocab = identity_vocab([tree])
     exact = {(p.start, p.end): p.hops for p in enumerate_paths(tree)}
-    for s in sample_paths(tree, vocab, rng):
+    for start, end, sampled_hops in by_name(sample_paths(tree, vocab, rng), vocab):
         # words may repeat across nodes; resolve via hop structure instead
         assert any(
-            s.hops == hops
-            and tree.words[a] == s.start
-            and tree.words[b] == s.end
+            sampled_hops == hops
+            and tree.words[a] == start
+            and tree.words[b] == end
             for (a, b), hops in exact.items()
         )
 
@@ -104,9 +184,9 @@ def test_unknown_substitution_keeps_structure():
     tree = DcsTree((w("rareword"), w("play", "V")), 1, (Edge(1, 0, "beneath", ARG),))
     vocab = build_vocab([tree], word_min=100, prep_min=100)
     rng = np.random.default_rng(6)
-    samples = sample_paths(tree, vocab, rng)
+    samples = by_name(sample_paths(tree, vocab, rng), vocab)
     assert len(samples) == 2
-    for s in samples:
-        assert s.start in (unknown_word("N"), unknown_word("V"))
-        assert all(f in ("*UNKNOWN*", ARG) for hop in s.hops for f in hop)
-        assert len(s.hops) == 1
+    for start, _, hops in samples:
+        assert start in (unknown_word("N"), unknown_word("V"))
+        assert all(f in ("*UNKNOWN*", ARG) for hop in hops for f in hop)
+        assert len(hops) == 1

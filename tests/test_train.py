@@ -11,7 +11,6 @@ from scipy import stats
 
 from dcsvec.model import ModelParams, init_params, save_model
 from dcsvec.train import (
-    NoisedExample,
     TrainConfig,
     loss_and_gradients,
     make_noise,
@@ -22,8 +21,8 @@ from dcsvec.train import (
     train,
 )
 from dcsvec.trees import ARG, COMP, SUBJ, DcsTree, Edge, Word
-from dcsvec.vocab import PathSample, Vocabulary, build_vocab
-from helpers import random_orthogonal, random_tree
+from dcsvec.vocab import Vocabulary, build_vocab, sample_paths
+from helpers import id_example, random_orthogonal, random_tree
 
 
 def w(lemma, pos="N"):
@@ -41,11 +40,9 @@ def make_vocab(n_words=8):
 
 
 def make_params(rng, dim=5, n_words=8, dtype=np.float64):
-    words = tuple(w(f"w{i}") for i in range(n_words))
     return ModelParams(
         dim,
-        words,
-        FIELDS,
+        make_vocab(n_words),
         (rng.standard_normal((n_words, dim)) * 0.4).astype(dtype),
         (rng.standard_normal((n_words, dim)) * 0.4).astype(dtype),
         (np.eye(dim) + rng.standard_normal((len(FIELDS), dim, dim)) * 0.3).astype(dtype),
@@ -53,16 +50,20 @@ def make_params(rng, dim=5, n_words=8, dtype=np.float64):
     )
 
 
-def sample(l=2):
-    hops = ((ARG, SUBJ), (COMP, "of"))[:l]
-    return PathSample(w("w0"), w("w1"), hops)
+VOCAB = make_vocab()
+
+
+def sample(l=2, *noises):
+    """The w0 -> w1 path over the first l of two hops, and noises given as
+    (i, fields, word) by name; rows of make_vocab() and make_params()."""
+    return id_example(VOCAB, w("w0"), w("w1"), ((ARG, SUBJ), (COMP, "of"))[:l], *noises)
 
 
 def test_make_noise_single_hop_always_index_two():
     vocab = make_vocab()
     rng = np.random.default_rng(0)
     for _ in range(200):
-        (noise,) = make_noise(sample(l=1), vocab, rng)
+        (noise,) = make_noise(sample(l=1)[0], vocab, rng)
         assert noise.i == 2
         assert len(noise.fields) == 1
 
@@ -72,7 +73,7 @@ def test_make_noise_index_uniform_for_two_hops():
     rng = np.random.default_rng(1)
     n = 10**6
     counts = {2: 0, 3: 0, 4: 0}
-    path = sample(l=2)
+    path, _ = sample(l=2)
     for _ in range(n):
         (noise,) = make_noise(path, vocab, rng)
         counts[noise.i] += 1
@@ -88,10 +89,10 @@ def test_noise_fields_follow_field_unigram():
     rng = np.random.default_rng(2)
     drawn = {f: 0 for f in counts}
     n = 200000
-    path = sample(l=1)
+    path, _ = sample(l=1)
     for _ in range(n):
         (noise,) = make_noise(path, vocab, rng)
-        drawn[noise.fields[0]] += 1
+        drawn[vocab.fields[noise.fields[0]]] += 1
     observed = np.array([drawn[f] for f in counts])
     expected = np.array([counts[f] for f in counts], dtype=float)
     expected = expected / expected.sum() * n
@@ -102,15 +103,50 @@ def test_noise_fields_follow_field_unigram():
 def test_make_noise_k_copies():
     vocab = make_vocab()
     rng = np.random.default_rng(3)
-    noises = make_noise(sample(l=2), vocab, rng, k=5)
+    noises = make_noise(sample(l=2)[0], vocab, rng, k=5)
     assert len(noises) == 5
+
+
+def name_make_noise(path, vocab, rng, k=1):
+    """Slow-path oracle: the name-based make_noise, whose unigram draws
+    returned names; gives (i, field names, word) per noise."""
+
+    def draw(names, counts):
+        cum = np.cumsum([counts.get(name, 0.0) for name in names])
+        return names[int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))]
+
+    hi = 2 * len(path.hops)
+    out = []
+    for _ in range(k):
+        i = int(rng.integers(2, hi + 1))
+        fields = tuple(draw(vocab.fields, vocab.field_counts) for _ in range(hi - i + 1))
+        out.append((i, fields, draw(vocab.words, vocab.word_counts)))
+    return out
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_make_noise_draws_what_the_name_oracle_draws(k):
+    rng = np.random.default_rng(40 + k)
+    trees = [random_tree(rng, int(rng.integers(2, 7)), 12) for _ in range(30)]
+    vocab = build_vocab(trees, 2, 1)  # uneven counts and zero-mass placeholder rows
+    fast, slow = np.random.default_rng(k), np.random.default_rng(k)
+    drawn = 0
+    for tree in trees:
+        for path in sample_paths(tree, vocab, rng):
+            got = [
+                (n.i, tuple(vocab.fields[f] for f in n.fields), vocab.words[n.word])
+                for n in make_noise(path, vocab, fast, k)
+            ]
+            assert got == name_make_noise(path, vocab, slow, k)
+            drawn += len(got)
+    assert drawn > 300
+    assert fast.random() == slow.random()  # the same RNG calls, in the same order
 
 
 def test_nce_loss_at_zero_scores():
     params = make_params(np.random.default_rng(4))
     params.V[0] = 0.0
-    pos = sample(l=1)
-    noises = [NoisedExample(2, (SUBJ,), w("w2"))]
+    pos, noises = sample(1, (2, (SUBJ,), w("w2")))
     assert abs(nce_loss(params, pos, noises) - 2 * math.log(2)) < 1e-12
 
 
@@ -121,20 +157,18 @@ def test_nce_loss_saturates_to_zero():
     params.V[0] = 40.0
     params.U[1] = 40.0
     params.U[2] = -40.0
-    pos = sample(l=1)
-    noises = [NoisedExample(2, (ARG,), w("w2"))]
+    pos, noises = sample(1, (2, (ARG,), w("w2")))
     assert nce_loss(params, pos, noises) < 1e-6
 
 
 def test_nce_loss_matches_scalar_reimplementation():
     params = make_params(np.random.default_rng(6), dim=5)
-    pos = sample(l=2)
-    noise = NoisedExample(3, ("in", "on"), w("w2"))
+    pos, [noise] = sample(2, (3, ("in", "on"), w("w2")))
 
     def matvec(vec, mat):
         return [sum(vec[i] * float(mat[i, j]) for i in range(5)) for j in range(5)]
 
-    fi = params.field_index
+    fi = params.vocab.field_index
     vec = [float(x) for x in params.V[0]]
     # positive slots: M[ARG], Minv[SUBJ], M[COMP], Minv[of]
     for mat in (params.M[fi[ARG]], params.Minv[fi[SUBJ]], params.M[fi[COMP]], params.Minv[fi["of"]]):
@@ -154,8 +188,7 @@ def test_step_manual_gradient_arithmetic():
     rng = np.random.default_rng(7)
     params = make_params(rng, dim=5)
     before = params.copy()
-    pos = PathSample(w("w0"), w("w1"), ((ARG, SUBJ),))
-    noise = NoisedExample(2, (COMP,), w("w2"))
+    pos, [noise] = sample(1, (2, (COMP,), w("w2")))
     with pytest.warns(UserWarning):  # deliberately large matrix lr
         cfg = TrainConfig(
             dim=5, lr_vec=0.05, lr_mat=0.01, gamma=0.0, kappa=0.0,
@@ -163,7 +196,7 @@ def test_step_manual_gradient_arithmetic():
         )
     loss = step(params, pos, [noise], cfg, 0)
 
-    fi = params.field_index
+    fi = params.vocab.field_index
     v, uy, uz = before.V[0], before.U[1], before.U[2]
     A, B, Bn = before.M[fi[ARG]], before.Minv[fi[SUBJ]], before.Minv[fi[COMP]]
     s_pos = v @ A @ B @ uy
@@ -196,11 +229,9 @@ def test_gradients_match_finite_differences():
         field_pool = list(FIELDS)
         rng.shuffle(field_pool)
         hops = tuple((field_pool[2 * t], field_pool[2 * t + 1]) for t in range(l))
-        pos = PathSample(w("w0"), w("w1"), hops)
         i = int(rng.integers(2, 2 * l + 1))
-        noise = NoisedExample(
-            i, tuple(field_pool[4 : 4 + (2 * l - i + 1)]), w("w2")
-        )
+        noise = (i, tuple(field_pool[4 : 4 + (2 * l - i + 1)]), w("w2"))
+        pos, [noise] = id_example(params.vocab, w("w0"), w("w1"), hops, noise)
         loss, grads = loss_and_gradients(params, pos, [noise], cfg)
 
         for (kind, idx), analytic in grads.items():
@@ -235,7 +266,7 @@ def test_step_sparse_update_footprint():
     params = make_params(rng, dim=6, dtype=np.float32)
     before = params.copy()
     vocab = make_vocab()
-    pos = PathSample(w("w3"), w("w4"), ((ARG, SUBJ), (COMP, "of")))
+    pos, _ = id_example(vocab, w("w3"), w("w4"), ((ARG, SUBJ), (COMP, "of")))
     noises = make_noise(pos, vocab, np.random.default_rng(1), k=1)
     cfg = TrainConfig(dim=6, lr_schedule="constant")
     step(params, pos, noises, cfg, 0)
@@ -256,7 +287,7 @@ def test_step_zero_learning_rates_keep_params():
     params = make_params(rng, dtype=np.float32)
     before = params.copy()
     cfg = TrainConfig(dim=5, lr_vec=0.0, lr_mat=0.0, lr_schedule="constant")
-    loss = step(params, sample(l=1), [NoisedExample(2, (ARG,), w("w2"))], cfg, 0)
+    loss = step(params, *sample(1, (2, (ARG,), w("w2"))), cfg, 0)
     assert math.isfinite(loss) and loss > 0
     assert np.array_equal(before.V, params.V)
     assert np.array_equal(before.U, params.U)
@@ -273,7 +304,7 @@ def test_gradient_clipping_bounds_applied_norms():
         cfg = TrainConfig(dim=5, lr_vec=1.0, lr_mat=1.0, gamma=0.0, kappa=0.0,
                           clip_norm_vec=0.01, clip_norm_mat=0.005, lr_schedule="constant")
     before = params.copy()
-    step(params, sample(l=1), [NoisedExample(2, (COMP,), w("w2"))], cfg, 0)
+    step(params, *sample(1, (2, (COMP,), w("w2"))), cfg, 0)
     for table_b, table_a, bound in (
         (before.V, params.V, 0.01),
         (before.U, params.U, 0.01),
@@ -379,20 +410,20 @@ def touched_kinds(grads):
 
 FID = {f: i for i, f in enumerate(FIELDS)}
 
-# (positive hops, noise, the kinds each listed field must be touched as)
+# (positive hops, noise (i, fields, word), the kinds each listed field must be touched as)
 FUSION_CASES = [
     # M[SUBJ] and Minv[ARG] on the path, boundary noise map Minv[COMP]
-    (((SUBJ, ARG), (COMP, "of")), NoisedExample(2, (COMP, "in", "on"), w("w2")),
+    (((SUBJ, ARG), (COMP, "of")), (2, (COMP, "in", "on"), w("w2")),
      {SUBJ: {"M"}, ARG: {"Minv"}, COMP: {"Minv"}}),
     # M[COMP] only on the path; noise map M["to"] also M-only
-    (((SUBJ, ARG), (COMP, "of")), NoisedExample(3, ("to", "in"), w("w2")),
+    (((SUBJ, ARG), (COMP, "of")), (3, ("to", "in"), w("w2")),
      {ARG: {"Minv"}, COMP: {"M"}, "to": {"M"}}),
     # one field touched as both M and Minv
-    (((ARG, ARG),), NoisedExample(2, (COMP,), w("w3")), {ARG: {"M", "Minv"}, COMP: {"Minv"}}),
+    (((ARG, ARG),), (2, (COMP,), w("w3")), {ARG: {"M", "Minv"}, COMP: {"Minv"}}),
     # the noise map is the positive-path map Minv[SUBJ]
-    (((ARG, SUBJ),), NoisedExample(2, (SUBJ,), w("w3")), {ARG: {"M"}, SUBJ: {"Minv"}}),
+    (((ARG, SUBJ),), (2, (SUBJ,), w("w3")), {ARG: {"M"}, SUBJ: {"Minv"}}),
     # noise map M[ARG] meets Minv[ARG] of the positive path
-    (((SUBJ, ARG), (COMP, "of")), NoisedExample(3, (ARG, "of"), w("w4")),
+    (((SUBJ, ARG), (COMP, "of")), (3, (ARG, "of"), w("w4")),
      {ARG: {"M", "Minv"}, COMP: {"M"}}),
 ]
 
@@ -403,9 +434,9 @@ FUSION_CASES = [
 def test_fused_regularizer_matches_per_key_oracle(case, gamma, kappa, dtype):
     hops, noise, expected_kinds = FUSION_CASES[case]
     params = make_params(np.random.default_rng(20 + case), dim=7, dtype=dtype)
-    pos = PathSample(w("w0"), w("w1"), hops)
-    second = NoisedExample(2, tuple(FIELDS[: 2 * len(hops) - 1]), w("w5"))
-    for noises in ([noise], [noise, second]):
+    second = (2, tuple(FIELDS[: 2 * len(hops) - 1]), w("w5"))
+    for extra in ((), (second,)):
+        pos, noises = id_example(params.vocab, w("w0"), w("w1"), hops, noise, *extra)
         cfg = TrainConfig(dim=7, gamma=gamma, kappa=kappa)
         loss, grads = loss_and_gradients(params, pos, noises, cfg)
         want_loss, want = per_key_loss_and_gradients(params, pos, noises, cfg)
@@ -414,7 +445,7 @@ def test_fused_regularizer_matches_per_key_oracle(case, gamma, kappa, dtype):
         for key in want:
             assert grads[key].dtype == want[key].dtype
             assert np.array_equal(grads[key], want[key]), key
-    kinds = touched_kinds(loss_and_gradients(params, pos, [noise], cfg)[1])
+    kinds = touched_kinds(loss_and_gradients(params, pos, noises[:1], cfg)[1])
     for f, expected in expected_kinds.items():
         assert kinds[FID[f]] == expected
 
@@ -459,7 +490,7 @@ def test_regularizer_runs_once_per_touched_field(monkeypatch):
         hops = tuple(
             (FIELDS[int(rng.integers(3))], FIELDS[int(rng.integers(3))]) for _ in range(l)
         )
-        pos = PathSample(w("w0"), w("w1"), hops)
+        pos, _ = id_example(vocab, w("w0"), w("w1"), hops)
         noises = make_noise(pos, vocab, rng, k=int(rng.integers(1, 3)))
         calls.clear()
         _, grads = loss_and_gradients(params, pos, noises, TrainConfig(dim=6))
@@ -474,8 +505,7 @@ def test_regularizer_runs_once_per_touched_field(monkeypatch):
     assert seen == {(True, False), (False, True), (True, True)}
 
     calls.clear()
-    pos = sample(l=2)
-    noises = [NoisedExample(2, (ARG, SUBJ, COMP), w("w2"))]
+    pos, noises = sample(2, (2, (ARG, SUBJ, COMP), w("w2")))
     loss_and_gradients(params, pos, noises, TrainConfig(dim=6, gamma=0.0, kappa=0.0))
     loss_and_gradients(params, pos, noises, TrainConfig(dim=6, mode="no_matrix"))
     assert calls == []
@@ -604,7 +634,7 @@ def test_non_finite_gradient_aborts_with_diagnostics():
 
     cfg = TrainConfig(dim=5, lr_schedule="constant")
     with np.errstate(invalid="ignore"), pytest.raises(NonFiniteGradient) as err:
-        step(params, sample(l=1), [NoisedExample(2, (ARG,), w("w2"))], cfg, 41)
+        step(params, *sample(1, (2, (ARG,), w("w2"))), cfg, 41)
     assert "step 41" in str(err.value)
 
 
@@ -646,7 +676,7 @@ def separate_no_matrix_loss_and_gradients(params, pos, noises, config):
     def add(key, value):
         grads[key] = grads[key] + value if key in grads else value
 
-    xi, yi = params.word_id(pos.start), params.word_id(pos.end)
+    xi, yi = pos.start, pos.end
     v = params.V[xi].astype(np.float64)
     u = params.U[yi].astype(np.float64)
     s_pos = float(v @ u)
@@ -655,7 +685,7 @@ def separate_no_matrix_loss_and_gradients(params, pos, noises, config):
     add(("v", xi), g_pos * u)
     add(("u", yi), g_pos * v)
     for noise in noises:
-        zi = params.word_id(noise.word)
+        zi = noise.word
         uz = params.U[zi].astype(np.float64)
         s_neg = float(v @ uz)
         g_neg = sigmoid(s_neg)
@@ -701,10 +731,10 @@ def random_example(rng, vocab, k):
         for _ in range(l)
     )
     start, end = (w(f"w{int(i)}") for i in rng.integers(0, 8, size=2))
-    pos = PathSample(start, end, hops)
+    pos, _ = id_example(vocab, start, end, hops)
     noises = make_noise(pos, vocab, rng, k=k)
     # one noise word equal to the end word, so its u gradient accumulates
-    noises[0] = dataclasses.replace(noises[0], word=end)
+    noises[0] = dataclasses.replace(noises[0], word=pos.end)
     return pos, noises
 
 

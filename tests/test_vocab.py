@@ -2,16 +2,16 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from dcsvec.errors import BadMagic, EmptyCorpus
+from dcsvec.errors import BadMagic, EmptyCorpus, MalformedLine, UnknownField, UnknownWord
 from dcsvec.trees import ARG, COMP, SUBJ, UNKNOWN_FIELD, DcsTree, Edge, Word, unknown_word
 from dcsvec.vocab import (
-    PathSample,
     Vocabulary,
     build_vocab,
     load_vocab,
     path_sample_to_line,
     save_vocab,
 )
+from helpers import id_example
 
 
 def w(lemma, pos="N"):
@@ -65,7 +65,7 @@ def test_word_threshold_boundary():
     corpus = [DcsTree((w("thalidomide"), w("ban", "V")), 0, (Edge(0, 1, ARG, COMP),))]
     vocab = build_vocab(corpus, word_min=2, prep_min=1)
     assert w("thalidomide") not in vocab.word_index
-    assert vocab.map_word(w("thalidomide")) == unknown_word("N")
+    assert vocab.word_id(w("thalidomide"), strict=False) == vocab.word_id(unknown_word("N"))
     # its mass lands on the placeholder
     assert vocab.word_counts[unknown_word("N")] == 1.0
 
@@ -76,17 +76,18 @@ def test_identity_mapping_at_threshold_one():
     observed = {word for tree in corpus for word in tree.words}
     assert observed <= set(vocab.words)
     for word in observed:
-        assert vocab.map_word(word) == word
+        assert vocab.words[vocab.word_id(word)] == word
+        assert vocab.word_id(word, strict=False) == vocab.word_id(word)
 
 
 def test_rare_preposition_maps_to_placeholder_but_core_never():
     chain = star_and_chain_corpus()[1]  # "in" has count 4, COMP count 4
     vocab = build_vocab([chain], word_min=1, prep_min=5)
     assert "in" not in vocab.field_index
-    assert vocab.map_field("in") == UNKNOWN_FIELD
+    assert vocab.field_id("in", strict=False) == vocab.field_id(UNKNOWN_FIELD)
     assert vocab.field_counts[UNKNOWN_FIELD] == 4.0
     # core fields stay no matter how small their counts are
-    assert vocab.map_field(COMP) == COMP
+    assert vocab.fields[vocab.field_id(COMP, strict=False)] == COMP
     assert ARG in vocab.field_index and SUBJ in vocab.field_index
 
 
@@ -106,7 +107,7 @@ def test_single_word_drawn_with_probability_one():
         field_counts={ARG: 1.0},
     )
     rng = np.random.default_rng(0)
-    assert all(vocab.unigram_draw_word(rng) == w("only") for _ in range(100))
+    assert all(vocab.unigram_draw_word(rng) == 0 for _ in range(100))
 
 
 def test_unigram_frequencies_match_counts():
@@ -118,7 +119,7 @@ def test_unigram_frequencies_match_counts():
     )
     rng = np.random.default_rng(1)
     n = 10**6
-    hits = sum(1 for _ in range(n) if vocab.unigram_draw_word(rng) == w("a"))
+    hits = sum(1 for _ in range(n) if vocab.words[vocab.unigram_draw_word(rng)] == w("a"))
     assert abs(hits / n - 0.75) < 0.002
 
 
@@ -129,7 +130,7 @@ def test_unigram_chi_square_goodness_of_fit():
     n = 10**6
     counts = np.zeros(vocab.n_words, dtype=np.int64)
     for _ in range(n):
-        counts[vocab.word_index[vocab.unigram_draw_word(rng)]] += 1
+        counts[vocab.unigram_draw_word(rng)] += 1
     expected = np.array([vocab.word_counts.get(word, 0.0) for word in vocab.words])
     mask = expected > 0
     expected = expected[mask] / expected[mask].sum() * counts[mask].sum()
@@ -145,7 +146,7 @@ def test_field_unigram_chi_square():
     n = 200000
     counts = np.zeros(vocab.n_fields, dtype=np.int64)
     for _ in range(n):
-        counts[vocab.field_index[vocab.unigram_draw_field(rng)]] += 1
+        counts[vocab.unigram_draw_field(rng)] += 1
     expected = np.array([vocab.field_counts.get(f, 0.0) for f in vocab.fields])
     mask = expected > 0
     expected = expected[mask] / expected[mask].sum() * counts[mask].sum()
@@ -179,8 +180,50 @@ def test_unknown_rows_always_present():
 
 
 def test_path_sample_dump_line():
-    sample = PathSample(w("kid"), w("play", "V"), ((ARG, SUBJ), (COMP, "in")))
-    assert path_sample_to_line(sample) == "kid/N\tplay/V\tARG:SUBJ,COMP:in"
+    vocab = build_vocab(star_and_chain_corpus(), 1, 1)
+    sample, _ = id_example(vocab, w("a"), w("b", "V"), ((ARG, SUBJ), (COMP, "in")))
+    assert path_sample_to_line(sample, vocab) == "a/N\tb/V\tARG:SUBJ,COMP:in"
+
+
+def test_word_id_and_field_id_strict_and_placeholder():
+    vocab = build_vocab(star_and_chain_corpus(), 1, 1)
+    for i, word in enumerate(vocab.words):
+        assert vocab.word_id(word) == vocab.word_id(word, strict=False) == i
+    for i, f in enumerate(vocab.fields):
+        assert vocab.field_id(f) == vocab.field_id(f, strict=False) == i
+    for pos in ("N", "V", "J"):
+        with pytest.raises(UnknownWord):
+            vocab.word_id(w("unseen", pos))
+        assert vocab.word_id(w("unseen", pos), strict=False) == vocab.word_id(unknown_word(pos))
+    with pytest.raises(UnknownField):
+        vocab.field_id("beneath")
+    assert vocab.field_id("beneath", strict=False) == vocab.field_id(UNKNOWN_FIELD)
+    # with no placeholder row to fall back on, non-strict lookups raise too
+    bare = Vocabulary((w("a"),), (ARG,), {w("a"): 1.0}, {ARG: 1.0})
+    with pytest.raises(UnknownWord):
+        bare.word_id(w("b"), strict=False)
+    with pytest.raises(UnknownField):
+        bare.field_id("in", strict=False)
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("W\tkid\t1.0", "expected lemma/POS"),
+        ("W\tkid/Q\t1.0", "bad POS tag"),
+        ("W\tplay/V\t2.0", "repeated W entry 'play/V'"),
+        ("F\tARG\t2.0", "repeated F entry 'ARG'"),
+    ],
+)
+def test_vocab_file_bad_or_repeated_entry_names_its_line(tmp_path, line, message):
+    path = tmp_path / "vocab.txt"
+    path.write_text(
+        "VDCS-VOCAB 1\nW\tplay/V\t3.0\nW\tkid/N\t2.0\nF\tARG\t4.0\n" + line + "\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(MalformedLine, match=message) as err:
+        load_vocab(path)
+    assert err.value.line_no == 5
 
 
 def test_finalized_counts_respect_thresholds():
