@@ -29,6 +29,11 @@ class UnknownField(DcsvecError):
     """Field has no learned matrix / vocabulary entry (strict mode)."""
 
 
+class MissingPlaceholder(InputError):
+    """A training tree's word or field is absent from the vocabulary file,
+    and so is the placeholder it would fall back on."""
+
+
 class MalformedLine(InputError):
     """A line of an input file could not be parsed."""
 

@@ -14,7 +14,11 @@ rescaled to it.
 
 Gradients are taken per slot occurrence: a map repeated in an unselected
 slot is held constant there.  Examples hold vocabulary row ids, so a
-step looks up no name.
+step looks up no name.  `train()` compiles each tree once per call
+(`vocab.compile_tree`: its rows and walk layout), and each epoch only
+walks them.  A step's NCE term casts each map it uses to float64 once,
+into a cache that dies with the term, so every product runs float64 x
+float64; the regularizer casts the two maps of a touched field itself.
 
 Three modes (`TrainConfig.mode`) share one forward/backward, and during a
 step only `loss_and_gradients` reads the mode.  `full` is the model above.
@@ -40,7 +44,7 @@ import numpy as np
 from .errors import EmptyCorpus, InvalidConfig, NonFiniteGradient
 from .model import ModelParams, identity_maps, init_params
 from .trees import DcsTree, enumerate_paths
-from .vocab import PathSample, Vocabulary, sample_paths
+from .vocab import PathSample, Vocabulary, compile_tree, sample_paths
 
 MODES = ("full", "no_matrix", "no_inverse")
 MAT_LR_WARN = 0.0005
@@ -76,6 +80,10 @@ class TrainConfig:
             (self.lr_vec >= 0 and self.lr_mat >= 0, "learning rates must be >= 0"),
             (self.gamma >= 0 and self.kappa >= 0, "regularizer weights must be >= 0"),
             (self.clip_norm_vec > 0 and self.clip_norm_mat > 0, "clip norms must be > 0"),
+            (
+                self.total_steps is None or self.total_steps >= 1,
+                f"total_steps must be None or >= 1, got {self.total_steps}",
+            ),
         )
         for ok, message in checks:
             if not ok:
@@ -108,13 +116,17 @@ def make_noise(
     out = []
     for _ in range(k):
         i = int(rng.integers(2, hi + 1))
-        fields = tuple(vocab.unigram_draw_field(rng) for _ in range(hi - i + 1))
+        fields = tuple([vocab.unigram_draw_field(rng) for _ in range(hi - i + 1)])
         out.append(NoisedExample(i, fields, vocab.unigram_draw_word(rng)))
     return out
 
 
-def _slot_mat(params: ModelParams, fid: int, inv: bool) -> np.ndarray:
-    return params.Minv[fid] if inv else params.M[fid]
+def _map64(maps: dict, params: ModelParams, slot: tuple[int, bool]) -> np.ndarray:
+    """The map of a (field row, is_inverse) slot as float64, cast once
+    into the step's cache ``maps``; the cast is exact."""
+    if slot not in maps:
+        maps[slot] = (params.Minv if slot[1] else params.M)[slot[0]].astype(np.float64, copy=False)
+    return maps[slot]
 
 
 def _sigmoid(x: float) -> float:
@@ -140,7 +152,8 @@ def nce_loss(params: ModelParams, pos: PathSample, noises: list[NoisedExample]) 
 def _trace_centered(B: np.ndarray) -> np.ndarray:
     """B - (tr(B)/d) I, written into the fresh d x d product B."""
     d = B.shape[0]
-    B.flat[:: d + 1] -= np.trace(B) / d
+    diag = B.reshape(-1)[:: d + 1]
+    diag -= diag.sum() / d  # the reduction B.trace() runs, on the same view
     return B
 
 
@@ -177,15 +190,15 @@ def regularizer_grads(
     Minv = np.asarray(Minv, dtype=np.float64)
     gM = gMinv = None
     if gamma != 0.0:
-        E = _trace_centered(Minv @ M)
+        E = _trace_centered(Minv.dot(M))
         if need_M:
-            gM = Minv.T @ E
+            gM = Minv.T.dot(E)
             gM *= 2.0 * gamma
         if need_Minv:
-            gMinv = E @ M.T
+            gMinv = E.dot(M.T)
             gMinv *= 2.0 * gamma
     if kappa != 0.0 and need_M:
-        term = M @ _trace_centered(M.T @ M)
+        term = M.dot(_trace_centered(M.T.dot(M)))
         term *= 4.0 * kappa
         if gM is None:
             gM = term
@@ -196,6 +209,73 @@ def regularizer_grads(
     if need_Minv and gMinv is None:
         gMinv = np.zeros((d, d))
     return gM, gMinv
+
+
+def _nce_loss_and_gradients(
+    params: ModelParams, pos: PathSample, noises: list[NoisedExample], with_maps: bool
+) -> tuple[float, dict]:
+    """The NCE term of `loss_and_gradients`.  Each map it uses is cast to
+    float64 once, into a cache freed on return, before the regularizer
+    allocates its d x d products.  `ndarray.dot` makes the BLAS call `@`
+    makes, without the dispatch that costs as much as a product at small d."""
+    xi, yi = pos.start, pos.end
+    # (field row, is_inverse) per slot; slot 2t holds M[near], 2t+1 Minv[far]
+    slots = [
+        slot for near, far in pos.hops for slot in ((near, False), (far, True))
+    ] if with_maps else []
+    two_l = len(slots)
+    maps: dict[tuple[int, bool], np.ndarray] = {}
+    mats = [_map64(maps, params, slot) for slot in slots]
+    v = params.V[xi].astype(np.float64)
+    u = params.U[yi].astype(np.float64)
+    rows = [v]
+    for m in mats:
+        rows.append(rows[-1].dot(m))
+    cols = [u] * (two_l + 1)
+    for j in range(two_l - 1, -1, -1):
+        cols[j] = mats[j].dot(cols[j + 1])
+
+    s_pos = float(rows[two_l].dot(u))
+    g_pos = _sigmoid(s_pos) - 1.0
+    loss = softplus(-s_pos)
+    gv = g_pos * cols[0]  # the start word's gradient, accumulated in place
+    grads: dict[tuple[str, int], np.ndarray] = {("v", xi): gv, ("u", yi): g_pos * rows[two_l]}
+
+    noise_data = []
+    for noise in noises:
+        ri = min(noise.i - 1, two_l)  # first replaced slot, 0-based; 0 with no slots
+        nslots = slots[:ri] + [(f, inv) for f, (_, inv) in zip(noise.fields, slots[ri:])]
+        nmats = mats[:ri] + [_map64(maps, params, slot) for slot in nslots[ri:]]
+        ncols = [params.U[noise.word].astype(np.float64)] * (two_l + 1)
+        for j in range(two_l - 1, -1, -1):
+            ncols[j] = nmats[j].dot(ncols[j + 1])
+        s_neg = float(rows[ri].dot(ncols[ri]))
+        g_neg = _sigmoid(s_neg)
+        loss += softplus(s_neg)
+        gv += g_neg * ncols[0]
+        nr = rows[ri]
+        for m in nmats[ri:]:
+            nr = nr.dot(m)
+        _accumulate(grads, ("u", noise.word), g_neg * nr)
+        noise_data.append((ri, nslots, ncols, g_neg))
+
+    if not slots:  # no_matrix: no map gradient
+        return loss, grads
+
+    # positive-path maps at the noise boundary, then the boundary noise map
+    selected = sorted({j for ri, _, _, _ in noise_data for j in (ri - 1, ri)})
+    for j in selected:
+        fid, inv = slots[j]
+        g = g_pos * (rows[j][:, None] * cols[j + 1])
+        for ri, _, ncols, g_neg in noise_data:
+            if j < ri:
+                g += g_neg * (rows[j][:, None] * ncols[j + 1])
+        _accumulate(grads, ("Minv" if inv else "M", fid), g)
+    for ri, nslots, ncols, g_neg in noise_data:
+        fid, inv = nslots[ri]
+        g = g_neg * (rows[ri][:, None] * ncols[ri + 1])
+        _accumulate(grads, ("Minv" if inv else "M", fid), g)
+    return loss, grads
 
 
 def loss_and_gradients(
@@ -212,81 +292,12 @@ def loss_and_gradients(
     its gradient to that field's touched maps only.
 
     The mode is read here and nowhere else in a step: `no_matrix` runs
-    this code on an empty slot list, so the noise boundary clamps to slot
-    0 and no map key appears; `no_inverse` uses gamma = 0.
+    the NCE term on an empty slot list, so the noise boundary clamps to
+    slot 0 and no map key appears (nor any regularizer call); `no_inverse`
+    uses gamma = 0.
     """
-    xi, yi = pos.start, pos.end
-    grads: dict[tuple[str, int], np.ndarray] = {}
-
-    def add(key, value):
-        if key in grads:
-            grads[key] = grads[key] + value
-        else:
-            grads[key] = value
-
-    # (field row, is_inverse) per slot; slot 2t holds M[near], 2t+1 Minv[far]
-    slots = [] if config.mode == "no_matrix" else [
-        slot for near, far in pos.hops for slot in ((near, False), (far, True))
-    ]
+    loss, grads = _nce_loss_and_gradients(params, pos, noises, config.mode != "no_matrix")
     gamma = 0.0 if config.mode == "no_inverse" else config.gamma
-    two_l = len(slots)
-    v = params.V[xi].astype(np.float64)
-    u = params.U[yi].astype(np.float64)
-    rows = [v]
-    for fid, inv in slots:
-        rows.append(rows[-1] @ _slot_mat(params, fid, inv))
-    cols = [None] * (two_l + 1)
-    cols[two_l] = u
-    for j in range(two_l - 1, -1, -1):
-        fid, inv = slots[j]
-        cols[j] = _slot_mat(params, fid, inv) @ cols[j + 1]
-
-    s_pos = float(rows[two_l] @ u)
-    g_pos = _sigmoid(s_pos) - 1.0
-    loss = softplus(-s_pos)
-    add(("v", xi), g_pos * cols[0])
-    add(("u", yi), g_pos * rows[two_l])
-
-    noise_data = []
-    for noise in noises:
-        ri = min(noise.i - 1, two_l)  # first replaced slot, 0-based; 0 with no slots
-        nslots = [
-            (noise.fields[j - ri], slots[j][1]) if j >= ri else slots[j]
-            for j in range(two_l)
-        ]
-        zi = noise.word
-        ncols = [None] * (two_l + 1)
-        ncols[two_l] = params.U[zi].astype(np.float64)
-        for j in range(two_l - 1, -1, -1):
-            fid, inv = nslots[j]
-            ncols[j] = _slot_mat(params, fid, inv) @ ncols[j + 1]
-        s_neg = float(rows[ri] @ ncols[ri])
-        g_neg = _sigmoid(s_neg)
-        loss += softplus(s_neg)
-        add(("v", xi), g_neg * ncols[0])
-        nr = rows[ri]
-        for j in range(ri, two_l):
-            fid, inv = nslots[j]
-            nr = nr @ _slot_mat(params, fid, inv)
-        add(("u", zi), g_neg * nr)
-        noise_data.append((ri, nslots, ncols, g_neg))
-
-    if not slots:  # no_matrix: no map gradient, so no regularizer either
-        return loss, grads
-
-    # positive-path maps at the noise boundary, then the boundary noise map
-    selected = sorted({j for ri, _, _, _ in noise_data for j in (ri - 1, ri)})
-    for j in selected:
-        fid, inv = slots[j]
-        g = g_pos * np.outer(rows[j], cols[j + 1])
-        for ri, _, ncols, g_neg in noise_data:
-            if j < ri:
-                g = g + g_neg * np.outer(rows[j], ncols[j + 1])
-        add(("Minv" if inv else "M", fid), g)
-    for ri, nslots, ncols, g_neg in noise_data:
-        fid, inv = nslots[ri]
-        add(("Minv" if inv else "M", fid), g_neg * np.outer(rows[ri], ncols[ri + 1]))
-
     if gamma != 0.0 or config.kappa != 0.0:
         touched: dict[int, set[str]] = {}
         for kind, fid in grads:
@@ -303,8 +314,16 @@ def loss_and_gradients(
             )
             for kind, g in zip(("M", "Minv"), reg):
                 if g is not None:
-                    grads[(kind, fid)] = grads[(kind, fid)] + g
+                    grads[(kind, fid)] += g
     return loss, grads
+
+
+def _accumulate(grads: dict, key: tuple[str, int], g: np.ndarray) -> None:
+    """Add a fresh gradient array to ``grads[key]``, in place once the key exists."""
+    if key in grads:
+        grads[key] += g
+    else:
+        grads[key] = g
 
 
 def _lr_at(initial: float, config: TrainConfig, step_index: int) -> float:
@@ -328,7 +347,8 @@ def step(
     for (kind, idx), g in grads.items():
         is_vec = kind in ("v", "u")
         clip = config.clip_norm_vec if is_vec else config.clip_norm_mat
-        norm = float(np.linalg.norm(g))
+        flat = g.ravel()
+        norm = math.sqrt(flat.dot(flat))  # what np.linalg.norm computes
         if not math.isfinite(norm):
             raise NonFiniteGradient(
                 f"step {step_index}: gradient for {kind}[{idx}] has norm {norm}"
@@ -379,6 +399,7 @@ def train(
     skipped = len(trees) - len(usable)
     if not usable:
         raise EmptyCorpus("no multi-node trees to train on")
+    compiled = [compile_tree(t, vocab) for t in usable]  # walked by every epoch
 
     cfg = config
     if cfg.total_steps is None and cfg.lr_schedule == "linear":
@@ -422,9 +443,9 @@ def train(
     for epoch in range(1, cfg.epochs + 1):
         t0 = time.perf_counter()
         if cfg.workers == 1:
-            done, loss_sum = run_chunk(usable, worker_rngs[0])
+            done, loss_sum = run_chunk(compiled, worker_rngs[0])
         else:
-            chunks = [usable[w :: cfg.workers] for w in range(cfg.workers)]
+            chunks = [compiled[w :: cfg.workers] for w in range(cfg.workers)]
             with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
                 futures = [
                     pool.submit(run_chunk, chunk, worker_rngs[w])

@@ -20,13 +20,15 @@ weight exactly.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable
+from functools import cached_property
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .errors import BadMagic, EmptyCorpus, InvalidConfig, MalformedLine, UnknownField, UnknownWord
+from .errors import BadMagic, EmptyCorpus, InvalidConfig, MalformedLine, MissingPlaceholder, UnknownField, UnknownWord
 from .trees import (
     CORE_FIELDS,
     POS_TAGS,
@@ -63,16 +65,12 @@ class Vocabulary:
     prep_min: float = 1.0
     word_index: dict = field(init=False, repr=False)
     field_index: dict = field(init=False, repr=False)
-    _word_cum: np.ndarray = field(init=False, repr=False)
-    _field_cum: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.word_index = {w: i for i, w in enumerate(self.words)}
         self.field_index = {f: i for i, f in enumerate(self.fields)}
         if len(self.word_index) != len(self.words) or len(self.field_index) != len(self.fields):
             raise ValueError("duplicate vocabulary entries")
-        self._word_cum = np.cumsum([self.word_counts.get(w, 0.0) for w in self.words])
-        self._field_cum = np.cumsum([self.field_counts.get(f, 0.0) for f in self.fields])
 
     @property
     def n_words(self) -> int:
@@ -88,7 +86,8 @@ class Vocabulary:
         if idx is None and not strict:
             idx = self.word_index.get(unknown_word(w.pos))
         if idx is None:
-            raise UnknownWord(f"{w.render()} not in vocabulary")
+            nor = "" if strict else f", nor is its placeholder {unknown_word(w.pos).render()}"
+            raise UnknownWord(f"{w.render()} not in vocabulary{nor}")
         return idx
 
     def field_id(self, f: FieldId, strict: bool = True) -> int:
@@ -97,8 +96,18 @@ class Vocabulary:
         if idx is None and not strict:
             idx = self.field_index.get(UNKNOWN_FIELD)
         if idx is None:
-            raise UnknownField(f"field {f} has no learned maps")
+            nor = "" if strict else f", nor has its placeholder {UNKNOWN_FIELD}"
+            raise UnknownField(f"field {f} has no learned maps{nor}")
         return idx
+
+    # cumulative unigram counts, built on the first draw: querying never draws
+    @cached_property
+    def _word_cum(self) -> list[float]:
+        return np.cumsum([self.word_counts.get(w, 0.0) for w in self.words]).tolist()
+
+    @cached_property
+    def _field_cum(self) -> list[float]:
+        return np.cumsum([self.field_counts.get(f, 0.0) for f in self.fields]).tolist()
 
     def unigram_draw_word(self, rng: np.random.Generator) -> int:
         return self._draw(self._word_cum, rng)
@@ -107,11 +116,11 @@ class Vocabulary:
         return self._draw(self._field_cum, rng)
 
     @staticmethod
-    def _draw(cum: np.ndarray, rng: np.random.Generator) -> int:
-        total = cum[-1] if len(cum) else 0.0
+    def _draw(cum: list[float], rng: np.random.Generator) -> int:
+        total = cum[-1] if cum else 0.0
         if total <= 0.0:
             raise EmptyCorpus("unigram table has no mass")
-        return int(np.searchsorted(cum, rng.random() * total, side="right"))
+        return bisect.bisect_right(cum, rng.random() * total)
 
 
 def build_vocab(
@@ -228,16 +237,15 @@ def _walk_layout(tree: DcsTree):
     return deg, adj, pos_in_adj, np.array(starts, dtype=np.int64)
 
 
-def _walk_trajectories(
-    tree: DcsTree, epochs: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Node trajectories for ``epochs`` full sampling passes.
+def _walk_trajectories(layout, epochs: int, rng: np.random.Generator) -> np.ndarray:
+    """Node trajectories for ``epochs`` full sampling passes over a tree
+    laid out by ``_walk_layout``.
 
     Row layout: one row per (epoch, directed start edge); column 0 is the
     start node, subsequent columns the visited nodes, -1 once stopped.
     """
-    n = tree.n_nodes
-    deg, adj, pos_in_adj, starts = _walk_layout(tree)
+    deg, adj, pos_in_adj, starts = layout
+    n = len(deg)
     n_walks = len(starts) * epochs
     traj = np.full((n_walks, n), -1, dtype=np.int64)
     start_u = np.tile(starts[:, 0], epochs)
@@ -264,23 +272,44 @@ def _walk_trajectories(
     return traj
 
 
+class CompiledTree(NamedTuple):
+    """A multi-node tree as the sampler walks it: each node's word row, the
+    (near, far) field rows keyed by directed edge, and its walk layout."""
+
+    word_rows: list[int]
+    hop_rows: dict[tuple[int, int], tuple[int, int]]
+    layout: tuple[np.ndarray, ...]
+
+
+def compile_tree(tree: DcsTree, vocab: Vocabulary) -> CompiledTree:
+    """Map a multi-node tree's words and edge fields to rows, placeholders
+    included (substitution never changes the path structure), and lay out
+    its walk.  An entry missing along with its placeholder is an input error."""
+    try:
+        word_rows = [vocab.word_id(w, strict=False) for w in tree.words]
+        hop_rows = {}
+        for e in tree.edges:
+            pf, cf = (vocab.field_id(f, strict=False) for f in (e.parent_field, e.child_field))
+            hop_rows[e.parent, e.child] = (pf, cf)
+            hop_rows[e.child, e.parent] = (cf, pf)
+    except (UnknownWord, UnknownField) as exc:
+        raise MissingPlaceholder(str(exc)) from None
+    return CompiledTree(word_rows, hop_rows, _walk_layout(tree))
+
+
 def sample_paths(
-    tree: DcsTree, vocab: Vocabulary, rng: np.random.Generator
+    tree: DcsTree | CompiledTree, vocab: Vocabulary, rng: np.random.Generator
 ) -> list[PathSample]:
-    """One sampling epoch over a tree, as row ids.  The tree's words and
-    edge fields are mapped once, placeholders included; substitution never
-    changes the path structure."""
-    if tree.n_nodes < 2:
-        return []
-    traj = _walk_trajectories(tree, 1, rng)
-    word_rows = [vocab.word_id(w, strict=False) for w in tree.words]
-    hop_rows = {}  # (near node, far node) -> (near field row, far field row)
-    for e in tree.edges:
-        pf, cf = (vocab.field_id(f, strict=False) for f in (e.parent_field, e.child_field))
-        hop_rows[e.parent, e.child] = (pf, cf)
-        hop_rows[e.child, e.parent] = (cf, pf)
+    """One sampling epoch over a tree, as row ids.  A ``DcsTree`` is
+    compiled against ``vocab`` first; a ``CompiledTree`` is walked as it
+    is, with the same RNG calls."""
+    if isinstance(tree, DcsTree):
+        if tree.n_nodes < 2:
+            return []
+        tree = compile_tree(tree, vocab)
+    word_rows, hop_rows, layout = tree
     out: list[PathSample] = []
-    for row in traj.tolist():
+    for row in _walk_trajectories(layout, 1, rng).tolist():
         start = node = row[0]
         hops: list[tuple[int, int]] = []
         for nxt in row[1:]:
@@ -301,11 +330,12 @@ def sample_path_counts(
     often the path a->b was emitted in total.
     """
     n = tree.n_nodes
+    layout = _walk_layout(tree)
     counts = np.zeros(n * n, dtype=np.int64)
     done = 0
     while done < epochs:
         batch = min(chunk, epochs - done)
-        traj = _walk_trajectories(tree, batch, rng)
+        traj = _walk_trajectories(layout, batch, rng)
         base = traj[:, 0] * n
         for col in range(1, n):
             nodes = traj[:, col]

@@ -193,6 +193,39 @@ def test_train_bad_or_repeated_vocab_entry_exits_2(pipeline, tmp_path, entry):
     assert name == "MalformedLine" and message.startswith("line 4:")
 
 
+def test_train_on_a_vocabulary_without_the_placeholder_exits_2(tmp_path):
+    vocab = tmp_path / "vocab.txt"
+    vocab.write_text(
+        "VDCS-VOCAB 1\nW\tkid/N\t2.0\nW\tplay/V\t2.0\nF\tARG\t2.0\nF\tSUBJ\t2.0\n",
+        encoding="utf-8",
+    )
+    trees = tmp_path / "trees.txt"
+    kid, dog, play = Word("kid", "N"), Word("dog", "N"), Word("play", "V")
+    trees.write_text(
+        "".join(
+            tree_to_line(DcsTree((play, noun), 0, (Edge(0, 1, "SUBJ", ARG),))) + "\n"
+            for noun in (kid, dog)
+        ),
+        encoding="utf-8",
+    )
+    model = tmp_path / "m.bin"
+    proc = run_cli("train", trees, vocab, model, "--dim", 4, "--epochs", 1, expect=2)
+    name, message = one_error_line(proc)
+    assert name == "MissingPlaceholder"
+    assert "dog/N" in message and "*UNKNOWN*/N" in message
+    assert proc.stdout == ""  # raised before the first epoch
+    assert not model.exists()
+
+
+def test_nearest_strict_oov_unknown_word_still_exits_1(pipeline):
+    _, _, _, model = pipeline
+    proc = run_cli(
+        "nearest", model, "--tree", "zebra/N -ARG:COMP-> eat/V", "--strict-oov", expect=1
+    )
+    name, message = one_error_line(proc)
+    assert name == "UnknownWord" and "zebra/N" in message
+
+
 def test_nearest_on_a_model_listing_a_word_twice_exits_2(pipeline, tmp_path):
     _, _, _, model = pipeline
     head, sep, payload = model.read_bytes().partition(b"\n\n")

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import importlib
 import io
@@ -9,8 +10,10 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from dcsvec.errors import InvalidConfig
 from dcsvec.model import ModelParams, init_params, save_model
 from dcsvec.train import (
+    MODES,
     TrainConfig,
     loss_and_gradients,
     make_noise,
@@ -652,6 +655,20 @@ def test_config_validation():
         TrainConfig(noise_per_example=0)
 
 
+@pytest.mark.parametrize("total_steps", [-5, 0])
+def test_config_rejects_total_steps_below_one(total_steps):
+    # -5 made the linear "decay" raise the LR tenfold; 0 made it constant
+    with pytest.raises(InvalidConfig, match="total_steps"):
+        TrainConfig(total_steps=total_steps)
+
+
+def test_config_accepts_total_steps_none_or_positive():
+    lr_at = importlib.import_module("dcsvec.train")._lr_at
+    assert TrainConfig().total_steps is None
+    cfg = TrainConfig(lr_vec=0.1, total_steps=1)
+    assert [lr_at(0.1, cfg, i) for i in (0, 1, 5)] == [0.1, 0.1 * (1.0 - 0.9), 0.1 * (1.0 - 0.9)]
+
+
 def test_stats_log_line_format():
     trees = toy_corpus()
     vocab = build_vocab(trees, 1, 1)
@@ -828,3 +845,263 @@ def test_import_dcsvec_train_gives_the_module():
 
     assert isinstance(module, types.ModuleType)
     assert callable(module.train)
+
+
+# --- trees compiled once per train() call ---------------------------------
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_train_compiles_each_tree_once_and_walks_it_like_the_per_call_sampler(
+    monkeypatch, workers
+):
+    per_call_sample_paths = importlib.import_module("test_sampler").per_call_sample_paths
+    train_module = importlib.import_module("dcsvec.train")
+    real_compile, real_sample = train_module.compile_tree, train_module.sample_paths
+    source, calls = {}, []
+
+    def recording_compile(tree, vocab):
+        compiled = real_compile(tree, vocab)
+        source[id(compiled)] = tree
+        return compiled
+
+    def recording_sample(tree, vocab, rng):
+        state = copy.deepcopy(rng.bit_generator.state)
+        out = real_sample(tree, vocab, rng)
+        calls.append((id(rng), tree, state, out, rng.bit_generator.state))
+        return out
+
+    monkeypatch.setattr(train_module, "compile_tree", recording_compile)
+    monkeypatch.setattr(train_module, "sample_paths", recording_sample)
+    trees = toy_corpus() * 4  # every tree object is listed four times
+    vocab = build_vocab(trees, 1, 1)
+    epochs = 3
+    _, stats = train(trees, vocab, TrainConfig(dim=6, epochs=epochs, seed=2, workers=workers))
+
+    assert len(source) == len(trees)  # once per listed tree, not once per epoch
+    assert len(calls) == epochs * len(trees)
+    assert sum(len(out) for *_, out, _ in calls) == stats.total_steps
+    walked = {}
+    for rng_id, compiled, state, out, after in calls:
+        tree = source[id(compiled)]
+        walked.setdefault(rng_id, []).append(tree)
+        slow = np.random.default_rng()
+        slow.bit_generator.state = state
+        assert per_call_sample_paths(tree, vocab, slow) == out
+        assert slow.bit_generator.state == after
+    # each worker walks its own chunk of the corpus, in order, every epoch
+    chunks = [trees[w::workers] * epochs for w in range(workers)]
+    assert sorted(walked.values(), key=lambda c: trees.index(c[0])) == chunks
+
+
+# --- maps cast to float64 once per step -----------------------------------
+
+
+def uncached_regularizer_grads(M, Minv, gamma, kappa, *, need_M=True, need_Minv=True):
+    """Slow-path oracle: `regularizer_grads` casting its own inputs, with
+    np.trace and a .flat diagonal."""
+
+    def trace_centered(B):
+        d = B.shape[0]
+        B.flat[:: d + 1] -= np.trace(B) / d
+        return B
+
+    d = M.shape[0]
+    M = np.asarray(M, dtype=np.float64)
+    Minv = np.asarray(Minv, dtype=np.float64)
+    gM = gMinv = None
+    if gamma != 0.0:
+        E = trace_centered(Minv @ M)
+        if need_M:
+            gM = Minv.T @ E
+            gM *= 2.0 * gamma
+        if need_Minv:
+            gMinv = E @ M.T
+            gMinv *= 2.0 * gamma
+    if kappa != 0.0 and need_M:
+        term = M @ trace_centered(M.T @ M)
+        term *= 4.0 * kappa
+        if gM is None:
+            gM = term
+        else:
+            gM += term
+    if need_M and gM is None:
+        gM = np.zeros((d, d))
+    if need_Minv and gMinv is None:
+        gMinv = np.zeros((d, d))
+    return gM, gMinv
+
+
+def uncached_loss_and_gradients(params, pos, noises, config):
+    """Slow-path oracle: `loss_and_gradients` reading each map from the
+    table at every product (a float32 map is cast inside each product),
+    with np.outer and a fresh array per accumulation."""
+    train_module = importlib.import_module("dcsvec.train")
+    sigmoid, softplus = train_module._sigmoid, train_module.softplus
+
+    def slot_mat(fid, inv):
+        return params.Minv[fid] if inv else params.M[fid]
+
+    xi, yi = pos.start, pos.end
+    grads = {}
+
+    def add(key, value):
+        if key in grads:
+            grads[key] = grads[key] + value
+        else:
+            grads[key] = value
+
+    slots = [] if config.mode == "no_matrix" else [
+        slot for near, far in pos.hops for slot in ((near, False), (far, True))
+    ]
+    gamma = 0.0 if config.mode == "no_inverse" else config.gamma
+    two_l = len(slots)
+    v = params.V[xi].astype(np.float64)
+    u = params.U[yi].astype(np.float64)
+    rows = [v]
+    for fid, inv in slots:
+        rows.append(rows[-1] @ slot_mat(fid, inv))
+    cols = [None] * (two_l + 1)
+    cols[two_l] = u
+    for j in range(two_l - 1, -1, -1):
+        cols[j] = slot_mat(*slots[j]) @ cols[j + 1]
+
+    s_pos = float(rows[two_l] @ u)
+    g_pos = sigmoid(s_pos) - 1.0
+    loss = softplus(-s_pos)
+    add(("v", xi), g_pos * cols[0])
+    add(("u", yi), g_pos * rows[two_l])
+
+    noise_data = []
+    for noise in noises:
+        ri = min(noise.i - 1, two_l)
+        nslots = [
+            (noise.fields[j - ri], slots[j][1]) if j >= ri else slots[j] for j in range(two_l)
+        ]
+        zi = noise.word
+        ncols = [None] * (two_l + 1)
+        ncols[two_l] = params.U[zi].astype(np.float64)
+        for j in range(two_l - 1, -1, -1):
+            ncols[j] = slot_mat(*nslots[j]) @ ncols[j + 1]
+        s_neg = float(rows[ri] @ ncols[ri])
+        g_neg = sigmoid(s_neg)
+        loss += softplus(s_neg)
+        add(("v", xi), g_neg * ncols[0])
+        nr = rows[ri]
+        for j in range(ri, two_l):
+            nr = nr @ slot_mat(*nslots[j])
+        add(("u", zi), g_neg * nr)
+        noise_data.append((ri, nslots, ncols, g_neg))
+
+    if not slots:
+        return loss, grads
+
+    selected = sorted({j for ri, _, _, _ in noise_data for j in (ri - 1, ri)})
+    for j in selected:
+        fid, inv = slots[j]
+        g = g_pos * np.outer(rows[j], cols[j + 1])
+        for ri, _, ncols, g_neg in noise_data:
+            if j < ri:
+                g = g + g_neg * np.outer(rows[j], ncols[j + 1])
+        add(("Minv" if inv else "M", fid), g)
+    for ri, nslots, ncols, g_neg in noise_data:
+        fid, inv = nslots[ri]
+        add(("Minv" if inv else "M", fid), g_neg * np.outer(rows[ri], ncols[ri + 1]))
+
+    if gamma != 0.0 or config.kappa != 0.0:
+        touched = {}
+        for kind, fid in grads:
+            if kind in ("M", "Minv"):
+                touched.setdefault(fid, set()).add(kind)
+        for fid, kinds in touched.items():
+            reg = uncached_regularizer_grads(
+                params.M[fid], params.Minv[fid], gamma, config.kappa,
+                need_M="M" in kinds, need_Minv="Minv" in kinds,
+            )
+            for kind, g in zip(("M", "Minv"), reg):
+                if g is not None:
+                    grads[(kind, fid)] = grads[(kind, fid)] + g
+    return loss, grads
+
+
+def uncached_step(params, pos, noises, config, step_index):
+    """Slow-path oracle of `step` on the uncached gradients, with np.linalg.norm."""
+    lr_at = importlib.import_module("dcsvec.train")._lr_at
+    loss, grads = uncached_loss_and_gradients(params, pos, noises, config)
+    lr_v = lr_at(config.lr_vec, config, step_index)
+    lr_m = lr_at(config.lr_mat, config, step_index)
+    tables = {"v": params.V, "u": params.U, "M": params.M, "Minv": params.Minv}
+    for (kind, idx), g in grads.items():
+        is_vec = kind in ("v", "u")
+        clip = config.clip_norm_vec if is_vec else config.clip_norm_mat
+        norm = float(np.linalg.norm(g))
+        if norm > clip:
+            g = g * (clip / norm)
+        tables[kind][idx] -= (lr_v if is_vec else lr_m) * g
+    return loss
+
+
+def boundary_noise_on_the_path(pos, noises):
+    """The first noise's boundary map made the positive path's map at
+    that slot: same field, same parity."""
+    ri = noises[0].i - 1
+    near_or_far = pos.hops[ri // 2][ri % 2]
+    first = dataclasses.replace(noises[0], fields=(near_or_far,) + noises[0].fields[1:])
+    return [first] + noises[1:]
+
+
+def assert_same_gradients(got, want):
+    assert got[0] == want[0]
+    assert list(got[1]) == list(want[1])
+    for key, g in want[1].items():
+        assert got[1][key].dtype == g.dtype
+        assert np.array_equal(got[1][key], g), key
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("mode", MODES)
+def test_cast_once_step_matches_the_uncached_oracle(mode, k, dtype):
+    rng = np.random.default_rng(50 + k)
+    vocab = make_vocab()
+    params = make_params(rng, dim=6, dtype=dtype)
+    params.V *= 4  # large scores, so some gradients are clipped
+    expected = params.copy()
+    with pytest.warns(UserWarning):  # a matrix lr large enough to move the maps' bits
+        cfg = TrainConfig(dim=6, lr_mat=0.05, gamma=0.02, kappa=0.005, mode=mode, total_steps=90)
+    index = 0
+    for trial in range(30):
+        pos, noises = random_example(rng, vocab, k)
+        if trial % 2:
+            noises = boundary_noise_on_the_path(pos, noises)
+        # the same example twice in a row: the second step writes the
+        # fields the first just wrote, and must read them as written
+        for _ in range(1 + (trial % 3 == 0)):
+            assert_same_gradients(
+                loss_and_gradients(params, pos, noises, cfg),
+                uncached_loss_and_gradients(expected, pos, noises, cfg),
+            )
+            assert step(params, pos, noises, cfg, index) == uncached_step(
+                expected, pos, noises, cfg, index
+            )
+            index += 1
+    assert index == 40
+    for name in ("V", "U", "M", "Minv"):
+        assert getattr(params, name).dtype == dtype
+        assert np.array_equal(getattr(params, name), getattr(expected, name)), name
+
+
+def test_cast_once_handles_a_field_used_as_both_maps_and_twice_on_a_path():
+    rng = np.random.default_rng(56)
+    vocab = make_vocab()
+    cfg = TrainConfig(dim=7, gamma=0.02, kappa=0.005)
+    for dtype in (np.float32, np.float64):
+        params = make_params(rng, dim=7, dtype=dtype)
+        for hops, noise in (
+            (((ARG, ARG), (ARG, ARG)), (3, (ARG, ARG), w("w1"))),
+            (((SUBJ, ARG), (SUBJ, ARG)), (2, (SUBJ, ARG, SUBJ), w("w2"))),
+        ):
+            pos, noises = id_example(vocab, w("w0"), w("w1"), hops, noise)
+            assert_same_gradients(
+                loss_and_gradients(params, pos, noises, cfg),
+                uncached_loss_and_gradients(params, pos, noises, cfg),
+            )

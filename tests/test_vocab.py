@@ -2,11 +2,19 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from dcsvec.errors import BadMagic, EmptyCorpus, MalformedLine, UnknownField, UnknownWord
+from dcsvec.errors import (
+    BadMagic,
+    EmptyCorpus,
+    MalformedLine,
+    MissingPlaceholder,
+    UnknownField,
+    UnknownWord,
+)
 from dcsvec.trees import ARG, COMP, SUBJ, UNKNOWN_FIELD, DcsTree, Edge, Word, unknown_word
 from dcsvec.vocab import (
     Vocabulary,
     build_vocab,
+    compile_tree,
     load_vocab,
     path_sample_to_line,
     save_vocab,
@@ -236,3 +244,30 @@ def test_finalized_counts_respect_thresholds():
     for f in vocab.fields:
         if f not in (ARG, SUBJ, COMP, UNKNOWN_FIELD):
             assert vocab.field_counts[f] >= vocab.prep_min
+
+
+def test_compile_tree_without_a_placeholder_is_an_input_error():
+    bare = Vocabulary((w("a"), w("b", "V")), (ARG,), {w("a"): 1.0, w("b", "V"): 1.0}, {ARG: 1.0})
+    unknown_noun = DcsTree((w("b", "V"), w("c")), 0, (Edge(0, 1, ARG, ARG),))
+    with pytest.raises(MissingPlaceholder, match=r"c/N .*\*UNKNOWN\*/N"):
+        compile_tree(unknown_noun, bare)
+    unknown_field = DcsTree((w("b", "V"), w("a")), 0, (Edge(0, 1, "beneath", ARG),))
+    with pytest.raises(MissingPlaceholder, match=r"beneath .*\*UNKNOWN\*"):
+        compile_tree(unknown_field, bare)
+    assert MissingPlaceholder.exit_code == 2
+    known = compile_tree(DcsTree((w("b", "V"), w("a")), 0, (Edge(0, 1, ARG, ARG),)), bare)
+    assert known.word_rows == [1, 0]
+    assert known.hop_rows == {(0, 1): (0, 0), (1, 0): (0, 0)}
+
+
+def test_unigram_tables_are_built_on_the_first_draw():
+    vocab = build_vocab(star_and_chain_corpus(), 1, 1)
+    assert "_word_cum" not in vars(vocab) and "_field_cum" not in vars(vocab)
+    vocab.word_id(w("x")), vocab.field_id(ARG)  # lookups alone build nothing
+    assert "_word_cum" not in vars(vocab) and "_field_cum" not in vars(vocab)
+    rng = np.random.default_rng(7)
+    vocab.unigram_draw_word(rng)
+    assert vocab._word_cum == np.cumsum([vocab.word_counts[x] for x in vocab.words]).tolist()
+    assert "_field_cum" not in vars(vocab)
+    vocab.unigram_draw_field(rng)
+    assert vocab._field_cum == np.cumsum([vocab.field_counts[f] for f in vocab.fields]).tolist()
