@@ -14,11 +14,10 @@ rescaled to it.
 
 Gradients are taken per slot occurrence: a map repeated in an unselected
 slot is held constant there.  Examples hold vocabulary row ids, so a
-step looks up no name.  `train()` compiles each tree once per call
-(`vocab.compile_tree`: its rows and walk layout), and each epoch only
-walks them.  A step's NCE term casts each map it uses to float64 once,
-into a cache that dies with the term, so every product runs float64 x
-float64; the regularizer casts the two maps of a touched field itself.
+step looks up no name.  A step's NCE term casts each map it uses to
+float64 once, into a cache that dies with the term, so every product
+runs float64 x float64; the regularizer casts the two maps of a touched
+field itself.
 
 Three modes (`TrainConfig.mode`) share one forward/backward, and during a
 step only `loss_and_gradients` reads the mode.  `full` is the model above.
@@ -44,7 +43,7 @@ import numpy as np
 from .errors import EmptyCorpus, InvalidConfig, NonFiniteGradient
 from .model import ModelParams, identity_maps, init_params
 from .trees import DcsTree, enumerate_paths
-from .vocab import PathSample, Vocabulary, compile_tree, sample_paths
+from .vocab import PathSample, Vocabulary, sample_paths
 
 MODES = ("full", "no_matrix", "no_inverse")
 MAT_LR_WARN = 0.0005
@@ -119,14 +118,6 @@ def make_noise(
         fields = tuple([vocab.unigram_draw_field(rng) for _ in range(hi - i + 1)])
         out.append(NoisedExample(i, fields, vocab.unigram_draw_word(rng)))
     return out
-
-
-def _map64(maps: dict, params: ModelParams, slot: tuple[int, bool]) -> np.ndarray:
-    """The map of a (field row, is_inverse) slot as float64, cast once
-    into the step's cache ``maps``; the cast is exact."""
-    if slot not in maps:
-        maps[slot] = (params.Minv if slot[1] else params.M)[slot[0]].astype(np.float64, copy=False)
-    return maps[slot]
 
 
 def _sigmoid(x: float) -> float:
@@ -211,21 +202,46 @@ def regularizer_grads(
     return gM, gMinv
 
 
-def _nce_loss_and_gradients(
-    params: ModelParams, pos: PathSample, noises: list[NoisedExample], with_maps: bool
+def loss_and_gradients(
+    params: ModelParams,
+    pos: PathSample,
+    noises: list[NoisedExample],
+    config: TrainConfig,
 ) -> tuple[float, dict]:
-    """The NCE term of `loss_and_gradients`.  Each map it uses is cast to
-    float64 once, into a cache freed on return, before the regularizer
-    allocates its d x d products.  `ndarray.dot` makes the BLAS call `@`
-    makes, without the dispatch that costs as much as a product at small d."""
+    """NCE loss and the sparse gradient set for one example.
+
+    Keys are ("v", row), ("u", row), ("M", field id), ("Minv", field id);
+    contributions to a shared parameter accumulate.  The regularizer
+    runs once per touched field (one `regularizer_grads` call) and adds
+    its gradient to that field's touched maps only.
+
+    Each map the NCE term uses is cast to float64 once per step (the cast
+    is exact), so every product runs float64 x float64; the cache is
+    dropped before the regularizer allocates its d x d products.
+    `ndarray.dot` makes the BLAS call `@` makes, without the dispatch
+    that costs as much as a product at small d.
+
+    The mode is read here and nowhere else in a step: `no_matrix` runs
+    this code on an empty slot list, so the noise boundary clamps to slot
+    0 and no map key appears; `no_inverse` uses gamma = 0.
+    """
     xi, yi = pos.start, pos.end
     # (field row, is_inverse) per slot; slot 2t holds M[near], 2t+1 Minv[far]
-    slots = [
+    slots = [] if config.mode == "no_matrix" else [
         slot for near, far in pos.hops for slot in ((near, False), (far, True))
-    ] if with_maps else []
+    ]
     two_l = len(slots)
+    # per noise: its first replaced slot (0-based; 0 with no slots), its slots
+    noise_slots = []
+    for noise in noises:
+        ri = min(noise.i - 1, two_l)
+        redrawn = [(f, inv) for f, (_, inv) in zip(noise.fields, slots[ri:])]
+        noise_slots.append((ri, slots[:ri] + redrawn))
     maps: dict[tuple[int, bool], np.ndarray] = {}
-    mats = [_map64(maps, params, slot) for slot in slots]
+    for fid, inv in itertools.chain(slots, *(nslots for _, nslots in noise_slots)):
+        if (fid, inv) not in maps:
+            maps[fid, inv] = (params.Minv if inv else params.M)[fid].astype(np.float64, copy=False)
+    mats = [maps[slot] for slot in slots]
     v = params.V[xi].astype(np.float64)
     u = params.U[yi].astype(np.float64)
     rows = [v]
@@ -242,10 +258,8 @@ def _nce_loss_and_gradients(
     grads: dict[tuple[str, int], np.ndarray] = {("v", xi): gv, ("u", yi): g_pos * rows[two_l]}
 
     noise_data = []
-    for noise in noises:
-        ri = min(noise.i - 1, two_l)  # first replaced slot, 0-based; 0 with no slots
-        nslots = slots[:ri] + [(f, inv) for f, (_, inv) in zip(noise.fields, slots[ri:])]
-        nmats = mats[:ri] + [_map64(maps, params, slot) for slot in nslots[ri:]]
+    for noise, (ri, nslots) in zip(noises, noise_slots):
+        nmats = [maps[slot] for slot in nslots]
         ncols = [params.U[noise.word].astype(np.float64)] * (two_l + 1)
         for j in range(two_l - 1, -1, -1):
             ncols[j] = nmats[j].dot(ncols[j + 1])
@@ -258,8 +272,9 @@ def _nce_loss_and_gradients(
             nr = nr.dot(m)
         _accumulate(grads, ("u", noise.word), g_neg * nr)
         noise_data.append((ri, nslots, ncols, g_neg))
+    maps = mats = nmats = None  # the cache lives for the NCE term only
 
-    if not slots:  # no_matrix: no map gradient
+    if not slots:  # no_matrix: no map gradient, so no regularizer either
         return loss, grads
 
     # positive-path maps at the noise boundary, then the boundary noise map
@@ -275,28 +290,7 @@ def _nce_loss_and_gradients(
         fid, inv = nslots[ri]
         g = g_neg * (rows[ri][:, None] * ncols[ri + 1])
         _accumulate(grads, ("Minv" if inv else "M", fid), g)
-    return loss, grads
 
-
-def loss_and_gradients(
-    params: ModelParams,
-    pos: PathSample,
-    noises: list[NoisedExample],
-    config: TrainConfig,
-) -> tuple[float, dict]:
-    """NCE loss and the sparse gradient set for one example.
-
-    Keys are ("v", row), ("u", row), ("M", field id), ("Minv", field id);
-    contributions to a shared parameter accumulate.  The regularizer
-    runs once per touched field (one `regularizer_grads` call) and adds
-    its gradient to that field's touched maps only.
-
-    The mode is read here and nowhere else in a step: `no_matrix` runs
-    the NCE term on an empty slot list, so the noise boundary clamps to
-    slot 0 and no map key appears (nor any regularizer call); `no_inverse`
-    uses gamma = 0.
-    """
-    loss, grads = _nce_loss_and_gradients(params, pos, noises, config.mode != "no_matrix")
     gamma = 0.0 if config.mode == "no_inverse" else config.gamma
     if gamma != 0.0 or config.kappa != 0.0:
         touched: dict[int, set[str]] = {}
@@ -399,7 +393,6 @@ def train(
     skipped = len(trees) - len(usable)
     if not usable:
         raise EmptyCorpus("no multi-node trees to train on")
-    compiled = [compile_tree(t, vocab) for t in usable]  # walked by every epoch
 
     cfg = config
     if cfg.total_steps is None and cfg.lr_schedule == "linear":
@@ -443,9 +436,9 @@ def train(
     for epoch in range(1, cfg.epochs + 1):
         t0 = time.perf_counter()
         if cfg.workers == 1:
-            done, loss_sum = run_chunk(compiled, worker_rngs[0])
+            done, loss_sum = run_chunk(usable, worker_rngs[0])
         else:
-            chunks = [compiled[w :: cfg.workers] for w in range(cfg.workers)]
+            chunks = [usable[w :: cfg.workers] for w in range(cfg.workers)]
             with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
                 futures = [
                     pool.submit(run_chunk, chunk, worker_rngs[w])

@@ -24,7 +24,7 @@ import bisect
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 import numpy as np
 
@@ -237,15 +237,16 @@ def _walk_layout(tree: DcsTree):
     return deg, adj, pos_in_adj, np.array(starts, dtype=np.int64)
 
 
-def _walk_trajectories(layout, epochs: int, rng: np.random.Generator) -> np.ndarray:
-    """Node trajectories for ``epochs`` full sampling passes over a tree
-    laid out by ``_walk_layout``.
+def _walk_trajectories(
+    tree: DcsTree, epochs: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Node trajectories for ``epochs`` full sampling passes.
 
     Row layout: one row per (epoch, directed start edge); column 0 is the
     start node, subsequent columns the visited nodes, -1 once stopped.
     """
-    deg, adj, pos_in_adj, starts = layout
-    n = len(deg)
+    n = tree.n_nodes
+    deg, adj, pos_in_adj, starts = _walk_layout(tree)
     n_walks = len(starts) * epochs
     traj = np.full((n_walks, n), -1, dtype=np.int64)
     start_u = np.tile(starts[:, 0], epochs)
@@ -272,44 +273,27 @@ def _walk_trajectories(layout, epochs: int, rng: np.random.Generator) -> np.ndar
     return traj
 
 
-class CompiledTree(NamedTuple):
-    """A multi-node tree as the sampler walks it: each node's word row, the
-    (near, far) field rows keyed by directed edge, and its walk layout."""
-
-    word_rows: list[int]
-    hop_rows: dict[tuple[int, int], tuple[int, int]]
-    layout: tuple[np.ndarray, ...]
-
-
-def compile_tree(tree: DcsTree, vocab: Vocabulary) -> CompiledTree:
-    """Map a multi-node tree's words and edge fields to rows, placeholders
-    included (substitution never changes the path structure), and lay out
-    its walk.  An entry missing along with its placeholder is an input error."""
+def sample_paths(
+    tree: DcsTree, vocab: Vocabulary, rng: np.random.Generator
+) -> list[PathSample]:
+    """One sampling epoch over a tree, as row ids.  The tree's words and
+    edge fields are mapped once, placeholders included; substitution never
+    changes the path structure.  An entry missing along with its
+    placeholder is an input error."""
+    if tree.n_nodes < 2:
+        return []
+    traj = _walk_trajectories(tree, 1, rng)
     try:
         word_rows = [vocab.word_id(w, strict=False) for w in tree.words]
-        hop_rows = {}
+        hop_rows = {}  # (near node, far node) -> (near field row, far field row)
         for e in tree.edges:
             pf, cf = (vocab.field_id(f, strict=False) for f in (e.parent_field, e.child_field))
             hop_rows[e.parent, e.child] = (pf, cf)
             hop_rows[e.child, e.parent] = (cf, pf)
     except (UnknownWord, UnknownField) as exc:
         raise MissingPlaceholder(str(exc)) from None
-    return CompiledTree(word_rows, hop_rows, _walk_layout(tree))
-
-
-def sample_paths(
-    tree: DcsTree | CompiledTree, vocab: Vocabulary, rng: np.random.Generator
-) -> list[PathSample]:
-    """One sampling epoch over a tree, as row ids.  A ``DcsTree`` is
-    compiled against ``vocab`` first; a ``CompiledTree`` is walked as it
-    is, with the same RNG calls."""
-    if isinstance(tree, DcsTree):
-        if tree.n_nodes < 2:
-            return []
-        tree = compile_tree(tree, vocab)
-    word_rows, hop_rows, layout = tree
     out: list[PathSample] = []
-    for row in _walk_trajectories(layout, 1, rng).tolist():
+    for row in traj.tolist():
         start = node = row[0]
         hops: list[tuple[int, int]] = []
         for nxt in row[1:]:
@@ -330,12 +314,11 @@ def sample_path_counts(
     often the path a->b was emitted in total.
     """
     n = tree.n_nodes
-    layout = _walk_layout(tree)
     counts = np.zeros(n * n, dtype=np.int64)
     done = 0
     while done < epochs:
         batch = min(chunk, epochs - done)
-        traj = _walk_trajectories(layout, batch, rng)
+        traj = _walk_trajectories(tree, batch, rng)
         base = traj[:, 0] * n
         for col in range(1, n):
             nodes = traj[:, col]

@@ -213,7 +213,7 @@ def test_train_on_a_vocabulary_without_the_placeholder_exits_2(tmp_path):
     name, message = one_error_line(proc)
     assert name == "MissingPlaceholder"
     assert "dog/N" in message and "*UNKNOWN*/N" in message
-    assert proc.stdout == ""  # raised before the first epoch
+    assert proc.stdout == ""  # raised in the first epoch, before its log line
     assert not model.exists()
 
 

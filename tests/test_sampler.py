@@ -15,15 +15,7 @@ from dcsvec.trees import (
     unknown_word,
 )
 from dcsvec.ud import convert_sentence, parse_conllu_file
-from dcsvec.vocab import (
-    PathSample,
-    _walk_layout,
-    _walk_trajectories,
-    build_vocab,
-    compile_tree,
-    sample_path_counts,
-    sample_paths,
-)
+from dcsvec.vocab import _walk_trajectories, build_vocab, sample_path_counts, sample_paths
 from helpers import random_tree
 
 
@@ -58,7 +50,7 @@ def name_sample_paths(tree, vocab, rng):
     if tree.n_nodes < 2:
         return []
     out = []
-    for row in _walk_trajectories(_walk_layout(tree), 1, rng):
+    for row in _walk_trajectories(tree, 1, rng):
         start = int(row[0])
         hops = []
         node = start
@@ -86,80 +78,21 @@ def assert_sampler_matches_name_oracle(trees, vocab, seed):
     assert any(f == UNKNOWN_FIELD for s in emitted for hop in s[2] for f in hop)
 
 
-def worldgen_trees_and_vocab(tmp_path):
+def test_sampler_matches_name_oracle_on_worldgen_trees(tmp_path):
     worldgen.generate_corpus(tmp_path / "corpus.conllu", 400, seed=11)
     convs = (convert_sentence(s) for s in parse_conllu_file(tmp_path / "corpus.conllu"))
     trees = [c.tree for c in convs if c is not None]
     # the vocabulary sees half the corpus: rare and unseen words and
     # prepositions in the other half fall to placeholders
-    return trees, build_vocab(trees[:200], word_min=5, prep_min=20)
-
-
-def random_trees_and_vocab():
-    rng = np.random.default_rng(13)
-    trees = [random_tree(rng, int(rng.integers(1, 9)), 40) for _ in range(120)]
-    return trees, build_vocab(trees[:60], word_min=2, prep_min=490)  # "of" falls, "in" and "on" stay
-
-
-def test_sampler_matches_name_oracle_on_worldgen_trees(tmp_path):
-    assert_sampler_matches_name_oracle(*worldgen_trees_and_vocab(tmp_path), seed=12)
+    vocab = build_vocab(trees[:200], word_min=5, prep_min=20)
+    assert_sampler_matches_name_oracle(trees, vocab, seed=12)
 
 
 def test_sampler_matches_name_oracle_on_random_trees():
-    assert_sampler_matches_name_oracle(*random_trees_and_vocab(), seed=14)
-
-
-def per_call_sample_paths(tree, vocab, rng):
-    """Slow-path oracle: the sampler before trees were compiled, which
-    mapped the tree's words and edge fields and laid out its walk on
-    every call."""
-    if tree.n_nodes < 2:
-        return []
-    traj = _walk_trajectories(_walk_layout(tree), 1, rng)
-    word_rows = [vocab.word_id(w, strict=False) for w in tree.words]
-    hop_rows = {}
-    for e in tree.edges:
-        pf, cf = (vocab.field_id(f, strict=False) for f in (e.parent_field, e.child_field))
-        hop_rows[e.parent, e.child] = (pf, cf)
-        hop_rows[e.child, e.parent] = (cf, pf)
-    out = []
-    for row in traj.tolist():
-        start = node = row[0]
-        hops = []
-        for nxt in row[1:]:
-            if nxt < 0:
-                break
-            hops.append(hop_rows[node, nxt])
-            out.append(PathSample(word_rows[start], word_rows[nxt], tuple(hops)))
-            node = nxt
-    return out
-
-
-def assert_compiled_sampler_matches_per_call_oracle(trees, vocab, seed, epochs=3):
-    usable = [t for t in trees if t.n_nodes >= 2]
-    compiled = [compile_tree(t, vocab) for t in usable]  # once, as train() does
-    fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
-    emitted = 0
-    for _ in range(epochs):
-        for tree, ctree in zip(usable, compiled):
-            got = sample_paths(ctree, vocab, fast)
-            assert got == per_call_sample_paths(tree, vocab, slow)
-            assert sample_paths(tree, vocab, np.random.default_rng(0)) == per_call_sample_paths(
-                tree, vocab, np.random.default_rng(0)
-            )  # a plain tree is compiled on the call
-            emitted += len(got)
-    assert emitted > 1000
-    assert fast.bit_generator.state == slow.bit_generator.state
-
-
-def test_compiled_sampler_matches_per_call_oracle_on_worldgen_trees(tmp_path):
-    assert_compiled_sampler_matches_per_call_oracle(*worldgen_trees_and_vocab(tmp_path), seed=15)
-
-
-def test_compiled_sampler_matches_per_call_oracle_on_random_trees():
-    trees, vocab = random_trees_and_vocab()
-    assert any(t.n_nodes < 2 for t in trees)
-    assert_compiled_sampler_matches_per_call_oracle(trees, vocab, seed=16)
+    rng = np.random.default_rng(13)
+    trees = [random_tree(rng, int(rng.integers(1, 9)), 40) for _ in range(120)]
+    vocab = build_vocab(trees[:60], word_min=2, prep_min=490)  # "of" falls, "in" and "on" stay
+    assert_sampler_matches_name_oracle(trees, vocab, seed=14)
 
 
 def test_two_node_tree_emits_exactly_both_paths():

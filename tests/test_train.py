@@ -1,4 +1,3 @@
-import copy
 import dataclasses
 import importlib
 import io
@@ -847,47 +846,31 @@ def test_import_dcsvec_train_gives_the_module():
     assert callable(module.train)
 
 
-# --- trees compiled once per train() call ---------------------------------
+# --- the sampler as train() drives it ------------------------------------
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_train_compiles_each_tree_once_and_walks_it_like_the_per_call_sampler(
-    monkeypatch, workers
-):
-    per_call_sample_paths = importlib.import_module("test_sampler").per_call_sample_paths
+def test_train_samples_each_listed_tree_once_per_epoch_in_chunk_order(monkeypatch, workers):
     train_module = importlib.import_module("dcsvec.train")
-    real_compile, real_sample = train_module.compile_tree, train_module.sample_paths
-    source, calls = {}, []
-
-    def recording_compile(tree, vocab):
-        compiled = real_compile(tree, vocab)
-        source[id(compiled)] = tree
-        return compiled
+    real_sample = train_module.sample_paths
+    calls = []
 
     def recording_sample(tree, vocab, rng):
-        state = copy.deepcopy(rng.bit_generator.state)
         out = real_sample(tree, vocab, rng)
-        calls.append((id(rng), tree, state, out, rng.bit_generator.state))
+        calls.append((id(rng), tree, out))
         return out
 
-    monkeypatch.setattr(train_module, "compile_tree", recording_compile)
     monkeypatch.setattr(train_module, "sample_paths", recording_sample)
     trees = toy_corpus() * 4  # every tree object is listed four times
     vocab = build_vocab(trees, 1, 1)
     epochs = 3
     _, stats = train(trees, vocab, TrainConfig(dim=6, epochs=epochs, seed=2, workers=workers))
 
-    assert len(source) == len(trees)  # once per listed tree, not once per epoch
     assert len(calls) == epochs * len(trees)
-    assert sum(len(out) for *_, out, _ in calls) == stats.total_steps
+    assert sum(len(out) for *_, out in calls) == stats.total_steps
     walked = {}
-    for rng_id, compiled, state, out, after in calls:
-        tree = source[id(compiled)]
+    for rng_id, tree, _ in calls:
         walked.setdefault(rng_id, []).append(tree)
-        slow = np.random.default_rng()
-        slow.bit_generator.state = state
-        assert per_call_sample_paths(tree, vocab, slow) == out
-        assert slow.bit_generator.state == after
     # each worker walks its own chunk of the corpus, in order, every epoch
     chunks = [trees[w::workers] * epochs for w in range(workers)]
     assert sorted(walked.values(), key=lambda c: trees.index(c[0])) == chunks

@@ -12,11 +12,12 @@ from dcsvec.errors import (
 )
 from dcsvec.trees import ARG, COMP, SUBJ, UNKNOWN_FIELD, DcsTree, Edge, Word, unknown_word
 from dcsvec.vocab import (
+    PathSample,
     Vocabulary,
     build_vocab,
-    compile_tree,
     load_vocab,
     path_sample_to_line,
+    sample_paths,
     save_vocab,
 )
 from helpers import id_example
@@ -246,18 +247,18 @@ def test_finalized_counts_respect_thresholds():
             assert vocab.field_counts[f] >= vocab.prep_min
 
 
-def test_compile_tree_without_a_placeholder_is_an_input_error():
+def test_sampling_without_a_placeholder_is_an_input_error():
     bare = Vocabulary((w("a"), w("b", "V")), (ARG,), {w("a"): 1.0, w("b", "V"): 1.0}, {ARG: 1.0})
+    rng = np.random.default_rng(0)
     unknown_noun = DcsTree((w("b", "V"), w("c")), 0, (Edge(0, 1, ARG, ARG),))
     with pytest.raises(MissingPlaceholder, match=r"c/N .*\*UNKNOWN\*/N"):
-        compile_tree(unknown_noun, bare)
+        sample_paths(unknown_noun, bare, rng)
     unknown_field = DcsTree((w("b", "V"), w("a")), 0, (Edge(0, 1, "beneath", ARG),))
     with pytest.raises(MissingPlaceholder, match=r"beneath .*\*UNKNOWN\*"):
-        compile_tree(unknown_field, bare)
+        sample_paths(unknown_field, bare, rng)
     assert MissingPlaceholder.exit_code == 2
-    known = compile_tree(DcsTree((w("b", "V"), w("a")), 0, (Edge(0, 1, ARG, ARG),)), bare)
-    assert known.word_rows == [1, 0]
-    assert known.hop_rows == {(0, 1): (0, 0), (1, 0): (0, 0)}
+    known = DcsTree((w("b", "V"), w("a")), 0, (Edge(0, 1, ARG, ARG),))
+    assert sample_paths(known, bare, rng) == [PathSample(1, 0, ((0, 0),)), PathSample(0, 1, ((0, 0),))]
 
 
 def test_unigram_tables_are_built_on_the_first_draw():
