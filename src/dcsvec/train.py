@@ -7,8 +7,10 @@ slots j < i and redraws everything from a uniformly chosen slot i on
 unigram, slot parity preserved).  A step updates only the start query
 vector, the two positive-path maps straddling the noise boundary, the
 noise map at the boundary, and the two answer vectors.  The
-inverse-consistency and orthogonality regularizer is computed once per
-touched field, for just the maps of that field the step touches.
+inverse-consistency and orthogonality regularizer runs on one step in
+`REG_EVERY`, at `REG_EVERY`x weight, chosen by step index (lazy
+regularization); on such a step it is computed once per touched field,
+for just the maps of that field the step touches.
 Per-parameter gradients whose norm exceeds the clip threshold are
 rescaled to it.
 
@@ -47,6 +49,9 @@ from .vocab import PathSample, Vocabulary, sample_paths
 
 MODES = ("full", "no_matrix", "no_inverse")
 MAT_LR_WARN = 0.0005
+# train() regularizes the maps on steps whose index is a multiple of this,
+# at this many times gamma and kappa, and skips the regularizer otherwise
+REG_EVERY = 4
 
 
 @dataclass
@@ -76,8 +81,14 @@ class TrainConfig:
             (self.workers >= 1, f"workers must be >= 1, got {self.workers}"),
             (self.seed >= 0, f"seed must be >= 0, got {self.seed}"),
             (self.noise_per_example >= 1, "need at least one noise example"),
-            (self.lr_vec >= 0 and self.lr_mat >= 0, "learning rates must be >= 0"),
-            (self.gamma >= 0 and self.kappa >= 0, "regularizer weights must be >= 0"),
+            (
+                0 <= self.lr_vec < math.inf and 0 <= self.lr_mat < math.inf,
+                "learning rates must be finite and >= 0",
+            ),
+            (
+                0 <= self.gamma < math.inf and 0 <= self.kappa < math.inf,
+                "regularizer weights must be finite and >= 0",
+            ),
             (self.clip_norm_vec > 0 and self.clip_norm_mat > 0, "clip norms must be > 0"),
             (
                 self.total_steps is None or self.total_steps >= 1,
@@ -418,6 +429,8 @@ def train(
     # every index exactly once
     step_indices = itertools.count()
     index_lock = threading.Lock()
+    reg_cfg = replace(cfg, gamma=cfg.gamma * REG_EVERY, kappa=cfg.kappa * REG_EVERY)
+    plain_cfg = replace(cfg, gamma=0.0, kappa=0.0)
 
     def run_chunk(chunk, rng_pair):
         sampler_rng, noise_rng = rng_pair
@@ -428,7 +441,8 @@ def train(
                 noises = make_noise(sample, vocab, noise_rng, cfg.noise_per_example)
                 with index_lock:
                     step_index = next(step_indices)
-                loss_sum += step(params, sample, noises, cfg, step_index)
+                step_cfg = reg_cfg if step_index % REG_EVERY == 0 else plain_cfg
+                loss_sum += step(params, sample, noises, step_cfg, step_index)
                 steps += 1
         return steps, loss_sum
 

@@ -49,6 +49,8 @@ class Word:
 
     @classmethod
     def parse(cls, text: str) -> "Word":
+        if not isinstance(text, str):  # e.g. a number in a JSON dataset
+            raise TypeError(f"expected lemma/POS, got {text!r}")
         lemma, sep, pos = text.rpartition("/")
         if not sep or not lemma:
             raise ValueError(f"expected lemma/POS, got {text!r}")

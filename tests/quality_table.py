@@ -1,0 +1,80 @@
+"""Quality of the criterion-7 world across seeds and regularizer schedules.
+
+    PYTHONPATH=src:tests python3 tests/quality_table.py --seeds 814 815 816 --reg-every 1 4
+
+For each seed and each `REG_EVERY` value, trains the 20,000-sentence
+worldgen world with criterion 7's config (dim 25, 5 epochs, workers=1),
+then prints one JSON line: held-out hit rate, completion accuracy, probe
+accuracy, the epoch losses, and each field's inverse and orthogonality
+penalty at unit weight (`regularizer_penalties` on the trained maps).
+`REG_EVERY` = 1 is the every-step regularizer.  The world, its
+evaluation sets and the metrics are criterion 7's own
+(`test_acceptance`).  Each model takes about four minutes on a 2-core VM.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+import tempfile
+import time
+from dataclasses import replace
+from pathlib import Path
+
+import dcsvec.train as train_module
+from dcsvec.evaluate import eval_completion
+from dcsvec.model import normalize
+from dcsvec.train import regularizer_penalties, train
+from test_acceptance import (
+    E2E_CONFIG,
+    direction_probe_accuracy,
+    evaluation_sets,
+    held_out_hit_rate,
+    prepare_world,
+)
+
+
+def quality_row(seed: int, reg_every: int, root: Path) -> dict:
+    _, trees, vocab = prepare_world(root, seed)
+    train_module.REG_EVERY = reg_every
+    t0 = time.perf_counter()
+    params, stats = train(trees, vocab, replace(E2E_CONFIG, seed=seed))
+    train_s = time.perf_counter() - t0
+    full = normalize(params)
+    items, instances = evaluation_sets(root, seed)
+    completion = eval_completion(full, items)
+    penalties = {
+        name: regularizer_penalties(params.M[fid], params.Minv[fid], 1.0, 1.0)
+        for fid, name in enumerate(vocab.fields)
+    }
+    return {
+        "seed": seed,
+        "reg_every": reg_every,
+        "hit_rate": held_out_hit_rate(full),
+        "completion_accuracy": completion.accuracy,
+        "completion_skipped": completion.skipped,
+        "probe_accuracy": direction_probe_accuracy(full, instances),
+        "epoch_losses": [e.mean_loss for e in stats.epochs],
+        "inverse_penalty": {name: inv for name, (inv, _) in penalties.items()},
+        "orthogonality_penalty": {name: orth for name, (_, orth) in penalties.items()},
+        "steps": stats.total_steps,
+        "train_s": round(train_s, 1),
+    }
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--seeds", type=int, nargs="+", default=[E2E_CONFIG.seed])
+    ap.add_argument("--reg-every", type=int, nargs="+", default=[train_module.REG_EVERY])
+    args = ap.parse_args(argv)
+    for seed in args.seeds:
+        for reg_every in args.reg_every:
+            with tempfile.TemporaryDirectory() as tmp:
+                row = quality_row(seed, reg_every, Path(tmp))
+            print(json.dumps(row), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -258,19 +258,46 @@ E2E_SEED = 814
 E2E_CONFIG = TrainConfig(dim=25, epochs=5, seed=E2E_SEED, workers=1)
 
 
-@pytest.fixture(scope="module")
-def synthetic_world(tmp_path_factory):
-    root = tmp_path_factory.mktemp("world")
-    timings = {}
-    t0 = time.perf_counter()
+def prepare_world(root, seed):
+    """The 20,000-sentence worldgen corpus of `seed`, converted, and its
+    vocabulary: (sentence count, trees, vocab)."""
     corpus = root / "corpus.conllu"
-    n_sentences = worldgen.generate_corpus(corpus, 20000, seed=E2E_SEED)
+    n_sentences = worldgen.generate_corpus(corpus, 20000, seed=seed)
     trees = [
         conv.tree
         for sent in parse_conllu_file(corpus)
         if (conv := convert_sentence(sent)) is not None
     ]
-    vocab = build_vocab(trees, word_min=5, prep_min=20)
+    return n_sentences, trees, build_vocab(trees, word_min=5, prep_min=20)
+
+
+def evaluation_sets(root, seed):
+    """The world's completion items and relation instances for `seed`."""
+    comp_path = root / "completion.jsonl"
+    worldgen.write_completion_items(comp_path, 100, seed=seed + 1)
+    rel_path = root / "relations.jsonl"
+    worldgen.write_relation_instances(rel_path, 400, seed=seed + 2)
+    return load_completion_dataset(comp_path), load_relation_instances(rel_path)
+
+
+def held_out_hit_rate(params):
+    """Share of held-out composed queries whose gold filler is in the
+    top 5 nouns of a normalized model."""
+    queries = worldgen.held_out_queries()
+    hits = 0
+    for literal, _, gold in queries:
+        q = compose_query(params, parse_tree_literal(literal), strict=False)
+        top = {word.lemma for word, _ in nearest_answers(params, q, 5, pos_filter="N")}
+        hits += bool(top & gold)
+    return hits / len(queries)
+
+
+@pytest.fixture(scope="module")
+def synthetic_world(tmp_path_factory):
+    root = tmp_path_factory.mktemp("world")
+    timings = {}
+    t0 = time.perf_counter()
+    n_sentences, trees, vocab = prepare_world(root, E2E_SEED)
     timings["prepare"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -293,7 +320,7 @@ def synthetic_world(tmp_path_factory):
     }
 
 
-def _direction_probe_accuracy(params, instances):
+def direction_probe_accuracy(params, instances):
     feats = np.stack([relation_features(params, inst) for inst in instances])
     labels = np.array([inst.label == "agent-first" for inst in instances])
     train_f, train_l = feats[0::2], labels[0::2]
@@ -322,28 +349,19 @@ def test_criterion_7_end_to_end_synthetic_world(synthetic_world):
         assert losses[-1] < losses[0], losses
 
         # (a) held-out composed queries: gold filler in top-5 for >= 80%
-        queries = worldgen.held_out_queries()
-        hits = 0
-        for literal, _, gold in queries:
-            q = compose_query(full, parse_tree_literal(literal), strict=False)
-            top = {word.lemma for word, _ in nearest_answers(full, q, 5, pos_filter="N")}
-            hits += bool(top & gold)
-        assert hits / len(queries) >= 0.80, f"retrieval hits {hits}/{len(queries)}"
+        hit_rate = held_out_hit_rate(full)
+        assert hit_rate >= 0.80, f"retrieval hit rate {hit_rate:.2f}"
 
         # (b) synthetic sentence completion: accuracy >= 60% against 20% chance
-        comp_path = world["root"] / "completion.jsonl"
-        worldgen.write_completion_items(comp_path, 100, seed=E2E_SEED + 1)
-        result = eval_completion(full, load_completion_dataset(comp_path))
+        items, instances = evaluation_sets(world["root"], E2E_SEED)
+        result = eval_completion(full, items)
         assert result.skipped == 0
         assert result.accuracy >= 0.60, f"completion accuracy {result.accuracy:.2f}"
 
         # (c) direction probe: full model separates agent/theme, the
         # no-matrix ablation cannot
-        rel_path = world["root"] / "relations.jsonl"
-        worldgen.write_relation_instances(rel_path, 400, seed=E2E_SEED + 2)
-        instances = load_relation_instances(rel_path)
-        acc_full = _direction_probe_accuracy(full, instances)
-        acc_nomat = _direction_probe_accuracy(nomat, instances)
+        acc_full = direction_probe_accuracy(full, instances)
+        acc_nomat = direction_probe_accuracy(nomat, instances)
         assert acc_full >= 0.80, f"full-model probe accuracy {acc_full:.2f}"
         assert acc_nomat <= 0.60, f"no-matrix probe accuracy {acc_nomat:.2f}"
 

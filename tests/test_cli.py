@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -254,7 +255,8 @@ def test_train_stats_lines(pipeline):
 @pytest.mark.parametrize(
     "flag, value",
     [("--gamma", -1), ("--dim", 1), ("--noise", 0), ("--workers", 0), ("--epochs", -1),
-     ("--clip-vec", 0), ("--seed", -1)],
+     ("--clip-vec", 0), ("--seed", -1), ("--gamma", "inf"), ("--kappa", "inf"),
+     ("--lr-vec", "inf"), ("--lr-mat", "inf"), ("--gamma", 1e308)],
 )
 def test_train_bad_value_exits_2(pipeline, tmp_path, flag, value):
     _, trees, vocab, _ = pipeline
@@ -396,6 +398,18 @@ def test_eval_completion_command(pipeline, tmp_path):
     assert fields[0] == "accuracy"
     assert 0.0 <= float(fields[1]) <= 1.0
     assert fields[2] == "scored" and int(fields[3]) == 10
+
+
+def test_eval_completion_non_string_choices_exit_2(pipeline, tmp_path):
+    _, _, _, model = pipeline
+    ds = tmp_path / "items.jsonl"
+    worldgen.write_completion_items(ds, 1, seed=4)
+    item = json.loads(ds.read_text(encoding="utf-8"))
+    item["choices"] = [1, 2, 3, 4, 5]
+    ds.write_text(json.dumps(item) + "\n", encoding="utf-8")
+    proc = run_cli("eval-completion", model, ds, expect=2)
+    name, message = one_error_line(proc)
+    assert name == "MalformedLine" and message.startswith("line 1:")
 
 
 def test_export_features_command(pipeline, tmp_path):

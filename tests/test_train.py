@@ -823,6 +823,66 @@ def test_training_bytes_match_the_mode_oracle_in_every_mode(monkeypatch):
     assert len({fast[mode][0] for mode in modes}) == 3
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("mode", MODES)
+def test_lazy_regularization_schedule(monkeypatch, mode, workers):
+    """Steps whose index is a multiple of REG_EVERY get REG_EVERY x gamma
+    and kappa, every other step gets 0, and nothing else in the config
+    changes, with any worker count."""
+    rng = np.random.default_rng(36)
+    trees = [random_tree(rng, int(rng.integers(2, 6)), 10) for _ in range(30)]
+    vocab = build_vocab(trees, 1, 1)
+    cfg = TrainConfig(
+        dim=6, epochs=2, seed=8, workers=workers, gamma=0.02, kappa=0.005, mode=mode,
+        total_steps=500,
+    )
+    train_module = importlib.import_module("dcsvec.train")
+    real_step = train_module.step
+    calls = []
+
+    def recording_step(params, pos, noises, config, step_index):
+        calls.append((step_index, config))
+        return real_step(params, pos, noises, config, step_index)
+
+    monkeypatch.setattr(train_module, "step", recording_step)
+    _, stats = train(trees, vocab, cfg)
+    every = train_module.REG_EVERY
+    assert every > 1
+    assert sorted(index for index, _ in calls) == list(range(stats.total_steps))
+    for index, config in calls:
+        scale = every if index % every == 0 else 0
+        assert (config.gamma, config.kappa) == (cfg.gamma * scale, cfg.kappa * scale), index
+        assert dataclasses.replace(config, gamma=cfg.gamma, kappa=cfg.kappa) == cfg
+    assert {config.gamma for _, config in calls} == {0.0, cfg.gamma * every}
+
+
+def test_reg_every_one_trains_the_every_step_model(monkeypatch):
+    rng = np.random.default_rng(37)
+    trees = [random_tree(rng, int(rng.integers(2, 6)), 10) for _ in range(60)]
+    vocab = build_vocab(trees, 1, 1)
+    cfg = TrainConfig(dim=8, epochs=2, seed=9, workers=1, gamma=0.02, kappa=0.005)
+    train_module = importlib.import_module("dcsvec.train")
+    real_step = train_module.step
+
+    def model_bytes():
+        params, _ = train(trees, vocab, cfg)
+        buf = io.BytesIO()
+        save_model(params, vocab, buf)
+        return buf.getvalue()
+
+    def callers_config_step(params, pos, noises, config, step_index):
+        own = dataclasses.replace(config, gamma=cfg.gamma, kappa=cfg.kappa)
+        return real_step(params, pos, noises, own, step_index)
+
+    lazy = model_bytes()
+    with monkeypatch.context() as patch:
+        patch.setattr(train_module, "REG_EVERY", 1)
+        every_step = model_bytes()
+    monkeypatch.setattr(train_module, "step", callers_config_step)
+    assert model_bytes() == every_step
+    assert lazy != every_step
+
+
 def test_no_inverse_is_read_by_a_direct_call():
     rng = np.random.default_rng(35)
     vocab = make_vocab()
