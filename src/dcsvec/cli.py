@@ -1,7 +1,8 @@
 """Command-line pipeline: convert, build-vocab, train, compose, nearest,
 eval-phrase, eval-completion, export-features.
 
-Every subcommand accepts --seed, --config and --workers; precedence is
+Every subcommand accepts --seed, --config and --workers (accepted and
+ignored: training runs on one thread); precedence is
 flags > config file > defaults.  Config files are key=value lines with
 ``#`` comments; keys use the flag names with dashes or underscores.
 Errors print one machine-readable line to stderr:
@@ -139,7 +140,10 @@ def parse_tree_literal(text: str) -> DcsTree:
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, default=None, help=f"rng seed (default {_DEFAULTS['seed']})")
     sub.add_argument("--config", default=None, help="key=value config file")
-    sub.add_argument("--workers", type=int, default=None, help="trainer worker threads")
+    sub.add_argument(
+        "--workers", type=int, default=None,
+        help="accepted for compatibility and ignored (must be >= 1): training runs on one thread",
+    )
 
 
 def _load_model_for_eval(args) -> ModelParams:

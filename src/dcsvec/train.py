@@ -11,6 +11,8 @@ inverse-consistency and orthogonality regularizer runs on one step in
 `REG_EVERY`, at `REG_EVERY`x weight, chosen by step index (lazy
 regularization); on such a step it is computed once per touched field,
 for just the maps of that field the step touches.
+Training runs on one thread: one sampler RNG and one noise RNG walk the
+corpus in order, so a seeded run is bit-reproducible.
 Per-parameter gradients whose norm exceeds the clip threshold are
 rescaled to it.
 
@@ -33,10 +35,8 @@ from __future__ import annotations
 
 import itertools
 import math
-import threading
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable
 
@@ -66,7 +66,7 @@ class TrainConfig:
     clip_norm_mat: float = 0.1
     epochs: int = 5
     seed: int = 1
-    workers: int = 1
+    workers: int = 1  # accepted and ignored: training runs on one thread
     mode: str = "full"
     lr_schedule: str = "linear"  # decay to 10% of initial, or "constant"
     total_steps: int | None = None  # filled in by train() for the decay
@@ -391,11 +391,11 @@ def train(
     config: TrainConfig,
     log: Callable[[str], None] | None = None,
 ) -> tuple[ModelParams, TrainStats]:
-    """Epochs of (sample paths -> draw noise -> sparse SGD step).
+    """Epochs of (sample paths -> draw noise -> sparse SGD step), on one
+    thread over the corpus in order.
 
-    Deterministic (bitwise) for a fixed seed with workers=1.  With more
-    workers, updates are unsynchronized sparse writes to shared arrays;
-    races are tolerated and results are not reproducible.
+    Deterministic (bitwise) for a fixed seed; ``config.workers`` does not
+    change the result.
     """
     trees = [t for t in corpus]
     if not trees:
@@ -411,66 +411,36 @@ def train(
             cfg, total_steps=max(1, math.ceil(cfg.epochs * expected_steps_per_epoch(usable)))
         )
 
-    seed_seq = np.random.SeedSequence(cfg.seed)
-    init_seq, *worker_seqs = seed_seq.spawn(1 + cfg.workers)
+    init_seq, walk_seq = np.random.SeedSequence(cfg.seed).spawn(2)
     params = init_params(vocab, cfg.dim, np.random.default_rng(init_seq))
     if cfg.mode == "no_matrix":
         identity_maps(params)
-
-    stats = TrainStats(skipped_trees=skipped)
-    worker_rngs = []
-    for s in worker_seqs:
-        sampler_seq, noise_seq = s.spawn(2)
-        worker_rngs.append(
-            (np.random.default_rng(sampler_seq), np.random.default_rng(noise_seq))
-        )
-
-    # one step index sequence for all workers, so the LR schedule sees
-    # every index exactly once
-    step_indices = itertools.count()
-    index_lock = threading.Lock()
+    sampler_rng, noise_rng = (np.random.default_rng(s) for s in walk_seq.spawn(2))
     reg_cfg = replace(cfg, gamma=cfg.gamma * REG_EVERY, kappa=cfg.kappa * REG_EVERY)
     plain_cfg = replace(cfg, gamma=0.0, kappa=0.0)
 
-    def run_chunk(chunk, rng_pair):
-        sampler_rng, noise_rng = rng_pair
-        steps = 0
-        loss_sum = 0.0
-        for tree in chunk:
-            for sample in sample_paths(tree, vocab, sampler_rng):
-                noises = make_noise(sample, vocab, noise_rng, cfg.noise_per_example)
-                with index_lock:
-                    step_index = next(step_indices)
-                step_cfg = reg_cfg if step_index % REG_EVERY == 0 else plain_cfg
-                loss_sum += step(params, sample, noises, step_cfg, step_index)
-                steps += 1
-        return steps, loss_sum
-
-    step_count = 0
+    stats = TrainStats(skipped_trees=skipped)
+    step_index = 0
     for epoch in range(1, cfg.epochs + 1):
         t0 = time.perf_counter()
-        if cfg.workers == 1:
-            done, loss_sum = run_chunk(usable, worker_rngs[0])
-        else:
-            chunks = [usable[w :: cfg.workers] for w in range(cfg.workers)]
-            with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-                futures = [
-                    pool.submit(run_chunk, chunk, worker_rngs[w])
-                    for w, chunk in enumerate(chunks)
-                ]
-                results = [f.result() for f in futures]
-            done = sum(r[0] for r in results)
-            loss_sum = sum(r[1] for r in results)
-        step_count += done
+        first = step_index
+        loss_sum = 0.0
+        for tree in usable:
+            for sample in sample_paths(tree, vocab, sampler_rng):
+                noises = make_noise(sample, vocab, noise_rng, cfg.noise_per_example)
+                step_cfg = reg_cfg if step_index % REG_EVERY == 0 else plain_cfg
+                loss_sum += step(params, sample, noises, step_cfg, step_index)
+                step_index += 1
+        done = step_index - first
         elapsed = max(time.perf_counter() - t0, 1e-9)
         row = EpochStats(
             epoch=epoch,
-            steps=step_count,
+            steps=step_index,
             mean_loss=loss_sum / done if done else float("nan"),
             examples_per_sec=done / elapsed,
         )
         stats.epochs.append(row)
         if log is not None:
             log(f"{row.epoch}\t{row.steps}\t{row.mean_loss:.6f}\t{row.examples_per_sec:.1f}")
-    stats.total_steps = step_count
+    stats.total_steps = step_index
     return params, stats

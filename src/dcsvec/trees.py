@@ -158,18 +158,16 @@ def path_nodes(tree: DcsTree, start: int, end: int) -> list[int]:
     """Node sequence of the unique simple path start..end."""
     if start == end:
         raise ValueError("start and end must differ")
-    up_start = _ancestor_chain(tree, start)
-    up_end = _ancestor_chain(tree, end)
-    on_start = set(up_start)
-    lca = next(node for node in up_end if node in on_start)
-    left = up_start[: up_start.index(lca) + 1]
-    right = up_end[: up_end.index(lca)]
-    return left + right[::-1]
+    top = lca(tree, start, end)
+    left = _ancestor_chain(tree, start, top)
+    right = _ancestor_chain(tree, end, top)
+    return left + right[:-1][::-1]
 
 
-def _ancestor_chain(tree: DcsTree, node: int) -> list[int]:
+def _ancestor_chain(tree: DcsTree, node: int, top: int | None = None) -> list[int]:
+    """``node`` and its ancestors, up to ``top`` (inclusive) or the root."""
     chain = [node]
-    while (e := tree.parent_edge(chain[-1])) is not None:
+    while chain[-1] != top and (e := tree.parent_edge(chain[-1])) is not None:
         chain.append(e.parent)
     return chain
 
@@ -209,12 +207,11 @@ def enumerate_paths(tree: DcsTree) -> list[TreePath]:
 
 
 def lca(tree: DcsTree, a: int, b: int) -> int:
-    chain = _ancestor_chain(tree, a)
-    on_a = set(chain)
-    for node in _ancestor_chain(tree, b):
-        if node in on_a:
-            return node
-    raise ValueError("nodes share no ancestor")  # unreachable on a valid tree
+    """Lowest common ancestor of ``a`` and ``b``."""
+    on_a = set(_ancestor_chain(tree, a))
+    while b not in on_a:
+        b = tree.parent_edge(b).parent
+    return b
 
 
 def reroot(tree: DcsTree, new_root: int) -> DcsTree:

@@ -61,8 +61,6 @@ class Vocabulary:
     fields: tuple[FieldId, ...]
     word_counts: dict[Word, float]
     field_counts: dict[FieldId, float]
-    word_min: float = 1.0
-    prep_min: float = 1.0
     word_index: dict = field(init=False, repr=False)
     field_index: dict = field(init=False, repr=False)
 
@@ -180,8 +178,6 @@ def build_vocab(
         fields=tuple(field_order),
         word_counts={w: float(c) for w, c in words.items()},
         field_counts={f: float(c) for f, c in fields.items()},
-        word_min=float(word_min),
-        prep_min=float(prep_min),
     )
 
 
@@ -221,20 +217,16 @@ def load_vocab(path) -> Vocabulary:
 
 
 def _walk_layout(tree: DcsTree):
-    """Padded adjacency arrays for the vectorized walk kernel."""
-    n = tree.n_nodes
-    deg = np.array([tree.degree(i) for i in range(n)], dtype=np.int64)
-    maxdeg = int(deg.max())
-    adj = np.full((n, maxdeg), -1, dtype=np.int64)
-    pos_in_adj = np.zeros((n, n), dtype=np.int64)
-    for i in range(n):
-        for slot, nb in enumerate(tree.neighbors(i)):
-            adj[i, slot] = nb
-            pos_in_adj[i, nb] = slot
+    """Padded adjacency for the vectorized walk kernel: row i holds the
+    sorted neighbours of node i, padded with -1."""
+    rows = [tree.neighbors(i) for i in range(tree.n_nodes)]
+    width = max(map(len, rows))
+    deg = np.array([len(r) for r in rows], dtype=np.int64)
+    adj = np.array([r + (-1,) * (width - len(r)) for r in rows], dtype=np.int64)
     starts = [(e.parent, e.child) for e in tree.edges] + [
         (e.child, e.parent) for e in tree.edges
     ]
-    return deg, adj, pos_in_adj, np.array(starts, dtype=np.int64)
+    return deg, adj, np.array(starts, dtype=np.int64)
 
 
 def _walk_trajectories(
@@ -246,7 +238,7 @@ def _walk_trajectories(
     start node, subsequent columns the visited nodes, -1 once stopped.
     """
     n = tree.n_nodes
-    deg, adj, pos_in_adj, starts = _walk_layout(tree)
+    deg, adj, starts = _walk_layout(tree)
     n_walks = len(starts) * epochs
     traj = np.full((n_walks, n), -1, dtype=np.int64)
     start_u = np.tile(starts[:, 0], epochs)
@@ -264,8 +256,9 @@ def _walk_trajectories(
         cur = cur[keep]
         prev = prev[keep]
         r = rng.integers(0, deg[cur] - 1)
-        pos = pos_in_adj[cur, prev]
-        r = r + (r >= pos)
+        # skip the entry edge's slot: rows are sorted, so slot r lies at or
+        # past it exactly when its neighbour is >= prev
+        r = r + (adj[cur, r] >= prev)
         nxt = adj[cur, r]
         traj[alive, col] = nxt
         prev = cur

@@ -7,6 +7,9 @@ worldgen world with criterion 7's config (dim 25, 5 epochs, workers=1),
 then prints one JSON line: held-out hit rate, completion accuracy, probe
 accuracy, the epoch losses, and each field's inverse and orthogonality
 penalty at unit weight (`regularizer_penalties` on the trained maps).
+After the runs it prints one summary line per `REG_EVERY` value: the
+median, min and max over seeds of hit rate, completion accuracy, probe
+accuracy and final loss.
 `REG_EVERY` = 1 is the every-step regularizer.  The world, its
 evaluation sets and the metrics are criterion 7's own
 (`test_acceptance`).  Each model takes about four minutes on a 2-core VM.
@@ -16,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import sys
 import tempfile
 import time
@@ -63,16 +67,32 @@ def quality_row(seed: int, reg_every: int, root: Path) -> dict:
     }
 
 
+SUMMARY_METRICS = ("hit_rate", "completion_accuracy", "probe_accuracy", "final_loss")
+
+
+def summary_row(reg_every: int, rows: list[dict]) -> dict:
+    """Median, min and max over the seeds' runs of each summary metric."""
+    out = {"reg_every": reg_every, "seeds": [row["seed"] for row in rows]}
+    for name in SUMMARY_METRICS:
+        values = [row["epoch_losses"][-1] if name == "final_loss" else row[name] for row in rows]
+        out[name] = {"median": statistics.median(values), "min": min(values), "max": max(values)}
+    return out
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--seeds", type=int, nargs="+", default=[E2E_CONFIG.seed])
     ap.add_argument("--reg-every", type=int, nargs="+", default=[train_module.REG_EVERY])
     args = ap.parse_args(argv)
+    runs: dict[int, list[dict]] = {reg_every: [] for reg_every in args.reg_every}
     for seed in args.seeds:
         for reg_every in args.reg_every:
             with tempfile.TemporaryDirectory() as tmp:
                 row = quality_row(seed, reg_every, Path(tmp))
+            runs[reg_every].append(row)
             print(json.dumps(row), flush=True)
+    for reg_every, rows in runs.items():
+        print(json.dumps({"summary": summary_row(reg_every, rows)}), flush=True)
     return 0
 
 

@@ -340,12 +340,22 @@ def test_nearest_ranked_output(pipeline):
 
 
 def test_seeded_runs_are_bit_reproducible(pipeline, tmp_path):
+    # training runs on one thread, so the workers flag and key change nothing
     root, trees, vocab, _ = pipeline
-    a = tmp_path / "a.bin"
-    b = tmp_path / "b.bin"
-    for out in (a, b):
-        run_cli("train", trees, vocab, out, "--dim", 8, "--epochs", 1, "--seed", 77, "--workers", 1)
-    assert a.read_bytes() == b.read_bytes()
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text("workers = 2\n", encoding="utf-8")
+    runs = {
+        "a": ("--workers", 1),
+        "b": ("--workers", 1),
+        "flag-2": ("--workers", 2),
+        "config-2": ("--config", cfg),
+    }
+    models = set()
+    for name, extra in runs.items():
+        out = tmp_path / f"{name}.bin"
+        run_cli("train", trees, vocab, out, "--dim", 8, "--epochs", 1, "--seed", 77, *extra)
+        models.add(out.read_bytes())
+    assert len(models) == 1
 
 
 def test_config_file_and_flag_precedence(pipeline, tmp_path):

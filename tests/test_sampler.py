@@ -12,6 +12,7 @@ from dcsvec.trees import (
     Word,
     enumerate_paths,
     hop_fields,
+    reroot,
     unknown_word,
 )
 from dcsvec.ud import convert_sentence, parse_conllu_file
@@ -93,6 +94,68 @@ def test_sampler_matches_name_oracle_on_random_trees():
     trees = [random_tree(rng, int(rng.integers(1, 9)), 40) for _ in range(120)]
     vocab = build_vocab(trees[:60], word_min=2, prep_min=490)  # "of" falls, "in" and "on" stay
     assert_sampler_matches_name_oracle(trees, vocab, seed=14)
+
+
+def pos_table_walk_trajectories(tree, epochs, rng):
+    """Slow-path oracle: the walk kernel reading each walk's entry slot
+    from an n x n table of neighbour positions built in Python loops,
+    with adjacency rows padded by -1."""
+    n = tree.n_nodes
+    deg = np.array([tree.degree(i) for i in range(n)], dtype=np.int64)
+    adj = np.full((n, int(deg.max())), -1, dtype=np.int64)
+    pos_in_adj = np.zeros((n, n), dtype=np.int64)
+    for i in range(n):
+        for slot, nb in enumerate(tree.neighbors(i)):
+            adj[i, slot] = nb
+            pos_in_adj[i, nb] = slot
+    starts = np.array(
+        [(e.parent, e.child) for e in tree.edges] + [(e.child, e.parent) for e in tree.edges],
+        dtype=np.int64,
+    )
+    n_walks = len(starts) * epochs
+    traj = np.full((n_walks, n), -1, dtype=np.int64)
+    traj[:, 0] = prev = np.tile(starts[:, 0], epochs)
+    traj[:, 1] = cur = np.tile(starts[:, 1], epochs)
+    alive = np.arange(n_walks)
+    for col in range(2, n):
+        keep = deg[cur] >= 2
+        alive = alive[keep]
+        if alive.size == 0:
+            break
+        cur, prev = cur[keep], prev[keep]
+        r = rng.integers(0, deg[cur] - 1)
+        r = r + (r >= pos_in_adj[cur, prev])
+        nxt = adj[cur, r]
+        traj[alive, col] = nxt
+        prev, cur = cur, nxt
+    return traj
+
+
+def star(n, center):
+    edges = tuple(Edge(center, i, ARG, ARG) for i in range(n) if i != center)
+    return DcsTree(tuple(w(f"s{i}") for i in range(n)), center, edges)
+
+
+def chain(n, root):
+    """Path graph 0-1-...-(n-1) rooted at ``root``."""
+    edges = tuple(Edge(i, i + 1, ARG, SUBJ) for i in range(n - 1))
+    return reroot(DcsTree(tuple(w(f"c{i}") for i in range(n)), 0, edges), root)
+
+
+def test_walk_kernel_matches_the_position_table_oracle():
+    rng = np.random.default_rng(15)
+    trees = [random_tree(rng, int(rng.integers(1, 13))) for _ in range(150)]
+    trees += [reroot(t, int(rng.integers(t.n_nodes))) for t in trees[:50]]
+    trees += [star(n, c) for n in (2, 3, 6, 11) for c in {0, n // 2, n - 1}]
+    trees += [chain(n, r) for n in (2, 3, 7, 12) for r in {0, n // 2, n - 1}]
+    for seed, tree in enumerate(trees):
+        if tree.n_nodes < 2:
+            continue
+        for epochs in (1, 3):
+            fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = _walk_trajectories(tree, epochs, fast)
+            assert np.array_equal(got, pos_table_walk_trajectories(tree, epochs, slow))
+            assert fast.random() == slow.random()
 
 
 def test_two_node_tree_emits_exactly_both_paths():
