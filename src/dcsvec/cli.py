@@ -20,7 +20,7 @@ from dataclasses import fields
 
 import numpy as np
 
-from .errors import DcsvecError, InputError, MalformedLine
+from .errors import DcsvecError, InputError, parse_lines
 from .evaluate import (
     eval_completion,
     eval_phrase_dataset,
@@ -62,24 +62,23 @@ def _parse_value(text: str, default):
     return text if default is None else type(default)(text)
 
 
+def _config_entry(line: str) -> tuple | None:
+    """A config line's (key, typed value); None for a comment-only line."""
+    line = line.split("#", 1)[0].strip()
+    if not line:
+        return None
+    if "=" not in line:
+        raise ValueError("expected key=value")
+    key, _, value = line.partition("=")
+    key = key.strip().replace("-", "_")
+    if key not in _DEFAULTS:
+        raise ValueError(f"unknown config key {key!r}")
+    return key, _parse_value(value.strip(), _DEFAULTS[key])
+
+
 def _load_config_file(path) -> dict:
-    values = {}
     with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise MalformedLine("expected key=value", line_no)
-            key, _, value = line.partition("=")
-            key = key.strip().replace("-", "_")
-            if key not in _DEFAULTS:
-                raise MalformedLine(f"unknown config key {key!r}", line_no)
-            try:
-                values[key] = _parse_value(value.strip(), _DEFAULTS[key])
-            except ValueError as exc:
-                raise MalformedLine(str(exc), line_no) from exc
-    return values
+        return dict(entry for entry in parse_lines(fh, _config_entry) if entry is not None)
 
 
 def _resolve(args: argparse.Namespace) -> argparse.Namespace:

@@ -44,8 +44,22 @@ class MalformedLine(InputError):
         super().__init__(message)
 
 
-class CyclicTree(InputError):
-    """Token heads do not form a single rooted tree."""
+def parse_lines(lines, parse, first=1):
+    """Yield ``parse(line)``, newline stripped, for each non-blank line,
+    numbering lines from ``first``; a KeyError, ValueError or TypeError
+    from ``parse`` becomes a MalformedLine carrying that line's number."""
+    for line_no, line in enumerate(lines, start=first):
+        if not line.strip():
+            continue
+        try:
+            yield parse(line.rstrip("\n"))
+        except (KeyError, ValueError, TypeError) as exc:
+            raise MalformedLine(str(exc), line_no) from exc
+
+
+class CyclicTree(InputError, ValueError):
+    """Token ids and heads do not form a single rooted tree.  A ValueError
+    too, so a line reader reports it as a MalformedLine with its number."""
 
 
 class EmptyCorpus(InputError):

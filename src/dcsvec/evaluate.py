@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConversionFailure, LengthMismatch, MalformedLine, ZeroNorm
+from .errors import ConversionFailure, LengthMismatch, ZeroNorm, parse_lines
 from .model import ModelParams, compose_query, path_score
 from .train import softplus
 from .trees import (
@@ -30,7 +30,7 @@ from .trees import (
     reroot,
     tree_path,
 )
-from .ud import UdSentence, UdToken, convert_sentence
+from .ud import UdSentence, UdToken, convert_sentence, finish_sentence
 
 # token POS per construction template, used when tokens carry no /POS
 PHRASE_SHAPES = {
@@ -99,30 +99,26 @@ def phrase_similarity(params: ModelParams, pair: PhrasePair, strict: bool = Fals
     )
 
 
+def _phrase_pair(line: str) -> PhrasePair:
+    parts = line.split("\t")
+    if len(parts) != 4:
+        raise ValueError(f"expected 4 columns, got {len(parts)}")
+    construction, left, right, score = parts
+    pair = PhrasePair(
+        phrase_tree(construction, left.split()),
+        phrase_tree(construction, right.split()),
+        float(score),
+        construction,
+    )
+    if not math.isfinite(pair.gold):
+        raise ValueError(f"gold score must be finite, got {score!r}")
+    return pair
+
+
 def load_phrase_dataset(path) -> list[PhrasePair]:
     """TSV rows: construction<TAB>phrase1<TAB>phrase2<TAB>gold score."""
-    pairs = []
     with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != 4:
-                raise MalformedLine(f"expected 4 columns, got {len(parts)}", line_no)
-            construction, left, right, score = parts
-            try:
-                pairs.append(
-                    PhrasePair(
-                        phrase_tree(construction, left.split()),
-                        phrase_tree(construction, right.split()),
-                        float(score),
-                        construction,
-                    )
-                )
-            except ValueError as exc:
-                raise MalformedLine(str(exc), line_no) from exc
-    return pairs
+        return list(parse_lines(fh, _phrase_pair))
 
 
 def _average_ranks(values: Sequence[float]) -> np.ndarray:
@@ -241,39 +237,36 @@ class CompletionItem:
             raise ValueError("blank token id not present in the sentence")
 
 
-def _token_from_json(obj: dict) -> UdToken:
-    return UdToken(
-        id=int(obj["id"]),
-        form=str(obj.get("form", "_")),
-        lemma=str(obj.get("lemma", obj.get("form", "_"))),
-        upos=str(obj.get("upos", "X")),
-        head=int(obj["head"]),
-        deprel=str(obj.get("deprel", "dep")).lower(),
+def _sentence_from_json(tokens: list) -> UdSentence:
+    """A JSON token list, held to the CoNLL-U head checks."""
+    return finish_sentence([
+        UdToken(
+            id=int(t["id"]),
+            form=str(t.get("form", "_")),
+            lemma=str(t.get("lemma", t.get("form", "_"))),
+            upos=str(t.get("upos", "X")),
+            head=int(t["head"]),
+            deprel=str(t.get("deprel", "dep")).lower(),
+        )
+        for t in tokens
+    ])
+
+
+def _completion_item(line: str) -> CompletionItem:
+    obj = json.loads(line)
+    return CompletionItem(
+        sentence=_sentence_from_json(obj["tokens"]),
+        blank_id=int(obj["blank"]),
+        choices=tuple(Word.parse(c) for c in obj["choices"]),
+        answer_index=int(obj["answer"]),
     )
 
 
 def load_completion_dataset(path) -> list[CompletionItem]:
     """JSON lines: {"tokens": [...], "blank": token id, "choices":
     ["lemma/POS" x5], "answer": 0..4}."""
-    items = []
     with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-                tokens = tuple(_token_from_json(t) for t in obj["tokens"])
-                items.append(
-                    CompletionItem(
-                        sentence=UdSentence(tokens),
-                        blank_id=int(obj["blank"]),
-                        choices=tuple(Word.parse(c) for c in obj["choices"]),
-                        answer_index=int(obj["answer"]),
-                    )
-                )
-            except (KeyError, ValueError, TypeError) as exc:
-                raise MalformedLine(str(exc), line_no) from exc
-    return items
+        return list(parse_lines(fh, _completion_item))
 
 
 def _fill_blank(item: CompletionItem, candidate: Word) -> UdSentence:
@@ -373,26 +366,21 @@ def eval_completion(
     return CompletionResult(correct, scored, skipped)
 
 
+def _relation_instance(line: str) -> RelationInstance | None:
+    obj = json.loads(line)
+    conv = convert_sentence(_sentence_from_json(obj["tokens"]))
+    if conv is None:
+        return None
+    e1 = conv.node_of_token(int(obj["e1"]))
+    e2 = conv.node_of_token(int(obj["e2"]))
+    if e1 is None or e2 is None:
+        return None
+    return RelationInstance(conv.tree, e1, e2, str(obj["label"]))
+
+
 def load_relation_instances(path) -> list[RelationInstance]:
     """JSON lines: {"tokens": [...], "e1": token id, "e2": token id,
     "label": str}; instances whose marked tokens do not survive
     conversion are dropped."""
-    out = []
     with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-                tokens = tuple(_token_from_json(t) for t in obj["tokens"])
-                conv = convert_sentence(UdSentence(tokens))
-                if conv is None:
-                    continue
-                e1 = conv.node_of_token(int(obj["e1"]))
-                e2 = conv.node_of_token(int(obj["e2"]))
-                if e1 is None or e2 is None:
-                    continue
-                out.append(RelationInstance(conv.tree, e1, e2, str(obj["label"])))
-            except (KeyError, ValueError, TypeError) as exc:
-                raise MalformedLine(str(exc), line_no) from exc
-    return out
+        return [inst for inst in parse_lines(fh, _relation_instance) if inst is not None]

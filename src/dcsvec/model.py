@@ -30,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BadMagic, DimensionMismatch, InvalidConfig, TruncatedFile, ZeroNorm
-from .trees import DcsTree, FieldId, Word
+from .trees import POS_TAGS, DcsTree, FieldId, Word
 from .vocab import Vocabulary
 
 MODEL_MAGIC = "VECDCS 1"
@@ -234,6 +234,8 @@ def nearest_answers(
     its position in the table, one ulp apart."""
     if k < 1:
         raise InvalidConfig(f"k must be >= 1, got {k}")
+    if pos_filter is not None and pos_filter not in POS_TAGS:
+        raise InvalidConfig(f"pos must be one of {' '.join(POS_TAGS)}, got {pos_filter!r}")
     index = answer_index(params)
     start, stop = (0, len(index.rows)) if pos_filter is None else index.spans.get(pos_filter, (0, 0))
     if start == stop:

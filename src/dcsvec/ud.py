@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import CyclicTree, MalformedLine
 from .trees import ARG, COMP, SUBJ, DcsTree, Edge, FieldId, Word
@@ -75,7 +75,7 @@ def parse_conllu(source: Iterable[str] | str) -> Iterator[UdSentence]:
         line = raw.rstrip("\n")
         if not line.strip():
             if pending:
-                yield _finish_sentence(pending, start_line)
+                yield finish_sentence(pending, start_line)
                 pending = []
                 start_line = None
             continue
@@ -104,16 +104,21 @@ def parse_conllu(source: Iterable[str] | str) -> Iterator[UdSentence]:
             )
         )
     if pending:
-        yield _finish_sentence(pending, start_line)
+        yield finish_sentence(pending, start_line)
 
 
-def _finish_sentence(tokens: list[UdToken], start_line) -> UdSentence:
+def finish_sentence(tokens: Sequence[UdToken], start_line: int | None = None) -> UdSentence:
+    """The sentence of ``tokens`` once their heads form a rooted tree;
+    ``start_line`` (a CoNLL-U sentence's first line) prefixes the error."""
+    where = "" if start_line is None else f"sentence at line {start_line}: "
     ids = {t.id for t in tokens}
+    if len(ids) != len(tokens):
+        raise CyclicTree(f"{where}repeated token id")
     for t in tokens:
         if t.head == t.id:
-            raise CyclicTree(f"sentence at line {start_line}: token {t.id} heads itself")
+            raise CyclicTree(f"{where}token {t.id} heads itself")
         if t.head != 0 and t.head not in ids:
-            raise CyclicTree(f"sentence at line {start_line}: head {t.head} missing")
+            raise CyclicTree(f"{where}head {t.head} missing")
     # every token must reach 0 without revisiting
     by_id = {t.id: t for t in tokens}
     for t in tokens:
@@ -121,7 +126,7 @@ def _finish_sentence(tokens: list[UdToken], start_line) -> UdSentence:
         cur = t
         while cur.head != 0:
             if cur.id in seen:
-                raise CyclicTree(f"sentence at line {start_line}: cycle through token {cur.id}")
+                raise CyclicTree(f"{where}cycle through token {cur.id}")
             seen.add(cur.id)
             cur = by_id[cur.head]
     return UdSentence(tuple(tokens))

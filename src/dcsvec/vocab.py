@@ -21,6 +21,7 @@ weight exactly.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -28,7 +29,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import BadMagic, EmptyCorpus, InvalidConfig, MalformedLine, MissingPlaceholder, UnknownField, UnknownWord
+from .errors import BadMagic, EmptyCorpus, InvalidConfig, MissingPlaceholder, UnknownField, UnknownWord, parse_lines
 from .trees import (
     CORE_FIELDS,
     POS_TAGS,
@@ -126,7 +127,7 @@ def build_vocab(
 ) -> Vocabulary:
     """Count path endpoints and traversed fields exactly, then apply the
     rare-word / rare-preposition thresholds."""
-    if word_min < 1 or prep_min < 1:
+    if not (word_min >= 1 and prep_min >= 1):
         raise InvalidConfig(f"thresholds must be >= 1, got word_min={word_min} prep_min={prep_min}")
     word_acc: dict[Word, Fraction] = {}
     field_acc: dict[FieldId, Fraction] = {}
@@ -191,28 +192,28 @@ def save_vocab(vocab: Vocabulary, path) -> None:
 
 
 def load_vocab(path) -> Vocabulary:
-    word_counts: dict[Word, float] = {}  # in file order
-    field_counts: dict[FieldId, float] = {}
+    counts: dict[str, dict] = {"W": {}, "F": {}}  # entries in file order
+
+    def add_entry(line: str) -> None:
+        parts = line.split("\t")
+        if len(parts) != 3 or parts[0] not in counts:
+            raise ValueError("expected W/F<TAB>entry<TAB>count")
+        kind, name, text = parts
+        count = float(text)
+        if not 0 <= count < math.inf:
+            raise ValueError(f"count must be finite and >= 0, got {text!r}")
+        entry = Word.parse(name) if kind == "W" else name
+        if entry in counts[kind]:
+            raise ValueError(f"repeated {kind} entry {name!r}")
+        counts[kind][entry] = count
+
     with open(path, encoding="utf-8") as fh:
         first = fh.readline().rstrip("\n")
         if first != VOCAB_MAGIC:
             raise BadMagic(f"expected {VOCAB_MAGIC!r}, got {first!r}")
-        for line_no, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3 or parts[0] not in ("W", "F"):
-                raise MalformedLine("expected W/F<TAB>entry<TAB>count", line_no)
-            try:
-                count = float(parts[2])
-                entry = Word.parse(parts[1]) if parts[0] == "W" else parts[1]
-            except ValueError as exc:
-                raise MalformedLine(str(exc), line_no) from exc
-            counts = word_counts if parts[0] == "W" else field_counts
-            if entry in counts:
-                raise MalformedLine(f"repeated {parts[0]} entry {parts[1]!r}", line_no)
-            counts[entry] = count
+        for _ in parse_lines(fh, add_entry, first=2):
+            pass
+    word_counts, field_counts = counts["W"], counts["F"]
     return Vocabulary(tuple(word_counts), tuple(field_counts), word_counts, field_counts)
 
 

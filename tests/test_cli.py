@@ -19,9 +19,13 @@ from test_sampler import name_sample_paths
 
 DATA = Path(__file__).parent / "data"
 SRC = Path(__file__).parent.parent / "src"
+# the slowest CLI call here (a train run) takes about 3.3 s on a 2-core VM
+CLI_TIMEOUT_S = 120
 
 
-def run_cli(*args, expect=0):
+def run_cli(*args, expect=0, timeout=CLI_TIMEOUT_S):
+    """Run ``dcsvec`` in a subprocess; a hang fails the test (TimeoutExpired)
+    instead of stalling the suite."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.run(
@@ -29,6 +33,7 @@ def run_cli(*args, expect=0):
         capture_output=True,
         text=True,
         env=env,
+        timeout=timeout,
     )
     assert proc.returncode == expect, (
         f"exit {proc.returncode} (wanted {expect})\nstdout: {proc.stdout}\nstderr: {proc.stderr}"
@@ -184,7 +189,10 @@ def one_error_line(proc):
     return name, message
 
 
-@pytest.mark.parametrize("entry", ["W\tkid\t1.0", "W\tkid/Q\t1.0", "W\tkid/N\t1.0", "F\tARG\t1.0"])
+@pytest.mark.parametrize(
+    "entry",
+    ["W\tkid\t1.0", "W\tkid/Q\t1.0", "W\tkid/N\t1.0", "F\tARG\t1.0", "W\tdog/N\tnan", "F\tto\t-1e9"],
+)
 def test_train_bad_or_repeated_vocab_entry_exits_2(pipeline, tmp_path, entry):
     _, trees, _, _ = pipeline
     bad = tmp_path / "vocab.txt"
@@ -273,6 +281,28 @@ def test_build_vocab_threshold_below_one_exits_2(pipeline, tmp_path, flag):
     (line,) = proc.stderr.splitlines()
     kind, name, _ = line.split("\t", 2)
     assert kind == "error" and name == "InvalidConfig"
+
+
+@pytest.mark.parametrize("via_config", [False, True])
+@pytest.mark.parametrize(
+    "command, key, value",
+    [("build-vocab", "word-min", "nan"), ("build-vocab", "prep-min", "nan"), ("nearest", "pos", "n")],
+)
+def test_bad_option_value_exits_2(pipeline, tmp_path, command, key, value, via_config):
+    _, trees, _, model = pipeline
+    if command == "build-vocab":
+        args = [trees, tmp_path / "v.txt"]
+    else:
+        args = [model, "--tree", "food/N -ARG:COMP-> eat/V"]
+    if via_config:
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"{key} = {value}\n", encoding="utf-8")
+        args += ["--config", cfg]
+    else:
+        args += [f"--{key}", value]
+    proc = run_cli(command, *args, expect=2)
+    name, _ = one_error_line(proc)
+    assert name == "InvalidConfig"
 
 
 def test_nearest_k_below_one_exits_2(pipeline):
@@ -420,6 +450,45 @@ def test_eval_completion_non_string_choices_exit_2(pipeline, tmp_path):
     proc = run_cli("eval-completion", model, ds, expect=2)
     name, message = one_error_line(proc)
     assert name == "MalformedLine" and message.startswith("line 1:")
+
+
+def test_eval_phrase_non_finite_gold_exits_2(pipeline, tmp_path):
+    _, _, _, model = pipeline
+    ds = tmp_path / "phrases.tsv"
+    ds.write_text("VO\teat bread\teat cake\t6.0\nVO\teat bread\tdrive car\tnan\n", encoding="utf-8")
+    proc = run_cli("eval-phrase", model, ds, expect=2)
+    name, message = one_error_line(proc)
+    assert name == "MalformedLine" and message.startswith("line 2: gold score must be finite")
+
+
+# {token id: field updates} to a worldgen sentence (ids 1-5: the, noun,
+# verb, the, noun) after which its tokens form no tree; before JSON sentences
+# got the CoNLL-U head check, the DET cycle above a noun made conversion
+# loop forever
+BAD_TOKENS = {
+    "det-cycle": ({1: {"head": 4}, 4: {"head": 1}, 2: {"head": 1}}, "cycle through token"),
+    "missing-head": ({2: {"head": 9}}, "head 9 missing"),
+    "content-cycle": ({3: {"head": 5}}, "cycle through token"),
+    "repeated-id": ({2: {"id": 5}, 1: {"head": 5}}, "repeated token id"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_TOKENS))
+@pytest.mark.parametrize("command", ["eval-completion", "export-features"])
+def test_json_dataset_bad_tokens_exit_2(pipeline, tmp_path, command, case):
+    _, _, _, model = pipeline
+    if command == "eval-completion":
+        rows, outputs = worldgen.completion_items(2, seed=4), []
+    else:
+        rows, outputs = worldgen.relation_instances(2, seed=8), [tmp_path / "features.txt"]
+    updates, expected = BAD_TOKENS[case]
+    for token in rows[1]["tokens"]:
+        token.update(updates.get(token["id"], {}))
+    ds = tmp_path / "rows.jsonl"
+    ds.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    proc = run_cli(command, model, ds, *outputs, expect=2, timeout=20)
+    name, message = one_error_line(proc)
+    assert name == "MalformedLine" and message.startswith("line 2:") and expected in message
 
 
 def test_export_features_command(pipeline, tmp_path):

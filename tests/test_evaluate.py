@@ -204,6 +204,15 @@ def test_phrase_dataset_malformed_row_reports_line(tmp_path):
     assert "line 1" in str(err.value)
 
 
+@pytest.mark.parametrize("gold", ["nan", "inf", "-inf"])
+def test_phrase_dataset_non_finite_gold_reports_line(tmp_path, gold):
+    path = tmp_path / "phrases.tsv"
+    path.write_text(f"VO\tfight war\tfight war\t7.0\n\nVO\tfight war\tfight war\t{gold}\n", encoding="utf-8")
+    with pytest.raises(MalformedLine, match="gold score must be finite") as err:
+        load_phrase_dataset(path)
+    assert err.value.line_no == 3
+
+
 # --- relation features --------------------------------------------------
 
 

@@ -9,6 +9,7 @@ import pytest
 from dcsvec.errors import (
     BadMagic,
     DimensionMismatch,
+    InvalidConfig,
     TruncatedFile,
     UnknownField,
     UnknownWord,
@@ -26,7 +27,7 @@ from dcsvec.model import (
     path_score,
     save_model,
 )
-from dcsvec.trees import ARG, COMP, SUBJ, DcsTree, Edge, Word, unknown_word
+from dcsvec.trees import ARG, COMP, POS_TAGS, SUBJ, DcsTree, Edge, Word, unknown_word
 from dcsvec.vocab import Vocabulary
 
 
@@ -334,6 +335,9 @@ def test_nearest_answers_pos_filter():
     )
     ranked = nearest_answers(params, np.array([1.0, 0.0]), 5, pos_filter="N")
     assert [word.render() for word, _ in ranked] == ["b/N", "a/N"]
+    assert nearest_answers(params, np.array([1.0, 0.0]), 5, pos_filter="J") == []
+    with pytest.raises(InvalidConfig, match="pos must be one of N V J P R X"):
+        nearest_answers(params, np.array([1.0, 0.0]), 5, pos_filter="n")
 
 
 def nearest_answers_oracle(params, query, k, pos_filter=None):
@@ -396,7 +400,9 @@ def test_nearest_answers_matches_the_full_scan(dtype, make):
                     query = rng.integers(-4, 5, params.dim) / 4.0
                 else:
                     query = rng.standard_normal(params.dim)
-                for pos in [None, *sorted({word.pos for word in params.words}), "Z"]:
+                with pytest.raises(InvalidConfig):
+                    nearest_answers(params, query, 1, pos_filter="Z")
+                for pos in [None, *POS_TAGS]:
                     n = sum(pos in (None, word.pos) for word in params.words)
                     for k in sorted({1, max(1, n // 2), max(1, n), n + 3}):
                         got = nearest_answers(params, query, k, pos_filter=pos)
@@ -404,7 +410,7 @@ def test_nearest_answers_matches_the_full_scan(dtype, make):
                         assert [word for word, _ in got] == [word for word, _ in want]
                         for (_, a), (_, b) in zip(got, want):
                             assert (math.isnan(a) and math.isnan(b)) or abs(a - b) <= 1e-12 * (1 + abs(b))
-                        if pos == "Z":
+                        if n == 0:  # a valid tag with no words
                             assert got == []
                         if k >= n and nan_word.pos in (None, pos):
                             assert got[-1][0] == nan_word
@@ -426,7 +432,7 @@ def test_normalized_model_is_read_only_and_memoizes_its_answer_index(monkeypatch
             table[0] = 0.0
     for i in range(50):
         query = rng.integers(-4, 5, out.dim) / 4.0
-        pos = (None, "N", "V", "J", "Z")[i % 5]
+        pos = (None, "N", "V", "J", "X")[i % 5]  # X: a tag with no words here
         assert nearest_answers(out, query, 3, pos) == nearest_answers_oracle(out, query, 3, pos)
     assert len(built) == 1
     # a writeable model is indexed afresh on every call

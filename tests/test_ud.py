@@ -84,6 +84,8 @@ def test_cyclic_heads_rejected():
         list(parse_conllu(conllu((1, "a", "a", "NOUN", 1, "dep"))))
     with pytest.raises(CyclicTree):  # head outside the sentence
         list(parse_conllu(conllu((1, "a", "a", "NOUN", 9, "dep"))))
+    with pytest.raises(CyclicTree, match="repeated token id"):
+        list(parse_conllu(conllu((1, "a", "a", "NOUN", 0, "root"), (1, "b", "b", "NOUN", 1, "dep"))))
 
 
 def sent(*rows):

@@ -5,6 +5,7 @@ from scipy import stats
 from dcsvec.errors import (
     BadMagic,
     EmptyCorpus,
+    InvalidConfig,
     MalformedLine,
     MissingPlaceholder,
     UnknownField,
@@ -174,6 +175,20 @@ def test_vocab_file_roundtrip(tmp_path):
     assert loaded.field_counts == vocab.field_counts
 
 
+def test_vocab_file_skips_whitespace_only_lines(tmp_path):
+    path = tmp_path / "vocab.txt"
+    path.write_text("VDCS-VOCAB 1\nW\tkid/N\t2.0\n \t\nF\tARG\t4.0\n", encoding="utf-8")
+    vocab = load_vocab(path)
+    assert vocab.words == (w("kid"),) and vocab.fields == (ARG,)
+
+
+def test_build_vocab_rejects_nan_thresholds():
+    with pytest.raises(InvalidConfig):
+        build_vocab(star_and_chain_corpus(), float("nan"), 1)
+    with pytest.raises(InvalidConfig):
+        build_vocab(star_and_chain_corpus(), 1, float("nan"))
+
+
 def test_vocab_file_bad_magic(tmp_path):
     path = tmp_path / "vocab.txt"
     path.write_text("NOT-A-VOCAB\n", encoding="utf-8")
@@ -222,6 +237,9 @@ def test_word_id_and_field_id_strict_and_placeholder():
         ("W\tkid/Q\t1.0", "bad POS tag"),
         ("W\tplay/V\t2.0", "repeated W entry 'play/V'"),
         ("F\tARG\t2.0", "repeated F entry 'ARG'"),
+        ("W\tdog/N\tnan", "count must be finite and >= 0"),
+        ("W\tdog/N\tinf", "count must be finite and >= 0"),
+        ("F\tto\t-1e9", "count must be finite and >= 0"),
     ],
 )
 def test_vocab_file_bad_or_repeated_entry_names_its_line(tmp_path, line, message):
