@@ -99,17 +99,6 @@ def identity_maps(params: ModelParams) -> None:
     params.Minv[:] = eye
 
 
-def path_matrix(params: ModelParams, hops: Sequence[Hop], strict: bool = True) -> np.ndarray:
-    """Product over hops, from the start side: M[near] @ Minv[far]."""
-    if not hops:
-        raise ValueError("need at least one hop")
-    A = np.eye(params.dim, dtype=np.float64)
-    for near, far in hops:
-        A = A @ params.M[params.vocab.field_id(near, strict)]
-        A = A @ params.Minv[params.vocab.field_id(far, strict)]
-    return A
-
-
 def path_score(
     params: ModelParams,
     start: Word,

@@ -12,16 +12,17 @@ inverse-consistency and orthogonality regularizer runs on one step in
 regularization); on such a step it is computed once per touched field,
 for just the maps of that field the step touches.
 Training runs on one thread: one sampler RNG and one noise RNG walk the
-corpus in order, so a seeded run is bit-reproducible.
+corpus in order, so a seeded run is bit-reproducible.  Noise is drawn a
+block of `NOISE_BLOCK_TREES` sampled trees at a time, by array draws.
 Per-parameter gradients whose norm exceeds the clip threshold are
-rescaled to it.
+rescaled to it, and each gradient is applied in place.
 
 Gradients are taken per slot occurrence: a map repeated in an unselected
 slot is held constant there.  Examples hold vocabulary row ids, so a
-step looks up no name.  A step's NCE term casts each map it uses to
-float64 once, into a cache that dies with the term, so every product
-runs float64 x float64; the regularizer casts the two maps of a touched
-field itself.
+step looks up no name.  `train()` widens the four tables to float64 once,
+trains on them, and rounds them to float32 once at the end; a float32
+model passed to `loss_and_gradients` or `step` directly still gets
+float64 arithmetic (each product casts its float32 operand exactly).
 
 Three modes (`TrainConfig.mode`) share one forward/backward, and during a
 step only `loss_and_gradients` reads the mode.  `full` is the model above.
@@ -33,12 +34,11 @@ reads gamma as 0, dropping the inverse-consistency penalty.
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -52,6 +52,8 @@ MAT_LR_WARN = 0.0005
 # train() regularizes the maps on steps whose index is a multiple of this,
 # at this many times gamma and kappa, and skips the regularizer otherwise
 REG_EVERY = 4
+# train() samples this many trees, in order, then draws all their noise at once
+NOISE_BLOCK_TREES = 256
 
 
 @dataclass
@@ -105,7 +107,7 @@ class TrainConfig:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NoisedExample:
     """Replacement index i in [2, 2l], the field rows redrawn for slots
     j >= i (in slot order), and the redrawn end word's row."""
@@ -120,15 +122,24 @@ class NoisedExample:
 
 
 def make_noise(
-    path: PathSample, vocab: Vocabulary, rng: np.random.Generator, k: int = 1
-) -> list[NoisedExample]:
-    hi = 2 * len(path.hops)
-    out = []
-    for _ in range(k):
-        i = int(rng.integers(2, hi + 1))
-        fields = tuple([vocab.unigram_draw_field(rng) for _ in range(hi - i + 1)])
-        out.append(NoisedExample(i, fields, vocab.unigram_draw_word(rng)))
-    return out
+    samples: Sequence[PathSample], vocab: Vocabulary, rng: np.random.Generator, k: int = 1
+) -> list[list[NoisedExample]]:
+    """``k`` noises for each of ``samples``, in sample order.
+
+    Three array draws cover the whole block: every noise's replacement
+    index, then every redrawn field, then every noise's end word.
+    """
+    n_slots = np.repeat(np.array([2 * len(s.hops) for s in samples], dtype=np.int64), k)
+    replace_at = rng.integers(2, n_slots + 1)
+    n_fields = n_slots - replace_at + 1
+    fields = vocab.draw_fields(rng, int(n_fields.sum())).tolist()
+    words = vocab.draw_words(rng, len(n_slots)).tolist()
+    ends = np.cumsum(n_fields).tolist()
+    noises = [
+        NoisedExample(i, tuple(fields[end - n : end]), word)
+        for i, n, end, word in zip(replace_at.tolist(), n_fields.tolist(), ends, words)
+    ]
+    return [noises[j : j + k] for j in range(0, len(noises), k)]
 
 
 def _sigmoid(x: float) -> float:
@@ -143,12 +154,6 @@ def softplus(x: float) -> float:
     if x > 0:
         return x + math.log1p(math.exp(-x))
     return math.log1p(math.exp(x))
-
-
-def nce_loss(params: ModelParams, pos: PathSample, noises: list[NoisedExample]) -> float:
-    """-log sigmoid(s+) - sum over noises of log sigmoid(-s-)."""
-    loss, _ = loss_and_gradients(params, pos, noises, TrainConfig(gamma=0.0, kappa=0.0))
-    return loss
 
 
 def _trace_centered(B: np.ndarray) -> np.ndarray:
@@ -224,37 +229,28 @@ def loss_and_gradients(
     Keys are ("v", row), ("u", row), ("M", field id), ("Minv", field id);
     contributions to a shared parameter accumulate.  The regularizer
     runs once per touched field (one `regularizer_grads` call) and adds
-    its gradient to that field's touched maps only.
+    its gradient to that field's touched maps only.  Every gradient is a
+    fresh float64 array, so `step` may scale it in place.
 
-    Each map the NCE term uses is cast to float64 once per step (the cast
-    is exact), so every product runs float64 x float64; the cache is
-    dropped before the regularizer allocates its d x d products.
-    `ndarray.dot` makes the BLAS call `@` makes, without the dispatch
-    that costs as much as a product at small d.
+    Maps are read from the tables as they are; a float32 map is cast
+    inside each product it enters (the cast is exact).  `ndarray.dot`
+    makes the BLAS call `@` makes, without the dispatch that costs as much
+    as a product at small d.
 
     The mode is read here and nowhere else in a step: `no_matrix` runs
     this code on an empty slot list, so the noise boundary clamps to slot
     0 and no map key appears; `no_inverse` uses gamma = 0.
     """
     xi, yi = pos.start, pos.end
+    M, Minv = params.M, params.Minv
     # (field row, is_inverse) per slot; slot 2t holds M[near], 2t+1 Minv[far]
     slots = [] if config.mode == "no_matrix" else [
         slot for near, far in pos.hops for slot in ((near, False), (far, True))
     ]
     two_l = len(slots)
-    # per noise: its first replaced slot (0-based; 0 with no slots), its slots
-    noise_slots = []
-    for noise in noises:
-        ri = min(noise.i - 1, two_l)
-        redrawn = [(f, inv) for f, (_, inv) in zip(noise.fields, slots[ri:])]
-        noise_slots.append((ri, slots[:ri] + redrawn))
-    maps: dict[tuple[int, bool], np.ndarray] = {}
-    for fid, inv in itertools.chain(slots, *(nslots for _, nslots in noise_slots)):
-        if (fid, inv) not in maps:
-            maps[fid, inv] = (params.Minv if inv else params.M)[fid].astype(np.float64, copy=False)
-    mats = [maps[slot] for slot in slots]
-    v = params.V[xi].astype(np.float64)
-    u = params.U[yi].astype(np.float64)
+    mats = [Minv[fid] if inv else M[fid] for fid, inv in slots]
+    v = np.asarray(params.V[xi], dtype=np.float64)
+    u = np.asarray(params.U[yi], dtype=np.float64)
     rows = [v]
     for m in mats:
         rows.append(rows[-1].dot(m))
@@ -268,10 +264,15 @@ def loss_and_gradients(
     gv = g_pos * cols[0]  # the start word's gradient, accumulated in place
     grads: dict[tuple[str, int], np.ndarray] = {("v", xi): gv, ("u", yi): g_pos * rows[two_l]}
 
+    # per noise: its first replaced slot (0-based; 0 with no slots), the
+    # boundary map's key, its backward columns and its sigmoid
     noise_data = []
-    for noise, (ri, nslots) in zip(noises, noise_slots):
-        nmats = [maps[slot] for slot in nslots]
-        ncols = [params.U[noise.word].astype(np.float64)] * (two_l + 1)
+    terms = []  # the other gradients, in key order; no_matrix has no map term
+    for noise in noises:
+        ri = min(noise.i - 1, two_l)
+        redrawn = [(fid, inv) for fid, (_, inv) in zip(noise.fields, slots[ri:])]
+        nmats = mats[:ri] + [Minv[fid] if inv else M[fid] for fid, inv in redrawn]
+        ncols = [np.asarray(params.U[noise.word], dtype=np.float64)] * (two_l + 1)
         for j in range(two_l - 1, -1, -1):
             ncols[j] = nmats[j].dot(ncols[j + 1])
         s_neg = float(rows[ri].dot(ncols[ri]))
@@ -281,26 +282,35 @@ def loss_and_gradients(
         nr = rows[ri]
         for m in nmats[ri:]:
             nr = nr.dot(m)
-        _accumulate(grads, ("u", noise.word), g_neg * nr)
-        noise_data.append((ri, nslots, ncols, g_neg))
-    maps = mats = nmats = None  # the cache lives for the NCE term only
+        terms.append((("u", noise.word), g_neg * nr))
+        if redrawn:
+            fid, inv = redrawn[0]
+            noise_data.append((ri, ("Minv" if inv else "M", fid), ncols, g_neg))
 
-    if not slots:  # no_matrix: no map gradient, so no regularizer either
-        return loss, grads
-
-    # positive-path maps at the noise boundary, then the boundary noise map
-    selected = sorted({j for ri, _, _, _ in noise_data for j in (ri - 1, ri)})
-    for j in selected:
+    # positive-path maps at the noise boundary, then the boundary noise map.
+    # An outer product is a (d, 1) x (1, d) BLAS product, whose entries are
+    # the single products r_i * c_j, rounded as a broadcast multiply rounds
+    # them; each is scaled in place (x * s rounds as s * x does).
+    for j in sorted({j for ri, _, _, _ in noise_data for j in (ri - 1, ri)}):
         fid, inv = slots[j]
-        g = g_pos * (rows[j][:, None] * cols[j + 1])
+        row = rows[j][:, None]
+        g = row.dot(cols[j + 1][None, :])
+        g *= g_pos
         for ri, _, ncols, g_neg in noise_data:
             if j < ri:
-                g += g_neg * (rows[j][:, None] * ncols[j + 1])
-        _accumulate(grads, ("Minv" if inv else "M", fid), g)
-    for ri, nslots, ncols, g_neg in noise_data:
-        fid, inv = nslots[ri]
-        g = g_neg * (rows[ri][:, None] * ncols[ri + 1])
-        _accumulate(grads, ("Minv" if inv else "M", fid), g)
+                term = row.dot(ncols[j + 1][None, :])
+                term *= g_neg
+                g += term
+        terms.append((("Minv" if inv else "M", fid), g))
+    for ri, key, ncols, g_neg in noise_data:
+        g = rows[ri][:, None].dot(ncols[ri + 1][None, :])
+        g *= g_neg
+        terms.append((key, g))
+    for key, g in terms:
+        if key in grads:
+            grads[key] += g
+        else:
+            grads[key] = g
 
     gamma = 0.0 if config.mode == "no_inverse" else config.gamma
     if gamma != 0.0 or config.kappa != 0.0:
@@ -310,8 +320,8 @@ def loss_and_gradients(
                 touched.setdefault(fid, set()).add(kind)
         for fid, kinds in touched.items():
             reg = regularizer_grads(
-                params.M[fid],
-                params.Minv[fid],
+                M[fid],
+                Minv[fid],
                 gamma,
                 config.kappa,
                 need_M="M" in kinds,
@@ -323,19 +333,15 @@ def loss_and_gradients(
     return loss, grads
 
 
-def _accumulate(grads: dict, key: tuple[str, int], g: np.ndarray) -> None:
-    """Add a fresh gradient array to ``grads[key]``, in place once the key exists."""
-    if key in grads:
-        grads[key] += g
-    else:
-        grads[key] = g
-
-
 def _lr_at(initial: float, config: TrainConfig, step_index: int) -> float:
     if config.lr_schedule == "constant" or not config.total_steps:
         return initial
     frac = min(step_index / config.total_steps, 1.0)
     return initial * (1.0 - 0.9 * frac)
+
+
+# the ModelParams table each gradient kind updates
+_TABLE = {"v": "V", "u": "U", "M": "M", "Minv": "Minv"}
 
 
 def step(
@@ -345,13 +351,13 @@ def step(
     config: TrainConfig,
     step_index: int,
 ) -> float:
+    """One SGD step: each gradient is clipped, scaled by its learning rate
+    and subtracted in place (float64 arithmetic, rounded to the table's dtype)."""
     loss, grads = loss_and_gradients(params, pos, noises, config)
-    lr_v = _lr_at(config.lr_vec, config, step_index)
-    lr_m = _lr_at(config.lr_mat, config, step_index)
-    tables = {"v": params.V, "u": params.U, "M": params.M, "Minv": params.Minv}
+    vec = (_lr_at(config.lr_vec, config, step_index), config.clip_norm_vec)
+    mat = (_lr_at(config.lr_mat, config, step_index), config.clip_norm_mat)
     for (kind, idx), g in grads.items():
-        is_vec = kind in ("v", "u")
-        clip = config.clip_norm_vec if is_vec else config.clip_norm_mat
+        lr, clip = vec if g.ndim == 1 else mat  # vector gradients are 1-d, maps 2-d
         flat = g.ravel()
         norm = math.sqrt(flat.dot(flat))  # what np.linalg.norm computes
         if not math.isfinite(norm):
@@ -359,9 +365,10 @@ def step(
                 f"step {step_index}: gradient for {kind}[{idx}] has norm {norm}"
             )
         if norm > clip:
-            g = g * (clip / norm)
-        # float64 arithmetic, rounded once to the table's dtype
-        tables[kind][idx] -= (lr_v if is_vec else lr_m) * g
+            g *= clip / norm
+        g *= lr
+        row = getattr(params, _TABLE[kind])[idx]
+        row -= g  # in place through the view: no write-back copy
     return loss
 
 
@@ -391,11 +398,13 @@ def train(
     config: TrainConfig,
     log: Callable[[str], None] | None = None,
 ) -> tuple[ModelParams, TrainStats]:
-    """Epochs of (sample paths -> draw noise -> sparse SGD step), on one
-    thread over the corpus in order.
+    """Epochs of (sample a block of trees' paths -> draw the block's noise
+    -> one sparse SGD step per path), on one thread over the corpus in order.
 
-    Deterministic (bitwise) for a fixed seed; ``config.workers`` does not
-    change the result.
+    The parameters are initialised float32, as `init_params` makes them,
+    trained on float64 copies of the tables, and returned rounded to
+    float32.  Deterministic (bitwise) for a fixed seed; ``config.workers``
+    does not change the result.
     """
     trees = [t for t in corpus]
     if not trees:
@@ -415,6 +424,7 @@ def train(
     params = init_params(vocab, cfg.dim, np.random.default_rng(init_seq))
     if cfg.mode == "no_matrix":
         identity_maps(params)
+    _cast_tables(params, np.float64)
     sampler_rng, noise_rng = (np.random.default_rng(s) for s in walk_seq.spawn(2))
     reg_cfg = replace(cfg, gamma=cfg.gamma * REG_EVERY, kappa=cfg.kappa * REG_EVERY)
     plain_cfg = replace(cfg, gamma=0.0, kappa=0.0)
@@ -425,9 +435,11 @@ def train(
         t0 = time.perf_counter()
         first = step_index
         loss_sum = 0.0
-        for tree in usable:
-            for sample in sample_paths(tree, vocab, sampler_rng):
-                noises = make_noise(sample, vocab, noise_rng, cfg.noise_per_example)
+        for start in range(0, len(usable), NOISE_BLOCK_TREES):
+            trees_in_block = usable[start : start + NOISE_BLOCK_TREES]
+            block = [s for tree in trees_in_block for s in sample_paths(tree, vocab, sampler_rng)]
+            noise_lists = make_noise(block, vocab, noise_rng, cfg.noise_per_example)
+            for sample, noises in zip(block, noise_lists):
                 step_cfg = reg_cfg if step_index % REG_EVERY == 0 else plain_cfg
                 loss_sum += step(params, sample, noises, step_cfg, step_index)
                 step_index += 1
@@ -443,4 +455,11 @@ def train(
         if log is not None:
             log(f"{row.epoch}\t{row.steps}\t{row.mean_loss:.6f}\t{row.examples_per_sec:.1f}")
     stats.total_steps = step_index
-    return params, stats
+    return _cast_tables(params, np.float32), stats
+
+
+def _cast_tables(params: ModelParams, dtype) -> ModelParams:
+    """Cast the four tables in place, one at a time: at most one is held twice."""
+    for name in ("V", "U", "M", "Minv"):
+        setattr(params, name, getattr(params, name).astype(dtype))
+    return params

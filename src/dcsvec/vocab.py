@@ -20,7 +20,6 @@ weight exactly.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -29,7 +28,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import BadMagic, EmptyCorpus, InvalidConfig, MissingPlaceholder, UnknownField, UnknownWord, parse_lines
+from .errors import BadMagic, EmptyCorpus, InputError, InvalidConfig, MissingPlaceholder, UnknownField, UnknownWord, parse_lines
 from .trees import (
     CORE_FIELDS,
     POS_TAGS,
@@ -101,25 +100,37 @@ class Vocabulary:
 
     # cumulative unigram counts, built on the first draw: querying never draws
     @cached_property
-    def _word_cum(self) -> list[float]:
-        return np.cumsum([self.word_counts.get(w, 0.0) for w in self.words]).tolist()
+    def _word_cum(self) -> np.ndarray:
+        return _running_sums("word", [self.word_counts.get(w, 0.0) for w in self.words])
 
     @cached_property
-    def _field_cum(self) -> list[float]:
-        return np.cumsum([self.field_counts.get(f, 0.0) for f in self.fields]).tolist()
+    def _field_cum(self) -> np.ndarray:
+        return _running_sums("field", [self.field_counts.get(f, 0.0) for f in self.fields])
 
-    def unigram_draw_word(self, rng: np.random.Generator) -> int:
-        return self._draw(self._word_cum, rng)
+    def draw_words(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """``n`` word rows drawn from the word unigram, with one ``rng.random`` call."""
+        return _draw(self._word_cum, rng, n)
 
-    def unigram_draw_field(self, rng: np.random.Generator) -> int:
-        return self._draw(self._field_cum, rng)
+    def draw_fields(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """``n`` field rows drawn from the field unigram, with one ``rng.random`` call."""
+        return _draw(self._field_cum, rng, n)
 
-    @staticmethod
-    def _draw(cum: list[float], rng: np.random.Generator) -> int:
-        total = cum[-1] if cum else 0.0
-        if total <= 0.0:
-            raise EmptyCorpus("unigram table has no mass")
-        return bisect.bisect_right(cum, rng.random() * total)
+
+def _running_sums(kind: str, counts: list[float]) -> np.ndarray:
+    """Running sums of ``counts``; each count is finite, and so must the total be."""
+    with np.errstate(over="ignore"):  # an overflow is reported below, not warned
+        cum = np.cumsum(counts, dtype=np.float64)
+    if cum.size and not math.isfinite(cum[-1]):
+        raise InputError(f"{kind} counts sum to {cum[-1]}, past the largest float")
+    return cum
+
+
+def _draw(cum: np.ndarray, rng: np.random.Generator, n: int) -> np.ndarray:
+    total = cum[-1] if cum.size else 0.0
+    if total <= 0.0:
+        raise EmptyCorpus("unigram table has no mass")
+    # u * total < total for every u < 1, so no draw lands past the last row
+    return np.searchsorted(cum, rng.random(n) * total, side="right")
 
 
 def build_vocab(
@@ -214,6 +225,9 @@ def load_vocab(path) -> Vocabulary:
         for _ in parse_lines(fh, add_entry, first=2):
             pass
     word_counts, field_counts = counts["W"], counts["F"]
+    # reject here, not at the first draw, counts whose total overflows
+    _running_sums("word", list(word_counts.values()))
+    _running_sums("field", list(field_counts.values()))
     return Vocabulary(tuple(word_counts), tuple(field_counts), word_counts, field_counts)
 
 
@@ -297,31 +311,6 @@ def sample_paths(
             out.append(PathSample(word_rows[start], word_rows[nxt], tuple(hops)))
             node = nxt
     return out
-
-
-def sample_path_counts(
-    tree: DcsTree, rng: np.random.Generator, epochs: int, chunk: int = 20000
-) -> np.ndarray:
-    """Emission counts per ordered node pair over many sampling epochs.
-
-    Shares the walk kernel with ``sample_paths``; entry [a, b] counts how
-    often the path a->b was emitted in total.
-    """
-    n = tree.n_nodes
-    counts = np.zeros(n * n, dtype=np.int64)
-    done = 0
-    while done < epochs:
-        batch = min(chunk, epochs - done)
-        traj = _walk_trajectories(tree, batch, rng)
-        base = traj[:, 0] * n
-        for col in range(1, n):
-            nodes = traj[:, col]
-            valid = nodes >= 0
-            if not valid.any():
-                break
-            counts += np.bincount(base[valid] + nodes[valid], minlength=n * n)
-        done += batch
-    return counts.reshape(n, n)
 
 
 def path_sample_to_line(sample: PathSample, vocab: Vocabulary) -> str:

@@ -10,9 +10,9 @@ import itertools
 import numpy as np
 
 from dcsvec.logic import Database, DbTuple
-from dcsvec.train import NoisedExample
+from dcsvec.train import NoisedExample, TrainConfig, loss_and_gradients
 from dcsvec.trees import ARG, COMP, SUBJ, DcsTree, Edge, Word, hop_fields, path_nodes
-from dcsvec.vocab import PathSample
+from dcsvec.vocab import PathSample, _walk_trajectories
 
 POS_CHOICES = ("N", "V", "J")
 FIELD_CHOICES = (ARG, SUBJ, COMP, "in", "on", "of")
@@ -125,3 +125,44 @@ def id_example(vocab, start, end, hops, *noises):
         NoisedExample(i, tuple(vocab.field_id(f) for f in fields), vocab.word_id(word))
         for i, fields, word in noises
     ]
+
+
+def nce_loss(params, pos, noises) -> float:
+    """-log sigmoid(s+) - sum over noises of log sigmoid(-s-), without the
+    regularizer: the loss `loss_and_gradients` returns for gamma = kappa = 0."""
+    loss, _ = loss_and_gradients(params, pos, noises, TrainConfig(gamma=0.0, kappa=0.0))
+    return loss
+
+
+def path_matrix(params, hops, strict=True) -> np.ndarray:
+    """Product over (near, far) hops, from the start side: M[near] @ Minv[far]."""
+    if not hops:
+        raise ValueError("need at least one hop")
+    A = np.eye(params.dim, dtype=np.float64)
+    for near, far in hops:
+        A = A @ params.M[params.vocab.field_id(near, strict)]
+        A = A @ params.Minv[params.vocab.field_id(far, strict)]
+    return A
+
+
+def sample_path_counts(tree, rng, epochs, chunk=20000) -> np.ndarray:
+    """Emission counts per ordered node pair over many sampling epochs.
+
+    Shares the walk kernel with ``sample_paths``; entry [a, b] counts how
+    often the path a->b was emitted in total.
+    """
+    n = tree.n_nodes
+    counts = np.zeros(n * n, dtype=np.int64)
+    done = 0
+    while done < epochs:
+        batch = min(chunk, epochs - done)
+        traj = _walk_trajectories(tree, batch, rng)
+        base = traj[:, 0] * n
+        for col in range(1, n):
+            nodes = traj[:, col]
+            valid = nodes >= 0
+            if not valid.any():
+                break
+            counts += np.bincount(base[valid] + nodes[valid], minlength=n * n)
+        done += batch
+    return counts.reshape(n, n)

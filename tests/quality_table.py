@@ -1,18 +1,21 @@
-"""Quality of the criterion-7 world across seeds and regularizer schedules.
+"""Quality of the criterion-7 world across seeds, training modes and
+regularizer schedules.
 
-    PYTHONPATH=src:tests python3 tests/quality_table.py --seeds 814 815 816 --reg-every 1 4
+    PYTHONPATH=src:tests python3 tests/quality_table.py --seeds 814 815 816 \
+        --modes full no_matrix no_inverse --reg-every 4
 
-For each seed and each `REG_EVERY` value, trains the 20,000-sentence
-worldgen world with criterion 7's config (dim 25, 5 epochs, workers=1),
-then prints one JSON line: held-out hit rate, completion accuracy, probe
-accuracy, the epoch losses, and each field's inverse and orthogonality
-penalty at unit weight (`regularizer_penalties` on the trained maps).
-After the runs it prints one summary line per `REG_EVERY` value: the
-median, min and max over seeds of hit rate, completion accuracy, probe
-accuracy and final loss.
+For each seed, each mode and each `REG_EVERY` value, trains the
+20,000-sentence worldgen world with criterion 7's config (dim 25, 5
+epochs, workers=1), then prints one JSON line: held-out hit rate,
+completion accuracy, probe accuracy, the epoch losses, and each field's
+inverse and orthogonality penalty at unit weight (`regularizer_penalties`
+on the trained maps).  After the runs it prints one summary line per
+(mode, `REG_EVERY`) pair: the median, min and max over seeds of hit rate,
+completion accuracy, probe accuracy and final loss.
 `REG_EVERY` = 1 is the every-step regularizer.  The world, its
 evaluation sets and the metrics are criterion 7's own
-(`test_acceptance`).  Each model takes about four minutes on a 2-core VM.
+(`test_acceptance`); each seed's world is built once for all its runs.
+Each model takes a few minutes on a 2-core VM.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from pathlib import Path
 import dcsvec.train as train_module
 from dcsvec.evaluate import eval_completion
 from dcsvec.model import normalize
-from dcsvec.train import regularizer_penalties, train
+from dcsvec.train import MODES, regularizer_penalties, train
 from test_acceptance import (
     E2E_CONFIG,
     direction_probe_accuracy,
@@ -39,14 +42,12 @@ from test_acceptance import (
 )
 
 
-def quality_row(seed: int, reg_every: int, root: Path) -> dict:
-    _, trees, vocab = prepare_world(root, seed)
+def quality_row(seed: int, mode: str, reg_every: int, trees, vocab, items, instances) -> dict:
     train_module.REG_EVERY = reg_every
     t0 = time.perf_counter()
-    params, stats = train(trees, vocab, replace(E2E_CONFIG, seed=seed))
+    params, stats = train(trees, vocab, replace(E2E_CONFIG, seed=seed, mode=mode))
     train_s = time.perf_counter() - t0
     full = normalize(params)
-    items, instances = evaluation_sets(root, seed)
     completion = eval_completion(full, items)
     penalties = {
         name: regularizer_penalties(params.M[fid], params.Minv[fid], 1.0, 1.0)
@@ -54,6 +55,7 @@ def quality_row(seed: int, reg_every: int, root: Path) -> dict:
     }
     return {
         "seed": seed,
+        "mode": mode,
         "reg_every": reg_every,
         "hit_rate": held_out_hit_rate(full),
         "completion_accuracy": completion.accuracy,
@@ -70,9 +72,9 @@ def quality_row(seed: int, reg_every: int, root: Path) -> dict:
 SUMMARY_METRICS = ("hit_rate", "completion_accuracy", "probe_accuracy", "final_loss")
 
 
-def summary_row(reg_every: int, rows: list[dict]) -> dict:
+def summary_row(mode: str, reg_every: int, rows: list[dict]) -> dict:
     """Median, min and max over the seeds' runs of each summary metric."""
-    out = {"reg_every": reg_every, "seeds": [row["seed"] for row in rows]}
+    out = {"mode": mode, "reg_every": reg_every, "seeds": [row["seed"] for row in rows]}
     for name in SUMMARY_METRICS:
         values = [row["epoch_losses"][-1] if name == "final_loss" else row[name] for row in rows]
         out[name] = {"median": statistics.median(values), "min": min(values), "max": max(values)}
@@ -82,17 +84,20 @@ def summary_row(reg_every: int, rows: list[dict]) -> dict:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--seeds", type=int, nargs="+", default=[E2E_CONFIG.seed])
+    ap.add_argument("--modes", nargs="+", choices=MODES, default=[E2E_CONFIG.mode])
     ap.add_argument("--reg-every", type=int, nargs="+", default=[train_module.REG_EVERY])
     args = ap.parse_args(argv)
-    runs: dict[int, list[dict]] = {reg_every: [] for reg_every in args.reg_every}
+    runs = {(mode, reg_every): [] for mode in args.modes for reg_every in args.reg_every}
     for seed in args.seeds:
-        for reg_every in args.reg_every:
-            with tempfile.TemporaryDirectory() as tmp:
-                row = quality_row(seed, reg_every, Path(tmp))
-            runs[reg_every].append(row)
-            print(json.dumps(row), flush=True)
-    for reg_every, rows in runs.items():
-        print(json.dumps({"summary": summary_row(reg_every, rows)}), flush=True)
+        with tempfile.TemporaryDirectory() as tmp:
+            _, trees, vocab = prepare_world(Path(tmp), seed)
+            items, instances = evaluation_sets(Path(tmp), seed)
+            for mode, reg_every in runs:
+                row = quality_row(seed, mode, reg_every, trees, vocab, items, instances)
+                runs[mode, reg_every].append(row)
+                print(json.dumps(row), flush=True)
+    for (mode, reg_every), rows in runs.items():
+        print(json.dumps({"summary": summary_row(mode, reg_every, rows)}), flush=True)
     return 0
 
 

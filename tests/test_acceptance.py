@@ -33,7 +33,6 @@ from dcsvec.model import (
 from dcsvec.train import (
     TrainConfig,
     loss_and_gradients,
-    nce_loss,
     regularizer_grads,
     regularizer_penalties,
     step,
@@ -41,13 +40,16 @@ from dcsvec.train import (
 )
 from dcsvec.trees import Word, enumerate_paths
 from dcsvec.ud import convert_sentence, parse_conllu_file
-from dcsvec.vocab import (
-    Vocabulary,
-    build_vocab,
+from dcsvec.vocab import Vocabulary, build_vocab
+from dcsvec.cli import parse_tree_literal
+from helpers import (
+    brute_force_denotation,
+    id_example,
+    nce_loss,
+    random_db_for_tree,
+    random_tree,
     sample_path_counts,
 )
-from dcsvec.cli import parse_tree_literal
-from helpers import brute_force_denotation, id_example, random_db_for_tree, random_tree
 from test_evaluate import SPEARMAN_FIXTURES
 
 

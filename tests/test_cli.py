@@ -226,6 +226,24 @@ def test_train_on_a_vocabulary_without_the_placeholder_exits_2(tmp_path):
     assert not model.exists()
 
 
+def test_train_on_word_counts_summing_to_inf_exits_2(tmp_path):
+    # each count is finite; their sum overflowed the unigram draw, which
+    # returned a row one past the end and crashed the step (exit 1)
+    vocab = tmp_path / "vocab.txt"
+    vocab.write_text(
+        "VDCS-VOCAB 1\nW\tkid/N\t1e308\nW\tplay/V\t1e308\nF\tARG\t2.0\nF\tSUBJ\t2.0\n",
+        encoding="utf-8",
+    )
+    trees = tmp_path / "trees.txt"
+    tree = DcsTree((Word("play", "V"), Word("kid", "N")), 0, (Edge(0, 1, "SUBJ", ARG),))
+    trees.write_text(tree_to_line(tree) + "\n", encoding="utf-8")
+    model = tmp_path / "m.bin"
+    proc = run_cli("train", trees, vocab, model, "--dim", 4, "--epochs", 1, expect=2)
+    name, message = one_error_line(proc)
+    assert name == "InputError" and message == "word counts sum to inf, past the largest float"
+    assert not model.exists()
+
+
 def test_nearest_strict_oov_unknown_word_still_exits_1(pipeline):
     _, _, _, model = pipeline
     proc = run_cli(

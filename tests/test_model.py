@@ -23,12 +23,12 @@ from dcsvec.model import (
     load_model,
     nearest_answers,
     normalize,
-    path_matrix,
     path_score,
     save_model,
 )
 from dcsvec.trees import ARG, COMP, POS_TAGS, SUBJ, DcsTree, Edge, Word, unknown_word
 from dcsvec.vocab import Vocabulary
+from helpers import path_matrix
 
 
 def w(lemma, pos="N"):

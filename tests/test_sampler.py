@@ -16,8 +16,8 @@ from dcsvec.trees import (
     unknown_word,
 )
 from dcsvec.ud import convert_sentence, parse_conllu_file
-from dcsvec.vocab import _walk_trajectories, build_vocab, sample_path_counts, sample_paths
-from helpers import random_tree
+from dcsvec.vocab import _walk_trajectories, build_vocab, sample_paths
+from helpers import random_tree, sample_path_counts
 
 
 def w(lemma, pos="N"):

@@ -1,6 +1,7 @@
 import dataclasses
 import importlib
 import io
+import itertools
 import math
 import types
 
@@ -15,7 +16,6 @@ from dcsvec.train import (
     TrainConfig,
     loss_and_gradients,
     make_noise,
-    nce_loss,
     regularizer_grads,
     regularizer_penalties,
     step,
@@ -23,7 +23,7 @@ from dcsvec.train import (
 )
 from dcsvec.trees import ARG, COMP, SUBJ, DcsTree, Edge, Word
 from dcsvec.vocab import Vocabulary, build_vocab, sample_paths
-from helpers import id_example, random_orthogonal, random_tree
+from helpers import id_example, nce_loss, random_orthogonal, random_tree
 
 
 def w(lemma, pos="N"):
@@ -63,8 +63,9 @@ def sample(l=2, *noises):
 def test_make_noise_single_hop_always_index_two():
     vocab = make_vocab()
     rng = np.random.default_rng(0)
-    for _ in range(200):
-        (noise,) = make_noise(sample(l=1)[0], vocab, rng)
+    block = make_noise([sample(l=1)[0]] * 200, vocab, rng)
+    assert len(block) == 200
+    for (noise,) in block:
         assert noise.i == 2
         assert len(noise.fields) == 1
 
@@ -75,8 +76,7 @@ def test_make_noise_index_uniform_for_two_hops():
     n = 10**6
     counts = {2: 0, 3: 0, 4: 0}
     path, _ = sample(l=2)
-    for _ in range(n):
-        (noise,) = make_noise(path, vocab, rng)
+    for (noise,) in make_noise([path] * n, vocab, rng):
         counts[noise.i] += 1
         assert len(noise.fields) == 4 - noise.i + 1
     for i in (2, 3, 4):
@@ -91,8 +91,7 @@ def test_noise_fields_follow_field_unigram():
     drawn = {f: 0 for f in counts}
     n = 200000
     path, _ = sample(l=1)
-    for _ in range(n):
-        (noise,) = make_noise(path, vocab, rng)
+    for (noise,) in make_noise([path] * n, vocab, rng):
         drawn[vocab.fields[noise.fields[0]]] += 1
     observed = np.array([drawn[f] for f in counts])
     expected = np.array([counts[f] for f in counts], dtype=float)
@@ -104,25 +103,33 @@ def test_noise_fields_follow_field_unigram():
 def test_make_noise_k_copies():
     vocab = make_vocab()
     rng = np.random.default_rng(3)
-    noises = make_noise(sample(l=2)[0], vocab, rng, k=5)
-    assert len(noises) == 5
+    paths = [sample(l=2)[0], sample(l=1)[0], sample(l=2)[0]]
+    block = make_noise(paths, vocab, rng, k=5)
+    assert [len(noises) for noises in block] == [5, 5, 5]
+    for path, noises in zip(paths, block):
+        assert all(2 <= n.i <= 2 * len(path.hops) for n in noises)
+        assert all(len(n.fields) == 2 * len(path.hops) - n.i + 1 for n in noises)
 
 
-def name_make_noise(path, vocab, rng, k=1):
-    """Slow-path oracle: the name-based make_noise, whose unigram draws
-    returned names; gives (i, field names, word) per noise."""
+def name_make_noise(paths, vocab, rng, k=1):
+    """Slow-path oracle: the block draw written per noise with names, the
+    way the name-based make_noise drew; gives (i, field names, word) per
+    noise, a list per path.  It makes make_noise's three array draws:
+    every replacement index, then every field's uniform, then every word's."""
 
-    def draw(names, counts):
+    def draw(names, counts, u):
         cum = np.cumsum([counts.get(name, 0.0) for name in names])
-        return names[int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))]
+        return names[int(np.searchsorted(cum, u * cum[-1], side="right"))]
 
-    hi = 2 * len(path.hops)
+    his = [2 * len(path.hops) for path in paths for _ in range(k)]
+    indices = [int(i) for i in rng.integers(2, np.array(his) + 1)]
+    field_u = iter(rng.random(sum(hi - i + 1 for hi, i in zip(his, indices))).tolist())
+    word_u = iter(rng.random(len(his)).tolist())
     out = []
-    for _ in range(k):
-        i = int(rng.integers(2, hi + 1))
-        fields = tuple(draw(vocab.fields, vocab.field_counts) for _ in range(hi - i + 1))
-        out.append((i, fields, draw(vocab.words, vocab.word_counts)))
-    return out
+    for hi, i in zip(his, indices):
+        fields = tuple(draw(vocab.fields, vocab.field_counts, next(field_u)) for _ in range(hi - i + 1))
+        out.append((i, fields, draw(vocab.words, vocab.word_counts, next(word_u))))
+    return [out[j : j + k] for j in range(0, len(out), k)]
 
 
 @pytest.mark.parametrize("k", [1, 3])
@@ -132,14 +139,14 @@ def test_make_noise_draws_what_the_name_oracle_draws(k):
     vocab = build_vocab(trees, 2, 1)  # uneven counts and zero-mass placeholder rows
     fast, slow = np.random.default_rng(k), np.random.default_rng(k)
     drawn = 0
-    for tree in trees:
-        for path in sample_paths(tree, vocab, rng):
-            got = [
-                (n.i, tuple(vocab.fields[f] for f in n.fields), vocab.words[n.word])
-                for n in make_noise(path, vocab, fast, k)
-            ]
-            assert got == name_make_noise(path, vocab, slow, k)
-            drawn += len(got)
+    for first in range(0, len(trees), 7):  # blocks of 7 trees, the last one shorter
+        paths = [path for tree in trees[first : first + 7] for path in sample_paths(tree, vocab, rng)]
+        got = [
+            [(n.i, tuple(vocab.fields[f] for f in n.fields), vocab.words[n.word]) for n in noises]
+            for noises in make_noise(paths, vocab, fast, k)
+        ]
+        assert got == name_make_noise(paths, vocab, slow, k)
+        drawn += sum(map(len, got))
     assert drawn > 300
     assert fast.random() == slow.random()  # the same RNG calls, in the same order
 
@@ -268,7 +275,7 @@ def test_step_sparse_update_footprint():
     before = params.copy()
     vocab = make_vocab()
     pos, _ = id_example(vocab, w("w3"), w("w4"), ((ARG, SUBJ), (COMP, "of")))
-    noises = make_noise(pos, vocab, np.random.default_rng(1), k=1)
+    (noises,) = make_noise([pos], vocab, np.random.default_rng(1), k=1)
     cfg = TrainConfig(dim=6, lr_schedule="constant")
     step(params, pos, noises, cfg, 0)
 
@@ -492,7 +499,7 @@ def test_regularizer_runs_once_per_touched_field(monkeypatch):
             (FIELDS[int(rng.integers(3))], FIELDS[int(rng.integers(3))]) for _ in range(l)
         )
         pos, _ = id_example(vocab, w("w0"), w("w1"), hops)
-        noises = make_noise(pos, vocab, rng, k=int(rng.integers(1, 3)))
+        (noises,) = make_noise([pos], vocab, rng, k=int(rng.integers(1, 3)))
         calls.clear()
         _, grads = loss_and_gradients(params, pos, noises, TrainConfig(dim=6))
         kinds = touched_kinds(grads)
@@ -734,7 +741,7 @@ def random_example(rng, vocab, k):
     )
     start, end = (w(f"w{int(i)}") for i in rng.integers(0, 8, size=2))
     pos, _ = id_example(vocab, start, end, hops)
-    noises = make_noise(pos, vocab, rng, k=k)
+    (noises,) = make_noise([pos], vocab, rng, k=k)
     # one noise word equal to the end word, so its u gradient accumulates
     noises[0] = dataclasses.replace(noises[0], word=pos.end)
     return pos, noises
@@ -920,7 +927,7 @@ def test_train_samples_each_listed_tree_once_per_epoch_in_chunk_order(monkeypatc
     assert [tree for _, tree, _ in calls] == trees * epochs
 
 
-# --- maps cast to float64 once per step -----------------------------------
+# --- maps read from the tables, float32 or float64 -----------------------
 
 
 def uncached_regularizer_grads(M, Minv, gamma, kappa, *, need_M=True, need_Minv=True):
@@ -1132,3 +1139,207 @@ def test_cast_once_handles_a_field_used_as_both_maps_and_twice_on_a_path():
                 loss_and_gradients(params, pos, noises, cfg),
                 uncached_loss_and_gradients(params, pos, noises, cfg),
             )
+
+
+# --- float64 working tables and one apply pass ---------------------------
+
+
+def map_cache_loss_and_gradients(params, pos, noises, config):
+    """Slow-path oracle: `loss_and_gradients` as it was with float32
+    working tables: each map the NCE term uses cast to float64 once into a
+    per-step cache, and every contribution added through `accumulate`."""
+    train_module = importlib.import_module("dcsvec.train")
+    sigmoid, softplus = train_module._sigmoid, train_module.softplus
+
+    def accumulate(grads, key, g):
+        if key in grads:
+            grads[key] += g
+        else:
+            grads[key] = g
+
+    xi, yi = pos.start, pos.end
+    slots = [] if config.mode == "no_matrix" else [
+        slot for near, far in pos.hops for slot in ((near, False), (far, True))
+    ]
+    two_l = len(slots)
+    noise_slots = []
+    for noise in noises:
+        ri = min(noise.i - 1, two_l)
+        redrawn = [(f, inv) for f, (_, inv) in zip(noise.fields, slots[ri:])]
+        noise_slots.append((ri, slots[:ri] + redrawn))
+    maps = {}
+    for fid, inv in itertools.chain(slots, *(nslots for _, nslots in noise_slots)):
+        if (fid, inv) not in maps:
+            maps[fid, inv] = (params.Minv if inv else params.M)[fid].astype(np.float64, copy=False)
+    mats = [maps[slot] for slot in slots]
+    v = params.V[xi].astype(np.float64)
+    u = params.U[yi].astype(np.float64)
+    rows = [v]
+    for m in mats:
+        rows.append(rows[-1].dot(m))
+    cols = [u] * (two_l + 1)
+    for j in range(two_l - 1, -1, -1):
+        cols[j] = mats[j].dot(cols[j + 1])
+
+    s_pos = float(rows[two_l].dot(u))
+    g_pos = sigmoid(s_pos) - 1.0
+    loss = softplus(-s_pos)
+    gv = g_pos * cols[0]
+    grads = {("v", xi): gv, ("u", yi): g_pos * rows[two_l]}
+
+    noise_data = []
+    for noise, (ri, nslots) in zip(noises, noise_slots):
+        nmats = [maps[slot] for slot in nslots]
+        ncols = [params.U[noise.word].astype(np.float64)] * (two_l + 1)
+        for j in range(two_l - 1, -1, -1):
+            ncols[j] = nmats[j].dot(ncols[j + 1])
+        s_neg = float(rows[ri].dot(ncols[ri]))
+        g_neg = sigmoid(s_neg)
+        loss += softplus(s_neg)
+        gv += g_neg * ncols[0]
+        nr = rows[ri]
+        for m in nmats[ri:]:
+            nr = nr.dot(m)
+        accumulate(grads, ("u", noise.word), g_neg * nr)
+        noise_data.append((ri, nslots, ncols, g_neg))
+
+    if not slots:
+        return loss, grads
+
+    selected = sorted({j for ri, _, _, _ in noise_data for j in (ri - 1, ri)})
+    for j in selected:
+        fid, inv = slots[j]
+        g = g_pos * (rows[j][:, None] * cols[j + 1])
+        for ri, _, ncols, g_neg in noise_data:
+            if j < ri:
+                g += g_neg * (rows[j][:, None] * ncols[j + 1])
+        accumulate(grads, ("Minv" if inv else "M", fid), g)
+    for ri, nslots, ncols, g_neg in noise_data:
+        fid, inv = nslots[ri]
+        accumulate(grads, ("Minv" if inv else "M", fid), g_neg * (rows[ri][:, None] * ncols[ri + 1]))
+
+    gamma = 0.0 if config.mode == "no_inverse" else config.gamma
+    if gamma != 0.0 or config.kappa != 0.0:
+        for fid, kinds in touched_kinds(grads).items():
+            reg = regularizer_grads(
+                params.M[fid], params.Minv[fid], gamma, config.kappa,
+                need_M="M" in kinds, need_Minv="Minv" in kinds,
+            )
+            for kind, g in zip(("M", "Minv"), reg):
+                if g is not None:
+                    grads[(kind, fid)] += g
+    return loss, grads
+
+
+def map_cache_step(params, pos, noises, config, step_index):
+    """Slow-path oracle of `step` as it was: a per-step table dict, the
+    kind's rate and clip picked by name, and `table[idx] -= lr * g`."""
+    lr_at = importlib.import_module("dcsvec.train")._lr_at
+    loss, grads = map_cache_loss_and_gradients(params, pos, noises, config)
+    lr_v = lr_at(config.lr_vec, config, step_index)
+    lr_m = lr_at(config.lr_mat, config, step_index)
+    tables = {"v": params.V, "u": params.U, "M": params.M, "Minv": params.Minv}
+    for (kind, idx), g in grads.items():
+        is_vec = kind in ("v", "u")
+        clip = config.clip_norm_vec if is_vec else config.clip_norm_mat
+        flat = g.ravel()
+        norm = math.sqrt(flat.dot(flat))
+        if norm > clip:
+            g = g * (clip / norm)
+        tables[kind][idx] -= (lr_v if is_vec else lr_m) * g
+    return loss
+
+
+def field_twice_on_the_path(pos, noises):
+    """The path's last hop made a copy of its first, so a field's maps
+    appear twice on the path (and in any noise keeping those slots)."""
+    return dataclasses.replace(pos, hops=pos.hops[:-1] + pos.hops[:1]), noises
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("mode", MODES)
+def test_step_on_float64_tables_matches_the_map_cache_step_bitwise(mode, k):
+    rng = np.random.default_rng(60 + k)
+    vocab = make_vocab()
+    params = make_params(rng, dim=6, dtype=np.float64)
+    params.V *= 4  # large scores, so some gradients are clipped
+    expected = params.copy()
+    with pytest.warns(UserWarning):  # a matrix lr large enough to move the maps' bits
+        cfg = TrainConfig(dim=6, lr_mat=0.05, gamma=0.02, kappa=0.005, mode=mode, total_steps=80)
+    twice = clipped = 0
+    for index in range(80):
+        pos, noises = random_example(rng, vocab, k)
+        if index % 3 == 0 and len(pos.hops) >= 2:
+            pos, noises = field_twice_on_the_path(pos, noises)
+            twice += 1
+        if index % 2:
+            noises = boundary_noise_on_the_path(pos, noises)
+        got_loss, got = loss_and_gradients(params, pos, noises, cfg)
+        clipped += any(
+            np.linalg.norm(g) > (cfg.clip_norm_vec if kind in ("v", "u") else cfg.clip_norm_mat)
+            for (kind, _), g in got.items()
+        )
+        assert_same_gradients((got_loss, got), map_cache_loss_and_gradients(expected, pos, noises, cfg))
+        assert step(params, pos, noises, cfg, index) == map_cache_step(expected, pos, noises, cfg, index)
+    assert twice >= 10 and clipped >= 10
+    for name in ("V", "U", "M", "Minv"):
+        assert getattr(params, name).dtype == np.float64
+        assert np.array_equal(getattr(params, name), getattr(expected, name)), name
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_train_writes_the_map_cache_step_model_on_float64_tables(monkeypatch, mode):
+    rng = np.random.default_rng(61)
+    trees = [random_tree(rng, int(rng.integers(2, 6)), 10) for _ in range(60)]
+    vocab = build_vocab(trees, 1, 1)
+    train_module = importlib.import_module("dcsvec.train")
+    cfg = TrainConfig(dim=8, epochs=2, seed=7, workers=1, gamma=0.02, kappa=0.005, mode=mode)
+    dtypes = set()
+
+    def recording_map_cache_step(params, pos, noises, config, step_index):
+        dtypes.add(params.M.dtype)
+        return map_cache_step(params, pos, noises, config, step_index)
+
+    def model_bytes():
+        params, stats = train(trees, vocab, cfg)
+        assert params.M.dtype == np.float32 and stats.total_steps >= 300
+        buf = io.BytesIO()
+        save_model(params, vocab, buf)
+        return buf.getvalue()
+
+    fast = model_bytes()
+    monkeypatch.setattr(train_module, "step", recording_map_cache_step)
+    assert model_bytes() == fast
+    assert dtypes == {np.dtype(np.float64)}  # train() steps on float64 tables
+
+
+def test_train_draws_noise_once_per_block_of_trees(monkeypatch):
+    train_module = importlib.import_module("dcsvec.train")
+    real_noise = train_module.make_noise
+    blocks = []
+
+    def recording_noise(samples, vocab, rng, k=1):
+        blocks.append(len(samples))
+        return real_noise(samples, vocab, rng, k)
+
+    real_step = train_module.step
+    losses = []
+
+    def recording_step(*args):
+        losses.append(real_step(*args))
+        return losses[-1]
+
+    monkeypatch.setattr(train_module, "make_noise", recording_noise)
+    monkeypatch.setattr(train_module, "step", recording_step)
+    monkeypatch.setattr(train_module, "NOISE_BLOCK_TREES", 5)
+    trees = toy_corpus() * 2  # 12 trees: blocks of 5, 5 and 2 per epoch
+    vocab = build_vocab(trees, 1, 1)
+    _, stats = train(trees, vocab, TrainConfig(dim=4, epochs=2, seed=3))
+    per_tree = len(sample_paths(trees[0], vocab, np.random.default_rng(0)))  # every tree is a 3-chain
+    assert blocks == [5 * per_tree, 5 * per_tree, 2 * per_tree] * 2
+    assert sum(blocks) == stats.total_steps == len(losses)
+    # each epoch's stats cover that epoch's steps, across its blocks
+    half = len(losses) // 2
+    assert [e.steps for e in stats.epochs] == [half, 2 * half]
+    means = [sum(losses[:half]) / half, sum(losses[half:]) / half]
+    assert [e.mean_loss for e in stats.epochs] == pytest.approx(means, rel=1e-12)

@@ -5,6 +5,7 @@ from scipy import stats
 from dcsvec.errors import (
     BadMagic,
     EmptyCorpus,
+    InputError,
     InvalidConfig,
     MalformedLine,
     MissingPlaceholder,
@@ -117,7 +118,7 @@ def test_single_word_drawn_with_probability_one():
         field_counts={ARG: 1.0},
     )
     rng = np.random.default_rng(0)
-    assert all(vocab.unigram_draw_word(rng) == 0 for _ in range(100))
+    assert vocab.draw_words(rng, 100).tolist() == [0] * 100
 
 
 def test_unigram_frequencies_match_counts():
@@ -129,7 +130,7 @@ def test_unigram_frequencies_match_counts():
     )
     rng = np.random.default_rng(1)
     n = 10**6
-    hits = sum(1 for _ in range(n) if vocab.words[vocab.unigram_draw_word(rng)] == w("a"))
+    hits = sum(1 for row in vocab.draw_words(rng, n).tolist() if vocab.words[row] == w("a"))
     assert abs(hits / n - 0.75) < 0.002
 
 
@@ -138,9 +139,7 @@ def test_unigram_chi_square_goodness_of_fit():
     vocab = build_vocab(corpus, 1, 1)
     rng = np.random.default_rng(2)
     n = 10**6
-    counts = np.zeros(vocab.n_words, dtype=np.int64)
-    for _ in range(n):
-        counts[vocab.unigram_draw_word(rng)] += 1
+    counts = np.bincount(vocab.draw_words(rng, n), minlength=vocab.n_words)
     expected = np.array([vocab.word_counts.get(word, 0.0) for word in vocab.words])
     mask = expected > 0
     expected = expected[mask] / expected[mask].sum() * counts[mask].sum()
@@ -154,9 +153,7 @@ def test_field_unigram_chi_square():
     vocab = build_vocab(corpus, 1, 1)
     rng = np.random.default_rng(3)
     n = 200000
-    counts = np.zeros(vocab.n_fields, dtype=np.int64)
-    for _ in range(n):
-        counts[vocab.unigram_draw_field(rng)] += 1
+    counts = np.bincount(vocab.draw_fields(rng, n), minlength=vocab.n_fields)
     expected = np.array([vocab.field_counts.get(f, 0.0) for f in vocab.fields])
     mask = expected > 0
     expected = expected[mask] / expected[mask].sum() * counts[mask].sum()
@@ -253,6 +250,29 @@ def test_vocab_file_bad_or_repeated_entry_names_its_line(tmp_path, line, message
     assert err.value.line_no == 5
 
 
+@pytest.mark.parametrize("kind", ["word", "field"])
+def test_vocab_file_counts_summing_past_the_largest_float_are_rejected(tmp_path, kind):
+    # each count is finite, but the running sum the unigram draw needs is inf
+    big = "W\tdog/N\t1e308\nW\tcat/N\t1e308\n" if kind == "word" else "F\tto\t1e308\nF\tof\t1e308\n"
+    path = tmp_path / "vocab.txt"
+    path.write_text("VDCS-VOCAB 1\nW\tplay/V\t3.0\nF\tARG\t4.0\n" + big, encoding="utf-8")
+    with pytest.raises(InputError, match=f"{kind} counts sum to inf"):
+        load_vocab(path)
+
+
+@pytest.mark.parametrize("kind", ["word", "field"])
+def test_unigram_table_rejects_an_infinite_total(kind):
+    words, fields = (w("a"), w("b")), (ARG, SUBJ)
+    big = {kind: 1e308, "word" if kind == "field" else "field": 1.0}
+    vocab = Vocabulary(
+        words, fields, {x: big["word"] for x in words}, {f: big["field"] for f in fields}
+    )
+    draw = vocab.draw_words if kind == "word" else vocab.draw_fields
+    with pytest.raises(InputError, match=f"{kind} counts sum to inf"):
+        draw(np.random.default_rng(0), 10)
+    assert InputError.exit_code == 2
+
+
 def test_finalized_counts_respect_thresholds():
     corpus = star_and_chain_corpus() * 3
     vocab = build_vocab(corpus, word_min=4, prep_min=6)
@@ -285,8 +305,8 @@ def test_unigram_tables_are_built_on_the_first_draw():
     vocab.word_id(w("x")), vocab.field_id(ARG)  # lookups alone build nothing
     assert "_word_cum" not in vars(vocab) and "_field_cum" not in vars(vocab)
     rng = np.random.default_rng(7)
-    vocab.unigram_draw_word(rng)
-    assert vocab._word_cum == np.cumsum([vocab.word_counts[x] for x in vocab.words]).tolist()
+    vocab.draw_words(rng, 1)
+    assert vocab._word_cum.tolist() == np.cumsum([vocab.word_counts[x] for x in vocab.words]).tolist()
     assert "_field_cum" not in vars(vocab)
-    vocab.unigram_draw_field(rng)
-    assert vocab._field_cum == np.cumsum([vocab.field_counts[f] for f in vocab.fields]).tolist()
+    vocab.draw_fields(rng, 1)
+    assert vocab._field_cum.tolist() == np.cumsum([vocab.field_counts[f] for f in vocab.fields]).tolist()
