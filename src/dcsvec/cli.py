@@ -30,7 +30,7 @@ from .evaluate import (
 )
 from .model import ModelParams, compose_query, load_model, nearest_answers, normalize, save_model
 from .train import MODES, TrainConfig, train
-from .trees import DcsTree, Edge, Word, load_trees, read_trees, save_trees, tree_from_line
+from .trees import DcsTree, Edge, Word, load_trees, read_trees, save_trees
 from .ud import convert_sentence, parse_conllu_file
 from .vocab import build_vocab, dump_path_samples, load_vocab, sample_paths, save_vocab
 
@@ -196,9 +196,8 @@ def _query_tree(args) -> DcsTree:
     if args.tree:
         return parse_tree_literal(args.tree)
     with open(args.tree_file, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                return tree_from_line(line)
+        for tree in read_trees(fh):
+            return tree
     raise InputError("tree file is empty")
 
 
@@ -344,6 +343,9 @@ def main(argv=None) -> int:
         return exc.exit_code
     except OSError as exc:
         print(f"error\tOSError\t{exc}", file=sys.stderr)
+        return 2
+    except UnicodeDecodeError as exc:  # a text input file that is not UTF-8
+        print(f"error\tUnicodeDecodeError\t{exc}", file=sys.stderr)
         return 2
 
 

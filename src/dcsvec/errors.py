@@ -1,8 +1,11 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the helpers every file
+reader and writer shares: the numbered-line loop and ``opened``.
 
 ``exit_code`` is what the CLI returns when the error escapes: 2 for bad
 user input, 1 for runtime failures.
 """
+
+from contextlib import contextmanager
 
 
 class DcsvecError(Exception):
@@ -55,6 +58,17 @@ def parse_lines(lines, parse, first=1):
             yield parse(line.rstrip("\n"))
         except (KeyError, ValueError, TypeError) as exc:
             raise MalformedLine(str(exc), line_no) from exc
+
+
+@contextmanager
+def opened(target, mode, **kwargs):
+    """``target`` as a file object: a path is opened in ``mode`` and closed
+    on exit; an open file handle is passed through and left open."""
+    if isinstance(target, (str, bytes)) or hasattr(target, "__fspath__"):
+        with open(target, mode, **kwargs) as fh:
+            yield fh
+    else:
+        yield target
 
 
 class CyclicTree(InputError, ValueError):

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConversionFailure, LengthMismatch, ZeroNorm, parse_lines
+from .errors import ConversionFailure, LengthMismatch, ZeroNorm, opened, parse_lines
 from .model import ModelParams, compose_query, path_score
 from .train import softplus
 from .trees import (
@@ -204,10 +204,8 @@ def relation_features(
 def export_features(params: ModelParams, instances: Iterable[RelationInstance], sink) -> int:
     """One line per instance: label, then 1-based index:value pairs in
     ascending order with zeros omitted."""
-    own = isinstance(sink, (str, bytes)) or hasattr(sink, "__fspath__")
-    fh = open(sink, "w", encoding="utf-8") if own else sink
     count = 0
-    try:
+    with opened(sink, "w", encoding="utf-8") as fh:
         for inst in instances:
             feats = relation_features(params, inst)
             pairs = " ".join(
@@ -215,9 +213,6 @@ def export_features(params: ModelParams, instances: Iterable[RelationInstance], 
             )
             fh.write(f"{inst.label} {pairs}\n")
             count += 1
-    finally:
-        if own:
-            fh.close()
     return count
 
 

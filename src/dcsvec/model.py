@@ -29,9 +29,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BadMagic, DimensionMismatch, InvalidConfig, TruncatedFile, ZeroNorm
+from .errors import BadMagic, DimensionMismatch, InputError, InvalidConfig, TruncatedFile, ZeroNorm, opened
 from .trees import POS_TAGS, DcsTree, FieldId, Word
-from .vocab import Vocabulary
+from .vocab import Vocabulary, entries_vocabulary, entry_lines, read_entry
 
 MODEL_MAGIC = "VECDCS 1"
 
@@ -240,89 +240,61 @@ def nearest_answers(
     return [(params.words[r], s) for r, s in zip(rows[top].tolist(), scores[top].tolist())]
 
 
-def _header_lines(params: ModelParams, vocab: Vocabulary) -> list[str]:
-    lines = [
-        MODEL_MAGIC,
-        f"dim {params.dim}",
-        f"words {len(params.words)}",
-        f"fields {len(params.fields)}",
-    ]
-    lines += [f"{w.render()}\t{vocab.word_counts.get(w, 0.0)!r}" for w in params.words]
-    lines += [f"{f}\t{vocab.field_counts.get(f, 0.0)!r}" for f in params.fields]
-    lines.append("")
-    return lines
-
-
 def save_model(params: ModelParams, vocab: Vocabulary, dest) -> None:
     """Text header (tables and counts), then little-endian float32 rows:
     V, U, then per field M then Minv."""
     if params.words != vocab.words or params.fields != vocab.fields:
         raise DimensionMismatch("parameter tables do not match the vocabulary")
-    own = isinstance(dest, (str, bytes)) or hasattr(dest, "__fspath__")
-    fh = open(dest, "wb") if own else dest
-    try:
-        fh.write(("\n".join(_header_lines(params, vocab)) + "\n").encode("utf-8"))
+    header = [MODEL_MAGIC, f"dim {params.dim}", f"words {vocab.n_words}", f"fields {vocab.n_fields}"]
+    header += [entry for _, entry in entry_lines(vocab)]
+    with opened(dest, "wb") as fh:
+        fh.write(("\n".join(header) + "\n\n").encode("utf-8"))
         fh.write(np.ascontiguousarray(params.V, dtype="<f4").tobytes())
         fh.write(np.ascontiguousarray(params.U, dtype="<f4").tobytes())
         for i in range(len(params.fields)):
             fh.write(np.ascontiguousarray(params.M[i], dtype="<f4").tobytes())
             fh.write(np.ascontiguousarray(params.Minv[i], dtype="<f4").tobytes())
-    finally:
-        if own:
-            fh.close()
 
 
 def load_model(src) -> tuple[ModelParams, Vocabulary]:
-    """The parameters and ``params.vocab``, the vocabulary of the header."""
-    own = isinstance(src, (str, bytes)) or hasattr(src, "__fspath__")
-    fh = open(src, "rb") if own else src
-    try:
+    """The parameters and ``params.vocab``, the vocabulary of the header,
+    whose entries follow the vocabulary file's rules."""
+    with opened(src, "rb") as fh:
         blob = fh.read()
-    finally:
-        if own:
-            fh.close()
     buf = io.BytesIO(blob)
 
     def text_line() -> str:
         raw = buf.readline()
         if not raw.endswith(b"\n"):
             raise TruncatedFile("header ended mid-line", offset=buf.tell())
-        return raw[:-1].decode("utf-8")
+        try:
+            return raw[:-1].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DimensionMismatch(f"header line is not UTF-8: {exc}") from exc
 
     magic = text_line()
     if magic != MODEL_MAGIC:
         raise BadMagic(f"expected {MODEL_MAGIC!r}, got {magic!r}")
-    try:
-        dim = int(text_line().split()[1])
-        n_words = int(text_line().split()[1])
-        n_fields = int(text_line().split()[1])
-    except (IndexError, ValueError) as exc:
-        raise DimensionMismatch(f"bad header line: {exc}") from exc
+    sizes = []
+    for keyword in ("dim", "words", "fields"):
+        line = text_line()
+        key, _, value = line.partition(" ")
+        if key != keyword or not value.isdecimal():
+            raise DimensionMismatch(f"expected '{keyword} <n>' with n a whole number, got {line!r}")
+        sizes.append(int(value))
+    dim, n_words, n_fields = sizes
     if dim < 2 or n_words < 1 or n_fields < 1:
         raise DimensionMismatch(f"implausible header: dim={dim} words={n_words} fields={n_fields}")
-    word_counts: dict[Word, float] = {}  # in header order
-    for _ in range(n_words):
-        entry, _, count = text_line().partition("\t")
-        try:
-            w = Word.parse(entry)
-            c = float(count)
-        except ValueError as exc:
-            raise DimensionMismatch(f"bad word line {entry!r}: {exc}") from exc
-        if w in word_counts:
-            raise DimensionMismatch(f"word {entry!r} is listed twice")
-        word_counts[w] = c
-    field_counts: dict[FieldId, float] = {}
-    for _ in range(n_fields):
-        entry, _, count = text_line().partition("\t")
-        try:
-            c = float(count)
-        except ValueError as exc:
-            raise DimensionMismatch(f"bad field line {entry!r}: {exc}") from exc
-        if entry in field_counts:
-            raise DimensionMismatch(f"field {entry!r} is listed twice")
-        field_counts[entry] = c
-    if text_line() != "":
+    entries = [text_line() for _ in range(n_words + n_fields + 1)]
+    if entries.pop() != "":
         raise DimensionMismatch("missing blank line before binary payload")
+    counts: dict[str, dict] = {"W": {}, "F": {}}
+    try:
+        for i, entry in enumerate(entries):
+            read_entry(counts, "W" if i < n_words else "F", entry)
+        vocab = entries_vocabulary(counts)
+    except (ValueError, InputError) as exc:
+        raise DimensionMismatch(f"bad header entry: {exc}") from exc
 
     offset = buf.tell()
     payload_len = len(blob) - offset
@@ -338,21 +310,7 @@ def load_model(src) -> tuple[ModelParams, Vocabulary]:
             f"(file is {len(blob)} bytes)"
         )
     flat = np.frombuffer(blob, dtype="<f4", offset=offset)  # a view: no copy of the payload
-    pos = 0
-
-    def take(count: int, shape) -> np.ndarray:
-        nonlocal pos
-        arr = flat[pos : pos + count].reshape(shape).copy()
-        pos += count
-        return arr
-
-    V = take(n_words * dim, (n_words, dim))
-    U = take(n_words * dim, (n_words, dim))
-    M = np.empty((n_fields, dim, dim), dtype=np.float32)
-    Minv = np.empty((n_fields, dim, dim), dtype=np.float32)
-    for i in range(n_fields):
-        M[i] = take(dim * dim, (dim, dim))
-        Minv[i] = take(dim * dim, (dim, dim))
-    vocab = Vocabulary(tuple(word_counts), tuple(field_counts), word_counts, field_counts)
-    params = ModelParams(dim, vocab, V, U, M, Minv)
+    V, U = flat[: 2 * n_words * dim].reshape(2, n_words, dim)
+    maps = flat[2 * n_words * dim :].reshape(n_fields, 2, dim, dim)  # per field: M, then Minv
+    params = ModelParams(dim, vocab, V.copy(), U.copy(), maps[:, 0].copy(), maps[:, 1].copy())
     return params, params.vocab

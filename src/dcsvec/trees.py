@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple
 
-from .errors import MalformedLine
+from .errors import MalformedLine, parse_lines
 
 POS_TAGS = ("N", "V", "J", "P", "R", "X")
 UNKNOWN_LEMMA = "*UNKNOWN*"
@@ -275,28 +275,32 @@ def tree_to_line(tree: DcsTree) -> str:
     return f"{tree.root}\t{words}\t{edges}"
 
 
-def tree_from_line(line: str, line_no: int | None = None) -> DcsTree:
+def _parse_tree_line(line: str) -> DcsTree:
     parts = line.rstrip("\n").split("\t")
     if len(parts) != 3:
-        raise MalformedLine(f"expected 3 tab-separated columns, got {len(parts)}", line_no)
+        raise ValueError(f"expected 3 tab-separated columns, got {len(parts)}")
     root_text, word_text, edge_text = parts
+    root = int(root_text)
+    words = tuple(Word.parse(t) for t in word_text.split(" ") if t)
+    edges = []
+    if edge_text:
+        for chunk in edge_text.split(";"):
+            p, c, pf, lf = chunk.split(":")
+            edges.append(Edge(int(p), int(c), check_field_name(pf), check_field_name(lf)))
+    return DcsTree(words, root, tuple(edges))
+
+
+def tree_from_line(line: str, line_no: int | None = None) -> DcsTree:
     try:
-        root = int(root_text)
-        words = tuple(Word.parse(t) for t in word_text.split(" ") if t)
-        edges = []
-        if edge_text:
-            for chunk in edge_text.split(";"):
-                p, c, pf, lf = chunk.split(":")
-                edges.append(Edge(int(p), int(c), pf, lf))
-        return DcsTree(words, root, tuple(edges))
+        return _parse_tree_line(line)
     except (ValueError, TypeError) as exc:
         raise MalformedLine(str(exc), line_no) from exc
 
 
 def read_trees(source: Iterable[str]) -> Iterator[DcsTree]:
-    for line_no, line in enumerate(source, start=1):
-        if line.strip():
-            yield tree_from_line(line, line_no)
+    """The trees of a tree-line stream, blank lines skipped; a line that
+    does not parse is a MalformedLine naming its line number."""
+    return parse_lines(source, _parse_tree_line)
 
 
 def load_trees(path) -> list[DcsTree]:

@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -36,6 +36,7 @@ from .trees import (
     DcsTree,
     FieldId,
     Word,
+    check_field_name,
     exact_path_weight,
     hop_fields,
     path_nodes,
@@ -193,42 +194,64 @@ def build_vocab(
     )
 
 
+def entry_lines(vocab: Vocabulary) -> Iterator[tuple[str, str]]:
+    """(kind, ``name<TAB>count``) for each word ("W"), then each field ("F"):
+    the entry writer of vocabulary files and model headers."""
+    for w in vocab.words:
+        yield "W", f"{w.render()}\t{vocab.word_counts.get(w, 0.0)!r}"
+    for f in vocab.fields:
+        yield "F", f"{f}\t{vocab.field_counts.get(f, 0.0)!r}"
+
+
+def read_entry(counts: dict, kind: str, entry: str) -> None:
+    """Add a ``name<TAB>count`` entry of ``kind`` ("W" or "F") to ``counts``,
+    or raise ValueError: the entry reader of vocabulary files and model
+    headers.  Names parse as words or tree-line field labels, counts are
+    finite and >= 0, and no name repeats."""
+    parts = entry.split("\t")
+    if len(parts) != 2:
+        raise ValueError(f"expected {kind} entry<TAB>count, got {entry!r}")
+    name, text = parts
+    count = float(text)
+    if not 0 <= count < math.inf:
+        raise ValueError(f"count must be finite and >= 0, got {text!r}")
+    key = Word.parse(name) if kind == "W" else check_field_name(name)
+    if key in counts[kind]:
+        raise ValueError(f"repeated {kind} entry {name!r}: listed twice")
+    counts[kind][key] = count
+
+
+def entries_vocabulary(counts: dict) -> Vocabulary:
+    """The vocabulary of the entries read into ``counts``, in order; rejects
+    here, not at the first draw, counts whose total overflows."""
+    word_counts, field_counts = counts["W"], counts["F"]
+    _running_sums("word", list(word_counts.values()))
+    _running_sums("field", list(field_counts.values()))
+    return Vocabulary(tuple(word_counts), tuple(field_counts), word_counts, field_counts)
+
+
 def save_vocab(vocab: Vocabulary, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(VOCAB_MAGIC + "\n")
-        for w in vocab.words:
-            fh.write(f"W\t{w.render()}\t{vocab.word_counts.get(w, 0.0)!r}\n")
-        for f in vocab.fields:
-            fh.write(f"F\t{f}\t{vocab.field_counts.get(f, 0.0)!r}\n")
+        fh.writelines(f"{kind}\t{entry}\n" for kind, entry in entry_lines(vocab))
 
 
 def load_vocab(path) -> Vocabulary:
-    counts: dict[str, dict] = {"W": {}, "F": {}}  # entries in file order
+    counts: dict[str, dict] = {"W": {}, "F": {}}
 
-    def add_entry(line: str) -> None:
-        parts = line.split("\t")
-        if len(parts) != 3 or parts[0] not in counts:
+    def add_line(line: str) -> None:
+        kind, _, entry = line.partition("\t")
+        if kind not in counts:
             raise ValueError("expected W/F<TAB>entry<TAB>count")
-        kind, name, text = parts
-        count = float(text)
-        if not 0 <= count < math.inf:
-            raise ValueError(f"count must be finite and >= 0, got {text!r}")
-        entry = Word.parse(name) if kind == "W" else name
-        if entry in counts[kind]:
-            raise ValueError(f"repeated {kind} entry {name!r}")
-        counts[kind][entry] = count
+        read_entry(counts, kind, entry)
 
     with open(path, encoding="utf-8") as fh:
         first = fh.readline().rstrip("\n")
         if first != VOCAB_MAGIC:
             raise BadMagic(f"expected {VOCAB_MAGIC!r}, got {first!r}")
-        for _ in parse_lines(fh, add_entry, first=2):
+        for _ in parse_lines(fh, add_line, first=2):
             pass
-    word_counts, field_counts = counts["W"], counts["F"]
-    # reject here, not at the first draw, counts whose total overflows
-    _running_sums("word", list(word_counts.values()))
-    _running_sums("field", list(field_counts.values()))
-    return Vocabulary(tuple(word_counts), tuple(field_counts), word_counts, field_counts)
+    return entries_vocabulary(counts)
 
 
 def _walk_layout(tree: DcsTree):

@@ -117,6 +117,14 @@ def test_missing_input_exits_2(tmp_path):
     assert proc.stderr.startswith("error\t")
 
 
+def test_input_that_is_not_utf8_exits_2(tmp_path):
+    trees = tmp_path / "trees.txt"
+    trees.write_bytes(b"0\tkid/N play/V\t1:0:SUBJ:ARG\n0\tk\xffd/N\t\n")
+    proc = run_cli("build-vocab", trees, tmp_path / "vocab.txt", expect=2)
+    name, message = one_error_line(proc)
+    assert name == "UnicodeDecodeError" and "0xff" in message
+
+
 def test_unknown_flag_fails_fast(tmp_path):
     proc = run_cli("convert", "--bogus-flag", "x", "y", expect=2)
     assert "bogus-flag" in proc.stderr
@@ -263,6 +271,48 @@ def test_nearest_on_a_model_listing_a_word_twice_exits_2(pipeline, tmp_path):
     proc = run_cli("nearest", bad, "--tree", "food/N -ARG:COMP-> eat/V", expect=2)
     name, message = one_error_line(proc)
     assert name == "DimensionMismatch" and "listed twice" in message
+
+
+@pytest.mark.parametrize("counts", [(b"nan",), (b"-1",), (b"inf",), (b"1e308", b"1e308")])
+def test_nearest_on_a_model_with_bad_header_counts_exits_2(pipeline, tmp_path, counts):
+    _, _, _, model = pipeline
+    head, sep, payload = model.read_bytes().partition(b"\n\n")
+    lines = head.split(b"\n")
+    for i, count in enumerate(counts, start=4):  # the first word lines
+        lines[i] = lines[i].partition(b"\t")[0] + b"\t" + count
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(b"\n".join(lines) + sep + payload)
+    proc = run_cli("nearest", bad, "--tree", "food/N -ARG:COMP-> eat/V", expect=2)
+    name, message = one_error_line(proc)
+    assert name == "DimensionMismatch" and "bad header entry" in message
+
+
+def test_tree_file_query_matches_the_tree_literal(pipeline, tmp_path):
+    _, _, _, model = pipeline
+    tree_file = tmp_path / "q.trees"
+    tree = parse_tree_literal("food/N -ARG:COMP-> eat/V")
+    tree_file.write_text("\n" + tree_to_line(tree) + "\n", encoding="utf-8")
+    from_file = run_cli("compose", model, "--tree-file", tree_file).stdout
+    assert from_file == run_cli("compose", model, "--tree", "food/N -ARG:COMP-> eat/V").stdout
+
+
+@pytest.mark.parametrize("command", ["compose", "nearest"])
+def test_tree_file_bad_line_is_reported_with_its_number(pipeline, tmp_path, command):
+    _, _, _, model = pipeline
+    tree_file = tmp_path / "q.trees"
+    tree_file.write_text("\n\n0\tfood/N\n", encoding="utf-8")
+    proc = run_cli(command, model, "--tree-file", tree_file, expect=2)
+    name, message = one_error_line(proc)
+    assert name == "MalformedLine"
+    assert message == "line 3: expected 3 tab-separated columns, got 2"
+
+
+def test_empty_tree_file_exits_2(pipeline, tmp_path):
+    _, _, _, model = pipeline
+    tree_file = tmp_path / "q.trees"
+    tree_file.write_text("\n  \n", encoding="utf-8")
+    proc = run_cli("compose", model, "--tree-file", tree_file, expect=2)
+    assert one_error_line(proc) == ("InputError", "tree file is empty")
 
 
 def test_train_stats_lines(pipeline):

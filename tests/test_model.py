@@ -572,6 +572,57 @@ def test_model_header_repeated_entry_rejected(tmp_path, line, repeat):
         load_model(bad)
 
 
+def saved_model_blob(n_words=4, dim=4):
+    vocab = make_vocab(n_words=n_words)
+    buf = io.BytesIO()
+    save_model(init_params(vocab, dim, np.random.default_rng(22)), vocab, buf)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        (b"\nw1/N\t1.0\n", b"\nw1/N\tnan\n", "count must be finite and >= 0, got 'nan'"),
+        (b"\nw1/N\t1.0\n", b"\nw1/N\t-1\n", "count must be finite and >= 0, got '-1'"),
+        (b"\nSUBJ\t1.0\n", b"\nSUBJ\tinf\n", "count must be finite and >= 0, got 'inf'"),
+        (b"\nw0/N\t1.0\nw1/N\t1.0\n", b"\nw0/N\t1e308\nw1/N\t1e308\n", "word counts sum to inf"),
+        (b"\nARG\t1.0\nSUBJ\t1.0\n", b"\nARG\t1e308\nSUBJ\t1e308\n", "field counts sum to inf"),
+        (b"\nw1/N\t1.0\n", b"\nw1/N\t1.0\tx\n", "expected W entry<TAB>count"),
+        (b"\nw1/N\t1.0\n", b"\nw1\t1.0\n", "expected lemma/POS"),
+        (b"\nSUBJ\t1.0\n", b"\nSU BJ\t1.0\n", "reserved characters"),
+    ],
+)
+def test_model_header_counts_follow_the_vocabulary_rules(old, new, message):
+    blob = saved_model_blob()
+    assert blob.count(old) == 1
+    with pytest.raises(DimensionMismatch, match=message):
+        load_model(io.BytesIO(blob.replace(old, new)))
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        (b"\ndim 4\n", b"\nfoo 4 extra\n"),
+        (b"\ndim 4\n", b"\ndim 4 extra\n"),
+        (b"\ndim 4\n", b"\ndim four\n"),
+        (b"\nwords 10\n", b"\nfields 10\n"),
+        (b"\nfields 4\n", b"\nwords 4\n"),
+        (b"\nfields 4\n", b"\nfields\n"),
+    ],
+)
+def test_model_header_size_lines_need_their_keyword_and_one_whole_number(old, new):
+    blob = saved_model_blob()
+    assert blob.count(old) == 1
+    with pytest.raises(DimensionMismatch, match="with n a whole number"):
+        load_model(io.BytesIO(blob.replace(old, new)))
+
+
+def test_model_header_that_is_not_utf8_is_rejected():
+    blob = saved_model_blob()
+    with pytest.raises(DimensionMismatch, match="not UTF-8"):
+        load_model(io.BytesIO(blob.replace(b"\nw1/N\t", b"\nw\xff/N\t")))
+
+
 def test_the_model_keeps_the_vocabulary_it_was_built_from(tmp_path):
     vocab = make_vocab()
     params = init_params(vocab, 4, np.random.default_rng(24))

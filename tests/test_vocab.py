@@ -237,6 +237,8 @@ def test_word_id_and_field_id_strict_and_placeholder():
         ("W\tdog/N\tnan", "count must be finite and >= 0"),
         ("W\tdog/N\tinf", "count must be finite and >= 0"),
         ("F\tto\t-1e9", "count must be finite and >= 0"),
+        ("F\t\t1.0", "field name '' is empty"),
+        ("F\tin to\t1.0", "reserved characters"),
     ],
 )
 def test_vocab_file_bad_or_repeated_entry_names_its_line(tmp_path, line, message):
