@@ -20,7 +20,7 @@ from dataclasses import fields
 
 import numpy as np
 
-from .errors import DcsvecError, InputError, parse_lines
+from .errors import DcsvecError, InputError, parse_lines, text_lines
 from .evaluate import (
     eval_completion,
     eval_phrase_dataset,
@@ -77,8 +77,7 @@ def _config_entry(line: str) -> tuple | None:
 
 
 def _load_config_file(path) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        return dict(entry for entry in parse_lines(fh, _config_entry) if entry is not None)
+    return dict(entry for entry in parse_lines(text_lines(path), _config_entry) if entry is not None)
 
 
 def _resolve(args: argparse.Namespace) -> argparse.Namespace:
@@ -170,8 +169,7 @@ def cmd_convert(args) -> int:
 
 
 def cmd_build_vocab(args) -> int:
-    with open(args.trees_in, encoding="utf-8") as fh:
-        voc = build_vocab(read_trees(fh), args.word_min, args.prep_min)
+    voc = build_vocab(read_trees(text_lines(args.trees_in)), args.word_min, args.prep_min)
     save_vocab(voc, args.vocab_out)
     print(f"words\t{voc.n_words}\tfields\t{voc.n_fields}")
     return 0
@@ -195,9 +193,8 @@ def cmd_train(args) -> int:
 def _query_tree(args) -> DcsTree:
     if args.tree:
         return parse_tree_literal(args.tree)
-    with open(args.tree_file, encoding="utf-8") as fh:
-        for tree in read_trees(fh):
-            return tree
+    for tree in read_trees(text_lines(args.tree_file)):
+        return tree
     raise InputError("tree file is empty")
 
 
@@ -343,9 +340,6 @@ def main(argv=None) -> int:
         return exc.exit_code
     except OSError as exc:
         print(f"error\tOSError\t{exc}", file=sys.stderr)
-        return 2
-    except UnicodeDecodeError as exc:  # a text input file that is not UTF-8
-        print(f"error\tUnicodeDecodeError\t{exc}", file=sys.stderr)
         return 2
 
 

@@ -1,11 +1,14 @@
-"""Exception types shared across the package, and the helpers every file
-reader and writer shares: the numbered-line loop and ``opened``.
+"""Exception types shared across the package, and the helpers of every file
+reader and writer: ``text_lines``, the numbered-line loop and ``opened``.
 
 ``exit_code`` is what the CLI returns when the error escapes: 2 for bad
 user input, 1 for runtime failures.
 """
 
+import re
 from contextlib import contextmanager
+
+_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")  # a byte that surrogateescape could not decode
 
 
 class DcsvecError(Exception):
@@ -47,16 +50,30 @@ class MalformedLine(InputError):
         super().__init__(message)
 
 
+def text_lines(path):
+    """Yield the lines of the UTF-8 text file at ``path``, newline kept
+    (CRLF and lone CR read as LF).  A line that is not UTF-8 is a
+    MalformedLine naming its line: undecodable bytes arrive as the lone
+    surrogates of ``surrogateescape``, which valid UTF-8 never decodes to."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            bad = not line.isascii() and _ESCAPED_BYTE.search(line)
+            if bad:
+                raise MalformedLine(f"not UTF-8: byte 0x{ord(bad[0]) - 0xDC00:02x} at character {bad.start() + 1}", line_no)
+            yield line
+
+
 def parse_lines(lines, parse, first=1):
     """Yield ``parse(line)``, newline stripped, for each non-blank line,
-    numbering lines from ``first``; a KeyError, ValueError or TypeError
-    from ``parse`` becomes a MalformedLine carrying that line's number."""
+    numbering lines from ``first``; a KeyError, ValueError, TypeError or
+    OverflowError from ``parse`` becomes a MalformedLine carrying that
+    line's number."""
     for line_no, line in enumerate(lines, start=first):
         if not line.strip():
             continue
         try:
             yield parse(line.rstrip("\n"))
-        except (KeyError, ValueError, TypeError) as exc:
+        except (KeyError, ValueError, TypeError, OverflowError) as exc:
             raise MalformedLine(str(exc), line_no) from exc
 
 

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConversionFailure, LengthMismatch, ZeroNorm, opened, parse_lines
+from .errors import ConversionFailure, LengthMismatch, ZeroNorm, opened, parse_lines, text_lines
 from .model import ModelParams, compose_query, path_score
 from .train import softplus
 from .trees import (
@@ -117,8 +117,7 @@ def _phrase_pair(line: str) -> PhrasePair:
 
 def load_phrase_dataset(path) -> list[PhrasePair]:
     """TSV rows: construction<TAB>phrase1<TAB>phrase2<TAB>gold score."""
-    with open(path, encoding="utf-8") as fh:
-        return list(parse_lines(fh, _phrase_pair))
+    return list(parse_lines(text_lines(path), _phrase_pair))
 
 
 def _average_ranks(values: Sequence[float]) -> np.ndarray:
@@ -260,8 +259,7 @@ def _completion_item(line: str) -> CompletionItem:
 def load_completion_dataset(path) -> list[CompletionItem]:
     """JSON lines: {"tokens": [...], "blank": token id, "choices":
     ["lemma/POS" x5], "answer": 0..4}."""
-    with open(path, encoding="utf-8") as fh:
-        return list(parse_lines(fh, _completion_item))
+    return list(parse_lines(text_lines(path), _completion_item))
 
 
 def _fill_blank(item: CompletionItem, candidate: Word) -> UdSentence:
@@ -377,5 +375,4 @@ def load_relation_instances(path) -> list[RelationInstance]:
     """JSON lines: {"tokens": [...], "e1": token id, "e2": token id,
     "label": str}; instances whose marked tokens do not survive
     conversion are dropped."""
-    with open(path, encoding="utf-8") as fh:
-        return [inst for inst in parse_lines(fh, _relation_instance) if inst is not None]
+    return [inst for inst in parse_lines(text_lines(path), _relation_instance) if inst is not None]

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple
 
-from .errors import MalformedLine, parse_lines
+from .errors import parse_lines, text_lines
 
 POS_TAGS = ("N", "V", "J", "P", "R", "X")
 UNKNOWN_LEMMA = "*UNKNOWN*"
@@ -290,13 +290,6 @@ def _parse_tree_line(line: str) -> DcsTree:
     return DcsTree(words, root, tuple(edges))
 
 
-def tree_from_line(line: str, line_no: int | None = None) -> DcsTree:
-    try:
-        return _parse_tree_line(line)
-    except (ValueError, TypeError) as exc:
-        raise MalformedLine(str(exc), line_no) from exc
-
-
 def read_trees(source: Iterable[str]) -> Iterator[DcsTree]:
     """The trees of a tree-line stream, blank lines skipped; a line that
     does not parse is a MalformedLine naming its line number."""
@@ -304,8 +297,7 @@ def read_trees(source: Iterable[str]) -> Iterator[DcsTree]:
 
 
 def load_trees(path) -> list[DcsTree]:
-    with open(path, encoding="utf-8") as fh:
-        return list(read_trees(fh))
+    return list(read_trees(text_lines(path)))
 
 
 def save_trees(trees: Iterable[DcsTree], path) -> int:

@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .errors import CyclicTree, MalformedLine
+from .errors import CyclicTree, MalformedLine, text_lines
 from .trees import ARG, COMP, SUBJ, DcsTree, Edge, FieldId, Word
 
 _MULTIWORD_ID = re.compile(r"^\d+-\d+$")
@@ -133,8 +133,7 @@ def finish_sentence(tokens: Sequence[UdToken], start_line: int | None = None) ->
 
 
 def parse_conllu_file(path) -> Iterator[UdSentence]:
-    with open(path, encoding="utf-8") as fh:
-        yield from parse_conllu(fh)
+    yield from parse_conllu(text_lines(path))
 
 
 def coarse_pos(upos: str) -> str:

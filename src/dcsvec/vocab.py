@@ -28,7 +28,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import BadMagic, EmptyCorpus, InputError, InvalidConfig, MissingPlaceholder, UnknownField, UnknownWord, parse_lines
+from .errors import BadMagic, EmptyCorpus, InputError, InvalidConfig, MissingPlaceholder, UnknownField, UnknownWord, parse_lines, text_lines
 from .trees import (
     CORE_FIELDS,
     POS_TAGS,
@@ -245,12 +245,12 @@ def load_vocab(path) -> Vocabulary:
             raise ValueError("expected W/F<TAB>entry<TAB>count")
         read_entry(counts, kind, entry)
 
-    with open(path, encoding="utf-8") as fh:
-        first = fh.readline().rstrip("\n")
-        if first != VOCAB_MAGIC:
-            raise BadMagic(f"expected {VOCAB_MAGIC!r}, got {first!r}")
-        for _ in parse_lines(fh, add_line, first=2):
-            pass
+    lines = text_lines(path)
+    first = next(lines, "").rstrip("\n")
+    if first != VOCAB_MAGIC:
+        raise BadMagic(f"expected {VOCAB_MAGIC!r}, got {first!r}")
+    for _ in parse_lines(lines, add_line, first=2):
+        pass
     return entries_vocabulary(counts)
 
 

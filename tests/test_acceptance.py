@@ -66,6 +66,7 @@ def criterion(number, description):
 # ----------------------------------------------------------------- 1 ---
 
 
+@pytest.mark.slow
 def test_criterion_1_sampler_expectation():
     with criterion(1, "sampler Monte-Carlo expectation matches exact path weights"):
         t0 = time.perf_counter()
@@ -337,6 +338,7 @@ def direction_probe_accuracy(params, instances):
     return float((predictions == test_l).mean())
 
 
+@pytest.mark.slow
 def test_criterion_7_end_to_end_synthetic_world(synthetic_world):
     with criterion(7, "synthetic world: retrieval, completion, direction ablation"):
         t0 = time.perf_counter()
@@ -371,6 +373,7 @@ def test_criterion_7_end_to_end_synthetic_world(synthetic_world):
         assert total_time <= 900.0, f"end-to-end took {total_time:.0f}s"
 
 
+@pytest.mark.slow
 def test_criterion_8_training_determinism(synthetic_world):
     with criterion(8, "same seed and workers=1 give bitwise-identical model files"):
         world = synthetic_world

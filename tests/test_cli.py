@@ -119,10 +119,10 @@ def test_missing_input_exits_2(tmp_path):
 
 def test_input_that_is_not_utf8_exits_2(tmp_path):
     trees = tmp_path / "trees.txt"
-    trees.write_bytes(b"0\tkid/N play/V\t1:0:SUBJ:ARG\n0\tk\xffd/N\t\n")
+    trees.write_bytes(b"1\tkid/N play/V\t1:0:SUBJ:ARG\n0\tk\xffd/N\t\n")
     proc = run_cli("build-vocab", trees, tmp_path / "vocab.txt", expect=2)
     name, message = one_error_line(proc)
-    assert name == "UnicodeDecodeError" and "0xff" in message
+    assert name == "MalformedLine" and message.startswith("line 2: ") and "0xff" in message
 
 
 def test_unknown_flag_fails_fast(tmp_path):

@@ -70,15 +70,17 @@ def test_make_noise_single_hop_always_index_two():
         assert len(noise.fields) == 1
 
 
+@pytest.mark.slow
 def test_make_noise_index_uniform_for_two_hops():
     vocab = make_vocab()
     rng = np.random.default_rng(1)
     n = 10**6
     counts = {2: 0, 3: 0, 4: 0}
     path, _ = sample(l=2)
-    for (noise,) in make_noise([path] * n, vocab, rng):
-        counts[noise.i] += 1
-        assert len(noise.fields) == 4 - noise.i + 1
+    for _ in range(10):  # blocks of 10^5, so the noises of one block are held at a time
+        for (noise,) in make_noise([path] * (n // 10), vocab, rng):
+            counts[noise.i] += 1
+            assert len(noise.fields) == 4 - noise.i + 1
     for i in (2, 3, 4):
         assert abs(counts[i] / n - 1 / 3) < 0.005
 

@@ -18,8 +18,8 @@ from dcsvec.trees import (
     hop_fields,
     lca,
     path_nodes,
+    read_trees,
     reroot,
-    tree_from_line,
     tree_to_line,
     tree_path,
 )
@@ -198,25 +198,31 @@ def test_hop_fields_orientation():
     assert hop_fields(tree, 1, 0) == (ARG, SUBJ)
 
 
+def read_line(line):
+    (tree,) = read_trees([line + "\n"])
+    return tree
+
+
 def test_line_roundtrip():
     rng = np.random.default_rng(3)
     for _ in range(25):
         tree = random_tree(rng, int(rng.integers(1, 9)))
-        assert tree_from_line(tree_to_line(tree)) == tree
+        assert read_line(tree_to_line(tree)) == tree
 
 
 def test_line_roundtrip_single_node():
     tree = DcsTree((w("alone"),), 0, ())
     line = tree_to_line(tree)
     assert line == "0\talone/N\t"
-    assert tree_from_line(line) == tree
+    assert read_line(line) == tree
 
 
 def test_malformed_lines_carry_line_numbers():
+    good = tree_to_line(DcsTree((w("alone"),), 0, ())) + "\n"
     with pytest.raises(MalformedLine) as err:
-        tree_from_line("0\tonly two columns", line_no=7)
-    assert "line 7" in str(err.value)
+        list(read_trees([good] * 6 + ["0\tonly two columns\n"]))
+    assert err.value.line_no == 7 and "line 7" in str(err.value)
     with pytest.raises(MalformedLine):
-        tree_from_line("x\ta/N b/N\t0:1:ARG:ARG")
+        read_line("x\ta/N b/N\t0:1:ARG:ARG")
     with pytest.raises(MalformedLine):
-        tree_from_line("0\ta/N b/N\t0:1:ARG")  # short edge descriptor
+        read_line("0\ta/N b/N\t0:1:ARG")  # short edge descriptor
