@@ -231,15 +231,25 @@ class CompletionItem:
             raise ValueError("blank token id not present in the sentence")
 
 
+def _json_int(obj: dict, key: str) -> int:
+    """``obj[key]``, which must be a JSON integer: a float (``2.5``,
+    ``2.0``, ``Infinity``), a bool or a string is a ValueError, not
+    truncated or parsed."""
+    value = obj[key]
+    if type(value) is not int:  # bool is an int subclass, and not allowed
+        raise ValueError(f"{key} must be an integer, got {json.dumps(value)}")
+    return value
+
+
 def _sentence_from_json(tokens: list) -> UdSentence:
     """A JSON token list, held to the CoNLL-U head checks."""
     return finish_sentence([
         UdToken(
-            id=int(t["id"]),
+            id=_json_int(t, "id"),
             form=str(t.get("form", "_")),
             lemma=str(t.get("lemma", t.get("form", "_"))),
             upos=str(t.get("upos", "X")),
-            head=int(t["head"]),
+            head=_json_int(t, "head"),
             deprel=str(t.get("deprel", "dep")).lower(),
         )
         for t in tokens
@@ -250,9 +260,9 @@ def _completion_item(line: str) -> CompletionItem:
     obj = json.loads(line)
     return CompletionItem(
         sentence=_sentence_from_json(obj["tokens"]),
-        blank_id=int(obj["blank"]),
+        blank_id=_json_int(obj, "blank"),
         choices=tuple(Word.parse(c) for c in obj["choices"]),
-        answer_index=int(obj["answer"]),
+        answer_index=_json_int(obj, "answer"),
     )
 
 
@@ -364,8 +374,8 @@ def _relation_instance(line: str) -> RelationInstance | None:
     conv = convert_sentence(_sentence_from_json(obj["tokens"]))
     if conv is None:
         return None
-    e1 = conv.node_of_token(int(obj["e1"]))
-    e2 = conv.node_of_token(int(obj["e2"]))
+    e1 = conv.node_of_token(_json_int(obj, "e1"))
+    e2 = conv.node_of_token(_json_int(obj, "e2"))
     if e1 is None or e2 is None:
         return None
     return RelationInstance(conv.tree, e1, e2, str(obj["label"]))

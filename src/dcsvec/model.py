@@ -16,9 +16,12 @@ from (``params.vocab``), which owns the name-to-row index.  Storage
 defaults to float32; score and composition arithmetic promotes to float64.
 
 ``normalize`` returns parameters whose tables are read-only.  Queries
-against such a model reuse one memoized ``AnswerIndex`` (a float64 copy of
-U with rows grouped by POS); a writeable model, raw or in training, gets a
-fresh index on every query, so an in-place edit is never missed.
+against such a model reuse one memoized ``AnswerIndex`` (a float32 copy of
+U with rows grouped by POS, and the largest row norm); a writeable model,
+raw or in training, gets a fresh index on every query, so an in-place edit
+is never missed.  ``nearest_answers`` scans the float32 table, then rescores
+in float64, from U itself, only the rows that a bound on the float32 error
+leaves in reach of the top k: the result is that of a full float64 scan.
 """
 
 from __future__ import annotations
@@ -168,15 +171,24 @@ def normalize(params: ModelParams) -> ModelParams:
     return out
 
 
+# unit roundoff and smallest normal number of float32
+_EPS32 = 2.0 ** -24
+_TINY32 = 2.0 ** -126
+
+
 @dataclass(frozen=True, eq=False)
 class AnswerIndex:
-    """U as float64 with rows ordered by (POS, vocabulary index): the rows
-    of one tag are the contiguous range ``spans[tag]`` of ``table``, and
-    ``rows`` holds the vocabulary index of each table row."""
+    """U rounded to float32 with rows ordered by (POS, vocabulary index):
+    the rows of one tag are the contiguous range ``spans[tag]`` of
+    ``table``, and ``rows`` holds the vocabulary index of each table row.
+    ``max_norm`` is the largest 2-norm of a row of U (NaN or inf once a
+    row is not finite or its squares overflow); it bounds the error of
+    every float32 score."""
 
-    table: np.ndarray  # (n_words, dim) float64
+    table: np.ndarray  # (n_words, dim) float32
     rows: np.ndarray  # (n_words,) int64
     spans: dict  # POS tag -> (start, stop)
+    max_norm: float
 
 
 def build_answer_index(params: ModelParams) -> AnswerIndex:
@@ -190,12 +202,12 @@ def build_answer_index(params: ModelParams) -> AnswerIndex:
     rows = np.argsort(tag_of_word, kind="stable")
     stops = np.cumsum(np.bincount(tag_of_word, minlength=len(tags))).tolist()
     spans = {t: (start, stop) for t, start, stop in zip(tags, [0] + stops, stops)}
-    # widened block by block: no float32 copy of the whole of U next to the table
-    table = np.empty(params.U.shape, dtype=np.float64)
-    for start in range(0, len(rows), 2048):
-        table[start : start + 2048] = params.U[rows[start : start + 2048]]
+    with np.errstate(over="ignore"):  # a float64 row past float32 range is inf: never screened
+        table = np.asarray(params.U, dtype=np.float32)[rows]
+    # squares summed in float64, buffered: no float64 copy of U
+    max_norm = float(np.sqrt(np.einsum("ij,ij->i", params.U, params.U, dtype=np.float64).max(initial=0.0)))
     table.flags.writeable = rows.flags.writeable = False
-    return AnswerIndex(table, rows, spans)
+    return AnswerIndex(table, rows, spans, max_norm)
 
 
 def answer_index(params: ModelParams) -> AnswerIndex:
@@ -215,12 +227,26 @@ def nearest_answers(
     k: int,
     pos_filter: str | None = None,
 ) -> list[tuple[Word, float]]:
-    """Top-k words by dot product with the answer vectors; ties (bitwise-
-    equal scores) break by vocabulary index, NaN scores rank last, POS
-    filter applies before ranking.  Scores one slice of the answer index
-    and sorts only the rows that reach the k-th score.  Equal answer
-    vectors need not tie: BLAS may round a row's product differently by
-    its position in the table, one ulp apart."""
+    """Top-k words by dot product with the answer vectors, scored in
+    float64; ties (equal scores) break by vocabulary index, NaN scores
+    rank last, POS filter applies before ranking.
+
+    One slice of the answer index is scored in float32.  Against a float64
+    score of the same row the float32 score is off by at most
+
+        tol = 2 (d+2) 2^-24 (max|u| + 2^-126) (|q| + 2^-126) + d 2^-126
+
+    (|.| the 2-norm, max|u| over the rows of U) in any summation order.
+    It covers the rounding of q and U to float32 (the 2^-126 terms cover
+    inputs that round into the subnormal range), the float32 dot product
+    and the float64 score's own error.  So the k-th float32 score is at
+    most the k-th float64 score plus tol, and every row that can rank in
+    the top k scores at least the k-th float32 score minus 2 tol.  Only
+    those rows are scored in float64 and ranked.  When q, tol or a
+    float32 score is not finite, or k covers the slice, every row of the
+    slice is scored in float64.  Each row's float64 score is summed
+    within the row, so equal answer vectors score bitwise equal and rank
+    by vocabulary index wherever they sit."""
     if k < 1:
         raise InvalidConfig(f"k must be >= 1, got {k}")
     if pos_filter is not None and pos_filter not in POS_TAGS:
@@ -229,15 +255,42 @@ def nearest_answers(
     start, stop = (0, len(index.rows)) if pos_filter is None else index.spans.get(pos_filter, (0, 0))
     if start == stop:
         return []
-    scores = index.table[start:stop] @ np.asarray(query, dtype=np.float64)
     rows = index.rows[start:stop]
+    q = np.asarray(query, dtype=np.float64)
+    # non-finite scores are results here (NaN ranks last), not errors
+    with np.errstate(over="ignore", invalid="ignore"):
+        if k < len(rows):
+            d = params.dim
+            tol = (2 * (d + 2) * _EPS32 * (index.max_norm + _TINY32) * (np.sqrt(q @ q) + _TINY32)
+                   + d * _TINY32)
+            coarse = index.table[start:stop] @ q.astype(np.float32)
+            if np.isfinite(tol) and np.isfinite(coarse).all():
+                kth = np.partition(coarse, len(rows) - k)[len(rows) - k]
+                # the screen's floor, rounded down to float32 so the scan is compared as is
+                floor = np.nextafter(np.float32(kth - 2 * tol), np.float32(-np.inf))
+                rows = rows[coarse >= floor]
+        return _top_k(params.words, rows, _exact_scores(params.U, rows, q), k)
+
+
+def _exact_scores(U: np.ndarray, rows: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """float64 scores of rows of U, each summed within its own row, so a
+    row's score does not depend on where it sits or what is scored with it
+    (a BLAS product may round a row differently by its position)."""
+    block = np.asarray(U[rows], dtype=np.float64)  # indexing copies: U is not written
+    block *= q
+    return block.sum(axis=1)
+
+
+def _top_k(words, rows: np.ndarray, scores: np.ndarray, k: int) -> list[tuple[Word, float]]:
+    """The k best (word, score) pairs of vocabulary rows ``rows``: sorts only
+    the rows that reach the k-th score."""
     neg = -scores  # NaN sorts last in partition and lexsort alike
     # keep every row at or above the k-th score; all rows when k covers
     # them or the k-th score is NaN
     kth = np.partition(neg, k - 1)[k - 1] if k < len(neg) else np.nan
     keep = np.arange(len(neg)) if np.isnan(kth) else np.flatnonzero(neg <= kth)
     top = keep[np.lexsort((rows[keep], neg[keep]))[:k]]
-    return [(params.words[r], s) for r, s in zip(rows[top].tolist(), scores[top].tolist())]
+    return [(words[r], s) for r, s in zip(rows[top].tolist(), scores[top].tolist())]
 
 
 def save_model(params: ModelParams, vocab: Vocabulary, dest) -> None:

@@ -9,6 +9,7 @@ clauses) and is deliberately data-driven so it can be replaced.
 
 from __future__ import annotations
 
+import io
 import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -66,9 +67,11 @@ class UdSentence:
 
 def parse_conllu(source: Iterable[str] | str) -> Iterator[UdSentence]:
     """Yield sentences from CoNLL-U text; multiword ranges and empty
-    nodes are skipped, comments ignored."""
+    nodes are skipped, comments ignored.  A ``str`` breaks into lines
+    where a file does, at LF, CRLF and lone CR only (``str.splitlines``
+    would also break at U+2028, U+0085 and others, inside a form)."""
     if isinstance(source, str):
-        source = source.splitlines()
+        source = io.StringIO(source, newline=None)
     pending: list[UdToken] = []
     start_line = None
     for line_no, raw in enumerate(source, start=1):

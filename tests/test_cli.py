@@ -532,12 +532,13 @@ def test_eval_phrase_non_finite_gold_exits_2(pipeline, tmp_path):
 # {token id: field updates} to a worldgen sentence (ids 1-5: the, noun,
 # verb, the, noun) after which its tokens form no tree; before JSON sentences
 # got the CoNLL-U head check, the DET cycle above a noun made conversion
-# loop forever
+# loop forever.  A fractional head is no token id (int() read 3.5 as 3)
 BAD_TOKENS = {
     "det-cycle": ({1: {"head": 4}, 4: {"head": 1}, 2: {"head": 1}}, "cycle through token"),
     "missing-head": ({2: {"head": 9}}, "head 9 missing"),
     "content-cycle": ({3: {"head": 5}}, "cycle through token"),
     "repeated-id": ({2: {"id": 5}, 1: {"head": 5}}, "repeated token id"),
+    "fractional-head": ({2: {"head": 3.5}}, "head must be an integer, got 3.5"),
 }
 
 

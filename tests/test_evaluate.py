@@ -1,10 +1,12 @@
 import io
+import json
 import math
 
 import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
+import worldgen
 from dcsvec.errors import ConversionFailure, LengthMismatch, MalformedLine
 from dcsvec.evaluate import (
     CompletionItem,
@@ -17,6 +19,7 @@ from dcsvec.evaluate import (
     export_features,
     load_completion_dataset,
     load_phrase_dataset,
+    load_relation_instances,
     phrase_similarity,
     phrase_tree,
     relation_features,
@@ -404,8 +407,6 @@ def test_completion_jsonl_roundtrip(tmp_path):
         rows.append(
             {"id": t.id, "form": t.form, "lemma": t.lemma, "upos": t.upos, "head": t.head, "deprel": t.deprel}
         )
-    import json
-
     path.write_text(
         json.dumps(
             {"tokens": rows, "blank": 5, "choices": [c.render() for c in item.choices], "answer": 0}
@@ -419,6 +420,28 @@ def test_completion_jsonl_roundtrip(tmp_path):
     bad.write_text('{"tokens": []}\n', encoding="utf-8")
     with pytest.raises(MalformedLine):
         load_completion_dataset(bad)
+
+
+# a value that ``int()`` would truncate or parse is not a JSON integer
+NOT_INTEGERS = (2.5, 2.0, True, "2")
+
+
+@pytest.mark.parametrize("value", NOT_INTEGERS, ids=repr)
+@pytest.mark.parametrize("key", ["blank", "answer", "id", "head", "e1", "e2"])
+def test_json_integer_fields_reject_non_integers(tmp_path, key, value):
+    if key in ("e1", "e2"):
+        rows, load = worldgen.relation_instances(3, seed=8), load_relation_instances
+    else:
+        rows, load = worldgen.completion_items(3, seed=4), load_completion_dataset
+    path = tmp_path / "rows.jsonl"
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    assert len(load(path)) == 3
+    target = rows[1]["tokens"][1] if key in ("id", "head") else rows[1]
+    target[key] = value
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    with pytest.raises(MalformedLine, match=f"{key} must be an integer, got {json.dumps(value)}") as err:
+        load(path)
+    assert err.value.line_no == 2
 
 
 def test_cosine_zero_raises():

@@ -340,7 +340,7 @@ def test_nearest_answers_pos_filter():
         nearest_answers(params, np.array([1.0, 0.0]), 5, pos_filter="n")
 
 
-def nearest_answers_oracle(params, query, k, pos_filter=None):
+def nearest_answers_oracle(params, query, k, pos_filter=None, score=np.matmul):
     """The per-call scan that the answer index replaced: candidates in
     vocabulary order, scored in float64, fully stable-sorted."""
     if pos_filter is None:
@@ -351,7 +351,7 @@ def nearest_answers_oracle(params, query, k, pos_filter=None):
         )
     if candidates.size == 0:
         return []
-    scores = params.U[candidates].astype(np.float64) @ np.asarray(query, dtype=np.float64)
+    scores = score(params.U[candidates].astype(np.float64), np.asarray(query, dtype=np.float64))
     order = np.argsort(-scores, kind="stable")[:k]
     return [(params.words[int(candidates[i])], float(scores[i])) for i in order]
 
@@ -420,6 +420,125 @@ def test_nearest_answers_matches_the_full_scan(dtype, make):
         assert ties_at_k > 50, ties_at_k  # exact ties straddle the k-th rank
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_equal_answer_vectors_tie_wherever_they_sit(dtype):
+    # Gaussian rows are not dyadic, so a BLAS product may round equal rows
+    # differently by their position (OpenBLAS dgemv scores the last rows of
+    # a slice with another kernel); a per-row sum rounds them alike
+    rng = np.random.default_rng(28)
+    n_words, dim = 403, 37
+    words = tuple(w(f"w{i}", "NVJ"[rng.integers(3)]) for i in range(n_words))
+    last = [i for pos in "NVJ" for i in [j for j, word in enumerate(words) if word.pos == pos][-3:]]
+    copies = np.union1d(rng.choice(n_words, 6, replace=False), last)  # some end a slice
+    U = rng.standard_normal((n_words, dim))
+    U[copies] = U[copies[0]]
+    eye = np.eye(dim, dtype=dtype)[None]
+    raw = ModelParams(dim, vocab_of(words, (ARG,)), U.astype(dtype), U.astype(dtype), eye, eye)
+    for params in (raw, normalize(raw)):
+        for _ in range(10):
+            query = params.U[copies[0]] + 0.1 * rng.standard_normal(dim)  # the copies rank first
+            for pos in (None, "N", "V", "J"):
+                tied = [words[i] for i in copies if pos in (None, words[i].pos)]
+                n = sum(pos in (None, word.pos) for word in words)
+                for k in (1, len(tied), len(tied) + 3, n):  # screened, then the whole slice
+                    got = nearest_answers(params, query, k, pos)
+                    assert [word for word, _ in got[: len(tied)]] == tied[:k]
+                    assert len({score for _, score in got[: len(tied)]}) == 1
+
+
+def assert_same_ranking(got, want):
+    """The same words in the same order, with scores equal up to rounding."""
+    assert [word for word, _ in got] == [word for word, _ in want]
+    for (_, a), (_, b) in zip(got, want):
+        assert a == b or (math.isnan(a) and math.isnan(b)) or abs(a - b) <= 1e-12 * (1 + abs(b))
+
+
+def row_sums(U, q):
+    """Scores summed left to right within each row: equal rows score
+    bitwise equal wherever they sit, as ``nearest_answers`` promises."""
+    return np.array([sum(row) for row in (U * q).tolist()])
+
+
+def screen_params(rng, n_tags, dtype, dim=6, n_words=90, nan_row=False):
+    """Answer rows for the float32 screen.  Rows 0-29 differ from row 0
+    below float32 resolution, in direction too (one float32 row, distinct
+    float64 scores, raw or normalized), rows 40-59 at about its resolution
+    (float32 rounding reorders them), rows 30-39 are one dyadic row and the
+    rest are Gaussian."""
+    U = rng.standard_normal((n_words, dim))
+    U[:30] = U[0] * (1 + rng.uniform(-1e-10, 1e-10, (30, dim)))
+    U[40:60] = U[0] * (1 + rng.uniform(-3e-7, 3e-7, (20, dim)))
+    U[30:40] = 0.0
+    U[30:40, rng.choice(dim, 4, replace=False)] = rng.choice([-0.5, 0.5], 4)
+    if nan_row:
+        U[rng.integers(n_words)] = np.nan
+    words = tuple(w(f"w{i}", "NVJPRX"[rng.integers(n_tags)]) for i in range(n_words))
+    eye = np.eye(dim, dtype=dtype)[None]
+    return ModelParams(dim, vocab_of(words, (ARG,)), U.astype(dtype), U.astype(dtype), eye, eye)
+
+
+# powers of two keep a dyadic query dyadic: zero, float64 subnormal, float32
+# subnormal, small, unit, norm past 1e38 (screened at unit rows), float32
+# overflow, float64 overflow of |q|^2
+QUERY_SCALES = (0.0, 2.0 ** -1060, 2.0 ** -140, 2.0 ** -60, 1.0, 2.0 ** 127, 2.0 ** 130, 2.0 ** 520)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("nan_row", [False, True])
+def test_answer_screen_matches_the_full_scan(dtype, nan_row):
+    rng = np.random.default_rng(29)
+    ties_in_k = 0
+    for n_tags in (1, 3, 6):
+        raw = screen_params(rng, n_tags, dtype, nan_row=nan_row)
+        for params in (raw, normalize(raw)):
+            for dyadic in (False, True):
+                if dyadic:
+                    base = rng.integers(-4, 5, params.dim) / 4.0
+                else:  # the near-equal rows rank first
+                    base = rng.standard_normal(params.dim) + 2 * params.U[0]
+                for scale in QUERY_SCALES:
+                    query = base * scale
+                    for pos in [None, *POS_TAGS]:
+                        full = nearest_answers_oracle(params, query, len(params.words), pos, row_sums)
+                        n = len(full)
+                        # k = 1, inside the near-equal rows, a tie at the k-th rank, the
+                        # slice and past it
+                        ks = {1, 3, 10, 25, 40, max(1, n // 2), max(1, n - 1), max(1, n), n + 3}
+                        ks |= set([i + 1 for i in range(n - 1) if full[i][1] == full[i + 1][1]][:3])
+                        for k in sorted(ks):
+                            assert_same_ranking(nearest_answers(params, query, k, pos), full[:k])
+                            ties_in_k += k < n and full[k - 1][1] == full[k][1]
+    assert ties_in_k > 100, ties_in_k
+
+
+def test_the_screen_rescores_few_rows(monkeypatch):
+    scored = []
+    exact = model_mod._exact_scores
+    monkeypatch.setattr(
+        model_mod, "_exact_scores", lambda U, rows, q: scored.append(len(rows)) or exact(U, rows, q)
+    )
+    rng = np.random.default_rng(30)
+    n_words, dim = 3000, 16
+    words = tuple(w(f"w{i}", "NV"[i % 2]) for i in range(n_words))
+    eye = np.eye(dim, dtype=np.float32)[None]
+    U = rng.standard_normal((n_words, dim)).astype(np.float32)
+    params = normalize(ModelParams(dim, vocab_of(words, (ARG,)), U, U, eye, eye))
+    for _ in range(20):
+        query = rng.standard_normal(dim)
+        for pos in (None, "N"):
+            want = nearest_answers_oracle(params, query, 10, pos)
+            assert_same_ranking(nearest_answers(params, query, 10, pos), want)
+    assert max(scored) < 30, scored  # of 1,500 or 3,000 rows
+    # a NaN row leaves no bound on the float32 error: every row is scored
+    U = U.copy()
+    U[5] = np.nan
+    params = normalize(ModelParams(dim, vocab_of(words, (ARG,)), U, U, eye, eye))
+    scored.clear()
+    want = nearest_answers_oracle(params, query, 10, "N")
+    assert_same_ranking(nearest_answers(params, query, 10, "N"), want)
+    assert scored == [n_words // 2]
+
+
 def test_normalized_model_is_read_only_and_memoizes_its_answer_index(monkeypatch):
     built = []
     build = model_mod.build_answer_index
@@ -454,7 +573,20 @@ def test_answer_index_orders_rows_by_pos_then_vocabulary_index():
     params = gaussian_params(np.random.default_rng(27), 4, np.float32)
     index = model_mod.answer_index(params)
     assert sorted(index.rows.tolist()) == list(range(len(params.words)))
-    assert np.array_equal(index.table, params.U[index.rows].astype(np.float64), equal_nan=True)
+    assert index.table.dtype == np.float32 and not index.table.flags.writeable
+    assert np.array_equal(index.table, params.U[index.rows], equal_nan=True)
+    assert math.isnan(index.max_norm)  # row 7 of U is NaN
+    params.U[7] = 3.0  # a writeable U is indexed afresh
+    norms = np.sqrt(np.sum(params.U.astype(np.float64) ** 2, axis=1))
+    assert abs(model_mod.answer_index(params).max_norm - norms.max()) <= 1e-15 * norms.max()
+    U = params.U.astype(np.float64) * (1 + 2.0 ** -40)  # float64 rows that float32 rounds
+    U[3] = 1e100  # past float32 range: inf in the table, its float64 norm stored
+    index = model_mod.answer_index(ModelParams(params.dim, params.vocab, params.V, U, params.M, params.Minv))
+    assert index.table.dtype == np.float32
+    kept = index.rows != 3
+    assert np.array_equal(index.table[kept], U[index.rows[kept]].astype(np.float32))
+    assert np.isposinf(index.table[index.rows == 3]).all()
+    assert index.max_norm == pytest.approx(1e100 * math.sqrt(params.dim), rel=1e-12)
     tags = sorted({word.pos for word in params.words})
     bounds = [index.spans[tag] for tag in tags]
     assert sorted(index.spans) == tags

@@ -1,16 +1,18 @@
 """Seeded mutations of small valid inputs for every reader: vocabulary
-files, model headers, tree lines, config files, the phrase, completion and
-relation datasets and CoNLL-U.
+files, model headers and payloads, tree lines, config files, the phrase,
+completion and relation datasets and CoNLL-U.
 
 Each mutated input must load or raise an ``InputError`` subclass (exit 2
 at the CLI); any other exception fails the test.  Mutations that break a
 documented rule (a repeated entry, a count that is not finite and >= 0,
 two counts that sum past the largest float, a wrong keyword, an edge
-that breaks the tree, token heads that form no tree) must be rejected,
-not loaded.  Byte-level mutations cover the seven text formats: a byte
-that is not UTF-8 is a MalformedLine naming its line, and a CRLF copy
-reads as the LF file.  A CLI pass feeds each text command a file with a
-bad byte past the first 8 KB and a truncated file.
+that breaks the tree, token heads that form no tree, a JSON integer field
+holding a fraction or a bool) must be rejected, not loaded.  Byte-level
+mutations cover the seven text formats: a byte that is not UTF-8 is a
+MalformedLine naming its line, and a CRLF copy reads as the LF file.  A
+CLI pass feeds each text command a file with a bad byte past the first
+8 KB and a truncated file.  Model payloads with non-finite, huge or
+subnormal floats must still rank answers as the full scan does.
 """
 
 import io
@@ -24,15 +26,16 @@ import pytest
 
 import worldgen
 from dcsvec import cli
-from dcsvec.errors import InputError, MalformedLine
+from dcsvec.errors import DcsvecError, InputError, MalformedLine
 from dcsvec.evaluate import load_completion_dataset, load_phrase_dataset, load_relation_instances
-from dcsvec.model import init_params, load_model, save_model
+from dcsvec.model import compose_query, init_params, load_model, nearest_answers, normalize, save_model
 from dcsvec.trees import (
     ARG, COMP, SUBJ, UNKNOWN_FIELD, DcsTree, Edge, Word, load_trees, read_trees, tree_to_line, unknown_word,
 )
 from dcsvec.ud import convert_sentence, parse_conllu, parse_conllu_file
 from dcsvec.vocab import Vocabulary, load_vocab, save_vocab
 from test_cli import one_error_line, run_cli
+from test_model import assert_same_ranking, nearest_answers_oracle
 
 SEED = 1219
 CASES = 120  # per reader; the whole file takes a few seconds, most of it the CLI pass
@@ -184,6 +187,73 @@ def test_model_header_mutations():
     }
     must_reject = {"swap", "swap_size", "drop", "repeat", "bad_count", "huge_pair", "keyword"}
     check(run_cases(base, mutations, load), must_reject)
+
+
+# NaN, infinities, floats near the float32 limit and float32 subnormals
+PAYLOAD_VALUES = (np.nan, np.inf, -np.inf, 1e38, -3e38, 1e-45, -1e-40)
+
+
+def test_model_payload_mutations(tmp_path):
+    """Non-finite, huge and subnormal floats in rows of V, U, M and Minv:
+    each query returns the full scan's list, raw and normalized, or the
+    command exits 2 with one error line."""
+    words = [Word(f"n{i}", "N") for i in range(30)] + [Word(f"v{i}", "V") for i in range(10)]
+    words += [unknown_word("N"), unknown_word("V")]
+    fields = (ARG, SUBJ, COMP, UNKNOWN_FIELD)
+    vocab = Vocabulary(tuple(words), fields, dict.fromkeys(words, 1.0), dict.fromkeys(fields, 1.0))
+    n, m, d = len(words), len(fields), 5
+    literal = "n3/N -SUBJ:ARG-> v1/V -COMP:ARG-> n7/N"
+    tree = cli.parse_tree_literal(literal)
+    query_words = [vocab.word_id(word) for word in tree.words]
+    query_fields = [vocab.field_id(f) for f in (ARG, SUBJ, COMP)]
+    path = tmp_path / "model.bin"
+    save_model(init_params(vocab, d, np.random.default_rng(SEED)), vocab, path)
+    blob = path.read_bytes()
+    start = len(blob) - 4 * (2 * n * d + 2 * m * d * d)
+    rng = random.Random(SEED)
+    cli_tables = set()
+    for case in range(CASES):
+        table = ("V", "U", "M", "Minv")[case % 4]
+        if table == "V":  # rows the query reads, half the time
+            row = rng.choice(query_words) if rng.random() < 0.5 else rng.randrange(n)
+        elif table == "U":
+            row = n + rng.randrange(n)
+        else:  # per field: M, then Minv
+            field = rng.choice(query_fields) if rng.random() < 0.5 else rng.randrange(m)
+            row = 2 * n + d * (2 * field + (table == "Minv")) + rng.randrange(d)
+        mutated = bytearray(blob)
+        payload = np.frombuffer(mutated, dtype="<f4", offset=start).reshape(-1, d)
+        value = rng.choice(PAYLOAD_VALUES)
+        if rng.random() < 0.5:
+            payload[row] = value
+        else:
+            payload[row, rng.randrange(d)] = value
+        path.write_bytes(mutated)
+        raw, _ = load_model(path)
+        try:
+            normalized = normalize(raw)
+        except DcsvecError:
+            normalized = None
+        for params in (raw, normalized):
+            if params is None:
+                continue
+            query = compose_query(params, tree)
+            for pos in (None, "N"):
+                want = nearest_answers_oracle(params, query, 8, pos)
+                assert_same_ranking(nearest_answers(params, query, 8, pos), want)
+        if table not in cli_tables:  # one command per table: a CLI run takes a few tenths of a second
+            cli_tables.add(table)
+            proc = run_cli("nearest", path, "--tree", literal, "--k", 8, expect=0 if normalized else 2)
+            assert "Traceback" not in proc.stderr
+            if normalized is None:
+                one_error_line(proc)
+                continue
+            want = nearest_answers_oracle(normalized, compose_query(normalized, tree), 8)
+            got = [line.split("\t") for line in proc.stdout.splitlines()]
+            assert [word for _, word, _ in got] == [word.render() for word, _ in want]
+            for (_, _, text), (_, score) in zip(got, want):
+                assert text == f"{score:.6f}" or abs(float(text) - score) <= 1e-6 * (1 + abs(score))
+    assert cli_tables == {"V", "U", "M", "Minv"}
 
 
 def test_tree_line_mutations():
@@ -383,10 +453,18 @@ def json_mutations(int_keys):
         token = rng.choice(row["tokens"])
         token["head"] = token["id"]
 
-    def huge(rng, row):  # json.dumps writes Infinity, which json.loads reads back
+    def int_field(rng, row):
+        """A row or token dict and one of its integer keys."""
         target = rng.choice((row, rng.choice(row["tokens"])))
-        key = rng.choice(int_keys) if target is row else rng.choice(("id", "head"))
+        return target, rng.choice(int_keys) if target is row else rng.choice(("id", "head"))
+
+    def huge(rng, row):  # json.dumps writes Infinity, which json.loads reads back
+        target, key = int_field(rng, row)
         target[key] = rng.choice((float("inf"), float("-inf"), float("nan")))
+
+    def non_integer(rng, row):  # int() would truncate these, and read a bool as 0 or 1
+        target, key = int_field(rng, row)
+        target[key] = rng.choice((target[key] + 0.5, float(target[key]), True, False))
 
     def bad_type(rng, row):
         row[rng.choice(int_keys)] = rng.choice((None, "x", [], {}, "1.5"))
@@ -405,12 +483,13 @@ def json_mutations(int_keys):
         "drop_key": edit(drop_key),
         "self_head": edit(self_head),
         "huge": edit(huge),
+        "non_integer": edit(non_integer),
         "bad_type": edit(bad_type),
         "repeat_token": edit(repeat_token),
     }
 
 
-JSON_MUST_REJECT = {"drop_key", "self_head", "huge", "bad_type", "repeat_token"}
+JSON_MUST_REJECT = {"drop_key", "self_head", "huge", "non_integer", "bad_type", "repeat_token"}
 
 
 def test_completion_dataset_mutations(formats, tmp_path):

@@ -4,7 +4,7 @@ import pytest
 
 from dcsvec.errors import CyclicTree, MalformedLine
 from dcsvec.trees import ARG, COMP, SUBJ, UNKNOWN_FIELD, CORE_FIELDS, Word
-from dcsvec.ud import UdToken, convert_sentence, parse_conllu, ud_to_dcs
+from dcsvec.ud import UdToken, convert_sentence, parse_conllu, parse_conllu_file, ud_to_dcs
 
 DATA = Path(__file__).parent / "data"
 
@@ -62,6 +62,19 @@ def test_multiword_ranges_and_empty_nodes_skipped():
     )
     (sent,) = parse_conllu(text)
     assert [t.id for t in sent.tokens] == [1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("sep", ["\u2028", "\u2029", "\x85", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"])
+def test_string_source_breaks_lines_where_a_file_does(tmp_path, sep):
+    # str.splitlines() would also break inside these forms
+    text = conllu((1, f"kids{sep}x", "kid", "NOUN", 2, "nsubj"), (2, "play", "play", "VERB", 0, "root"))
+    path = tmp_path / "corpus.conllu"
+    path.write_text(text, encoding="utf-8")
+    from_file = list(parse_conllu_file(path))
+    assert from_file[0].tokens[0].form == f"kids{sep}x"
+    assert list(parse_conllu(text)) == from_file
+    assert list(parse_conllu(text.replace("\n", "\r\n"))) == from_file
+    assert list(parse_conllu(text.replace("\n", "\r"))) == from_file
 
 
 def test_malformed_column_count_reports_line():
