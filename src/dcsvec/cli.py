@@ -29,7 +29,7 @@ from .evaluate import (
     load_relation_instances,
 )
 from .model import ModelParams, compose_query, load_model, nearest_answers, normalize, save_model
-from .train import MODES, TrainConfig, train
+from .train import LR_SCHEDULES, MODES, TrainConfig, train
 from .trees import DcsTree, Edge, Word, load_trees, read_trees, save_trees
 from .ud import convert_sentence, parse_conllu_file
 from .vocab import build_vocab, dump_path_samples, load_vocab, sample_paths, save_vocab
@@ -55,10 +55,16 @@ _DEFAULTS = {
 }
 
 
+_BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
 def _parse_value(text: str, default):
-    """A config-file value, typed like the key's default (None means str)."""
+    """A config-file value, typed like the key's default (None means str);
+    a boolean is one of ``_BOOLEANS``, in any case."""
     if isinstance(default, bool):
-        return text.lower() in ("1", "true", "yes")
+        if text.lower() not in _BOOLEANS:
+            raise ValueError(f"expected 1/0, true/false or yes/no, got {text!r}")
+        return _BOOLEANS[text.lower()]
     return text if default is None else type(default)(text)
 
 
@@ -276,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--clip-vec", dest="clip_vec", type=float, default=None)
     p.add_argument("--clip-mat", dest="clip_mat", type=float, default=None)
     p.add_argument("--mode", choices=MODES, default=None)
-    p.add_argument("--lr-schedule", dest="lr_schedule", choices=("linear", "constant"), default=None)
+    p.add_argument("--lr-schedule", dest="lr_schedule", choices=LR_SCHEDULES, default=None)
     p.add_argument("--dump-paths", dest="dump_paths", default=None,
                    help="before training, write one epoch of sampled paths to this file; an "
                         "independent sample from default_rng(--seed), not the trainer's stream")

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -32,13 +32,18 @@ from .trees import (
 )
 from .ud import UdSentence, UdToken, convert_sentence, finish_sentence
 
-# token POS per construction template, used when tokens carry no /POS
-PHRASE_SHAPES = {
-    "AN": ("J", "N"),
-    "NN": ("N", "N"),
-    "VO": ("V", "N"),
-    "SVO": ("N", "V", "N"),
-    "ANVAN": ("J", "N", "V", "J", "N"),
+# construction -> (POS tag of each token, root token, edges): VO hangs the
+# object off the verb with (COMP, ARG); AN/NN modify the head noun with
+# (ARG, ARG); SVO adds a (SUBJ, ARG) child; ANVAN is SVO with (ARG, ARG)
+# modifiers
+PHRASES = {
+    "AN": ("JN", 1, (Edge(1, 0, ARG, ARG),)),
+    "NN": ("NN", 1, (Edge(1, 0, ARG, ARG),)),
+    "VO": ("VN", 0, (Edge(0, 1, COMP, ARG),)),
+    "SVO": ("NVN", 1, (Edge(1, 0, SUBJ, ARG), Edge(1, 2, COMP, ARG))),
+    "ANVAN": (  # a0 n1 v2 a3 n4
+        "JNVJN", 2, (Edge(2, 1, SUBJ, ARG), Edge(2, 4, COMP, ARG), Edge(1, 0, ARG, ARG), Edge(4, 3, ARG, ARG))
+    ),
 }
 
 _COARSE_TO_UPOS = {"N": "NOUN", "V": "VERB", "J": "ADJ", "P": "PRON", "R": "ADV", "X": "X"}
@@ -53,34 +58,15 @@ class PhrasePair:
 
 
 def phrase_tree(construction: str, tokens: Sequence[str]) -> DcsTree:
-    """Micro tree for a phrase: VO hangs the object off the verb with
-    (COMP, ARG); AN/NN modify the head noun with (ARG, ARG); SVO adds a
-    (SUBJ, ARG) child; ANVAN is SVO with (ARG, ARG) modifiers."""
-    shape = PHRASE_SHAPES.get(construction)
-    if shape is None:
+    """Micro tree for a phrase, shaped by its row of ``PHRASES``; a token
+    without ``/POS`` takes the row's tag."""
+    if construction not in PHRASES:
         raise ValueError(f"unknown construction {construction!r}")
-    if len(tokens) != len(shape):
-        raise ValueError(f"{construction} needs {len(shape)} tokens, got {len(tokens)}")
-    words = tuple(
-        Word.parse(t) if "/" in t else Word(t, pos) for t, pos in zip(tokens, shape)
-    )
-    if construction in ("AN", "NN"):
-        return DcsTree(words, 1, (Edge(1, 0, ARG, ARG),))
-    if construction == "VO":
-        return DcsTree(words, 0, (Edge(0, 1, COMP, ARG),))
-    if construction == "SVO":
-        return DcsTree(words, 1, (Edge(1, 0, SUBJ, ARG), Edge(1, 2, COMP, ARG)))
-    # ANVAN: a0 n1 v2 a3 n4
-    return DcsTree(
-        words,
-        2,
-        (
-            Edge(2, 1, SUBJ, ARG),
-            Edge(2, 4, COMP, ARG),
-            Edge(1, 0, ARG, ARG),
-            Edge(4, 3, ARG, ARG),
-        ),
-    )
+    tags, root, edges = PHRASES[construction]
+    if len(tokens) != len(tags):
+        raise ValueError(f"{construction} needs {len(tags)} tokens, got {len(tokens)}")
+    words = tuple(Word.parse(t) if "/" in t else Word(t, pos) for t, pos in zip(tokens, tags))
+    return DcsTree(words, root, edges)
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
@@ -121,25 +107,21 @@ def load_phrase_dataset(path) -> list[PhrasePair]:
 
 
 def _average_ranks(values: Sequence[float]) -> np.ndarray:
-    order = sorted(range(len(values)), key=lambda i: values[i])
-    ranks = np.empty(len(values), dtype=np.float64)
-    i = 0
-    while i < len(order):
-        j = i
-        while j + 1 < len(order) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        avg = (i + j) / 2.0 + 1.0
-        for t in range(i, j + 1):
-            ranks[order[t]] = avg
-        i = j + 1
-    return ranks
+    """1-based ranks, tied values sharing the mean of their positions."""
+    values = np.asarray(values, dtype=np.float64)
+    _, group, counts = np.unique(values, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[group]
 
 
 def spearman(xs: Sequence[float], ys: Sequence[float]) -> float:
     """Rank correlation with average-rank tie handling; NaN (with a
-    warning) when either side has zero rank variance."""
+    warning) when either side holds a NaN, which has no rank, or has zero
+    rank variance."""
     if len(xs) != len(ys) or len(xs) == 0:
         raise LengthMismatch(f"got lengths {len(xs)} and {len(ys)}")
+    if np.isnan(xs).any() or np.isnan(ys).any():
+        warnings.warn("a NaN value has no rank; correlation undefined", stacklevel=2)
+        return float("nan")
     rx = _average_ranks(xs)
     ry = _average_ranks(ys)
     dx = rx - rx.mean()
@@ -273,22 +255,11 @@ def load_completion_dataset(path) -> list[CompletionItem]:
 
 
 def _fill_blank(item: CompletionItem, candidate: Word) -> UdSentence:
-    tokens = []
-    for t in item.sentence.tokens:
-        if t.id == item.blank_id:
-            tokens.append(
-                UdToken(
-                    id=t.id,
-                    form=candidate.lemma,
-                    lemma=candidate.lemma,
-                    upos=_COARSE_TO_UPOS[candidate.pos],
-                    head=t.head,
-                    deprel=t.deprel,
-                )
-            )
-        else:
-            tokens.append(t)
-    return UdSentence(tuple(tokens))
+    lemma, upos = candidate.lemma, _COARSE_TO_UPOS[candidate.pos]
+    return UdSentence(tuple(
+        replace(t, form=lemma, lemma=lemma, upos=upos) if t.id == item.blank_id else t
+        for t in item.sentence.tokens
+    ))
 
 
 def completion_score(

@@ -43,9 +43,6 @@ class DbTuple:
                 return v
         return None
 
-    def has(self, field: FieldId) -> bool:
-        return self.get(field) is not None
-
 
 Denotation = FrozenSet[DbTuple]
 

@@ -311,7 +311,9 @@ def save_model(params: ModelParams, vocab: Vocabulary, dest) -> None:
 
 def load_model(src) -> tuple[ModelParams, Vocabulary]:
     """The parameters and ``params.vocab``, the vocabulary of the header,
-    whose entries follow the vocabulary file's rules."""
+    whose entries follow the vocabulary file's rules.  Every payload float
+    must be finite: a NaN or an infinity is a DimensionMismatch naming its
+    table and row."""
     with opened(src, "rb") as fh:
         blob = fh.read()
     buf = io.BytesIO(blob)
@@ -366,4 +368,10 @@ def load_model(src) -> tuple[ModelParams, Vocabulary]:
     V, U = flat[: 2 * n_words * dim].reshape(2, n_words, dim)
     maps = flat[2 * n_words * dim :].reshape(n_fields, 2, dim, dim)  # per field: M, then Minv
     params = ModelParams(dim, vocab, V.copy(), U.copy(), maps[:, 0].copy(), maps[:, 1].copy())
+    for name, table in (("V", params.V), ("U", params.U), ("M", params.M), ("Minv", params.Minv)):
+        finite = np.isfinite(table.reshape(len(table), -1)).all(axis=1)
+        if not finite.all():
+            row = int(np.argmin(finite))
+            what = vocab.words[row].render() if table.ndim == 2 else f"field {vocab.fields[row]}"
+            raise DimensionMismatch(f"{name} row {row} ({what}) holds a value that is not finite")
     return params, params.vocab

@@ -48,6 +48,7 @@ from .trees import DcsTree, enumerate_paths
 from .vocab import PathSample, Vocabulary, sample_paths
 
 MODES = ("full", "no_matrix", "no_inverse")
+LR_SCHEDULES = ("linear", "constant")
 MAT_LR_WARN = 0.0005
 # train() regularizes the maps on steps whose index is a multiple of this,
 # at this many times gamma and kappa, and skips the regularizer otherwise
@@ -77,7 +78,7 @@ class TrainConfig:
         # each bound is stated as what must hold, so NaN fails it too
         checks = (
             (self.mode in MODES, f"mode must be one of {MODES}"),
-            (self.lr_schedule in ("linear", "constant"), "lr_schedule must be linear or constant"),
+            (self.lr_schedule in LR_SCHEDULES, f"lr_schedule must be one of {LR_SCHEDULES}"),
             (self.dim >= 2, f"dim must be >= 2, got {self.dim}"),
             (self.epochs >= 0, f"epochs must be >= 0, got {self.epochs}"),
             (self.workers >= 1, f"workers must be >= 1, got {self.workers}"),

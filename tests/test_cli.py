@@ -10,7 +10,7 @@ import pytest
 import worldgen
 from dcsvec import cli
 from dcsvec.cli import parse_tree_literal
-from dcsvec.errors import InputError
+from dcsvec.errors import InputError, MalformedLine
 from dcsvec.train import TrainConfig
 from dcsvec.trees import ARG, COMP, DcsTree, Edge, Word, load_trees, tree_to_line
 from dcsvec.ud import convert_sentence, parse_conllu_file
@@ -25,7 +25,8 @@ CLI_TIMEOUT_S = 120
 
 def run_cli(*args, expect=0, timeout=CLI_TIMEOUT_S):
     """Run ``dcsvec`` in a subprocess; a hang fails the test (TimeoutExpired)
-    instead of stalling the suite."""
+    instead of stalling the suite.  ``expect`` is the exit code, or a tuple
+    of the codes allowed."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.run(
@@ -35,7 +36,7 @@ def run_cli(*args, expect=0, timeout=CLI_TIMEOUT_S):
         env=env,
         timeout=timeout,
     )
-    assert proc.returncode == expect, (
+    assert proc.returncode in (expect if isinstance(expect, tuple) else (expect,)), (
         f"exit {proc.returncode} (wanted {expect})\nstdout: {proc.stdout}\nstderr: {proc.stderr}"
     )
     return proc
@@ -479,6 +480,31 @@ def test_bad_config_key_exits_2(pipeline, tmp_path):
     cfg.write_text("nonsense = 4\n", encoding="utf-8")
     proc = run_cli("train", trees, vocab, tmp_path / "m.bin", "--config", cfg, expect=2)
     assert "MalformedLine" in proc.stderr
+
+
+def test_config_boolean_spellings(tmp_path):
+    cfg = tmp_path / "flags.cfg"
+    for text, value in [("1", True), ("TRUE", True), ("Yes", True), ("0", False), ("false", False), ("NO", False)]:
+        cfg.write_text(f"strict-oov = {text}\nraw_params={text}  # comment\nunweighted = {text}\n", encoding="utf-8")
+        assert cli._load_config_file(cfg) == {"strict_oov": value, "raw_params": value, "unweighted": value}
+
+
+def test_mistyped_config_boolean_is_a_malformed_line(tmp_path):
+    cfg = tmp_path / "flags.cfg"
+    for key in ("strict-oov", "raw_params", "unweighted"):
+        for text in ("on", "ture", "off", "y", "", "2"):
+            cfg.write_text(f"# query settings\nk = 3\n{key} = {text}\n", encoding="utf-8")
+            with pytest.raises(MalformedLine, match="expected 1/0, true/false or yes/no") as err:
+                cli._load_config_file(cfg)
+            assert err.value.line_no == 3
+
+
+def test_mistyped_config_boolean_exits_2(pipeline, tmp_path):
+    _, _, _, model = pipeline
+    cfg = tmp_path / "query.cfg"
+    cfg.write_text("k = 3\nstrict-oov = on\n", encoding="utf-8")
+    proc = run_cli("nearest", model, "--tree", "food/N -ARG:COMP-> eat/V", "--config", cfg, expect=2)
+    assert one_error_line(proc) == ("MalformedLine", "line 2: expected 1/0, true/false or yes/no, got 'on'")
 
 
 def test_eval_phrase_command(pipeline, tmp_path):

@@ -9,8 +9,11 @@ from scipy.stats import spearmanr
 import worldgen
 from dcsvec.errors import ConversionFailure, LengthMismatch, MalformedLine
 from dcsvec.evaluate import (
+    PHRASES,
     CompletionItem,
     PhrasePair,
+    _average_ranks,
+    _fill_blank,
     RelationInstance,
     completion_score,
     cosine,
@@ -71,6 +74,31 @@ def test_phrase_tree_shapes():
 def test_phrase_tree_accepts_explicit_pos():
     tree = phrase_tree("VO", ["fight/V", "war/N"])
     assert tree.words == (w("fight", "V"), w("war"))
+
+
+def phrase_tree_oracle(construction, tokens):
+    """The five-branch phrase_tree that the ``PHRASES`` table replaced."""
+    shape = {"AN": "JN", "NN": "NN", "VO": "VN", "SVO": "NVN", "ANVAN": "JNVJN"}[construction]
+    words = tuple(Word.parse(t) if "/" in t else Word(t, pos) for t, pos in zip(tokens, shape))
+    if construction in ("AN", "NN"):
+        return DcsTree(words, 1, (Edge(1, 0, ARG, ARG),))
+    if construction == "VO":
+        return DcsTree(words, 0, (Edge(0, 1, COMP, ARG),))
+    if construction == "SVO":
+        return DcsTree(words, 1, (Edge(1, 0, SUBJ, ARG), Edge(1, 2, COMP, ARG)))
+    return DcsTree(
+        words, 2, (Edge(2, 1, SUBJ, ARG), Edge(2, 4, COMP, ARG), Edge(1, 0, ARG, ARG), Edge(4, 3, ARG, ARG))
+    )
+
+
+@pytest.mark.parametrize("construction", ["AN", "NN", "VO", "SVO", "ANVAN"])
+def test_phrase_tree_matches_the_five_branch_oracle(construction):
+    n = len(PHRASES[construction][0])
+    bare = [f"t{i}" for i in range(n)]
+    tagged = [f"t{i}/{'NVJPRX'[i]}" for i in range(n)]
+    mixed = [t if i % 2 else bare[i] for i, t in enumerate(tagged)]
+    for tokens in (bare, tagged, mixed):
+        assert phrase_tree(construction, tokens) == phrase_tree_oracle(construction, tokens)
 
 
 def test_fight_war_query_structure():
@@ -163,6 +191,44 @@ def test_spearman_length_mismatch():
 def test_spearman_zero_variance_is_nan_with_warning():
     with pytest.warns(UserWarning):
         assert math.isnan(spearman([1.0, 1.0, 1.0], [1.0, 2.0, 3.0]))
+
+
+def average_ranks_oracle(values):
+    """The sort-and-walk tie ranking that ``np.unique`` replaced."""
+    order = sorted(range(len(values)), key=lambda i: values[i])
+    ranks = np.empty(len(values), dtype=np.float64)
+    i = 0
+    while i < len(order):
+        j = i
+        while j + 1 < len(order) and values[order[j + 1]] == values[order[i]]:
+            j += 1
+        for t in range(i, j + 1):
+            ranks[order[t]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return ranks
+
+
+def test_average_ranks_match_the_sort_and_walk_oracle_bitwise():
+    rng = np.random.default_rng(15)
+    for case in range(300):
+        n = int(rng.integers(1, 40))
+        if case % 3 == 0:  # small integers: many ties
+            values = rng.integers(-3, 4, n).astype(float).tolist()
+        elif case % 3 == 1:  # halves
+            values = (rng.integers(-6, 7, n) / 2.0).tolist()
+        else:  # signed zeros beside other values
+            values = rng.choice([0.0, -0.0, 1.0, -1.0, 0.5], n).tolist()
+        got = _average_ranks(values)
+        assert got.tobytes() == average_ranks_oracle(values).tobytes()
+    assert _average_ranks([0.0, -0.0, 1.0]).tolist() == [1.5, 1.5, 3.0]
+
+
+@pytest.mark.parametrize("side", [0, 1])
+def test_spearman_with_a_nan_is_nan_with_warning(side):
+    pair = [[1.0, 2.0, 3.0, 4.0], [2.0, 1.0, 4.0, 3.0]]
+    pair[side][2] = float("nan")
+    with pytest.warns(UserWarning, match="NaN"):
+        assert math.isnan(spearman(*pair))
 
 
 # --- phrase dataset file ------------------------------------------------
@@ -339,7 +405,7 @@ def test_completion_score_order_invariance():
     from dcsvec.model import path_score
     from dcsvec.trees import enumerate_paths
 
-    conv = convert_sentence(_fill(item, w("bread")))
+    conv = convert_sentence(_fill_blank(item, w("bread")))
     node = conv.node_of_token(5)
     paths = [p for p in enumerate_paths(conv.tree) if p.end == node]
     total = sum(
@@ -350,10 +416,22 @@ def test_completion_score_order_invariance():
     assert abs(completion_score(params, item, w("bread")) - total / weight) < 1e-12
 
 
-def _fill(item, word):
-    from dcsvec.evaluate import _fill_blank
+def fill_blank_oracle(item, candidate):
+    """The field-by-field token copy that ``dataclasses.replace`` replaced."""
+    upos = {"N": "NOUN", "V": "VERB", "J": "ADJ", "P": "PRON", "R": "ADV", "X": "X"}[candidate.pos]
+    return UdSentence(tuple(
+        UdToken(t.id, candidate.lemma, candidate.lemma, upos, t.head, t.deprel) if t.id == item.blank_id else t
+        for t in item.sentence.tokens
+    ))
 
-    return _fill_blank(item, word)
+
+def test_fill_blank_matches_the_field_by_field_copy(tmp_path):
+    path = tmp_path / "items.jsonl"
+    worldgen.write_completion_items(path, 40, seed=4)
+    items = load_completion_dataset(path)
+    for item in items + [completion_item()]:
+        for candidate in item.choices + (unknown_word("V"), w("quick", "J")):
+            assert _fill_blank(item, candidate) == fill_blank_oracle(item, candidate)
 
 
 def _softplus(x):
@@ -458,7 +536,7 @@ def enumerate_all_completion_score(params, item, candidate, weighted=True):
     from dcsvec.trees import enumerate_paths
     from dcsvec.ud import convert_sentence
 
-    conv = convert_sentence(_fill(item, candidate))
+    conv = convert_sentence(_fill_blank(item, candidate))
     node = conv.node_of_token(item.blank_id)
     tree = conv.tree
     total = weight_sum = 0.0

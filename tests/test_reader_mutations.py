@@ -11,8 +11,12 @@ holding a fraction or a bool) must be rejected, not loaded.  Byte-level
 mutations cover the seven text formats: a byte that is not UTF-8 is a
 MalformedLine naming its line, and a CRLF copy reads as the LF file.  A
 CLI pass feeds each text command a file with a bad byte past the first
-8 KB and a truncated file.  Model payloads with non-finite, huge or
-subnormal floats must still rank answers as the full scan does.
+8 KB and a truncated file, and a second CLI pass feeds each one seeded
+line mutations (swapped columns, a bad value, a repeated id, a head
+cycle): every run exits 0, or exits 2 with one error line.  A model
+payload holding a NaN or an infinity is rejected at load; one with huge
+or subnormal floats, and tables built in memory with any of these, must
+still rank answers as the full scan does.
 """
 
 import io
@@ -26,9 +30,9 @@ import pytest
 
 import worldgen
 from dcsvec import cli
-from dcsvec.errors import DcsvecError, InputError, MalformedLine
+from dcsvec.errors import DcsvecError, DimensionMismatch, InputError, MalformedLine
 from dcsvec.evaluate import load_completion_dataset, load_phrase_dataset, load_relation_instances
-from dcsvec.model import compose_query, init_params, load_model, nearest_answers, normalize, save_model
+from dcsvec.model import ModelParams, compose_query, init_params, load_model, nearest_answers, normalize, save_model
 from dcsvec.trees import (
     ARG, COMP, SUBJ, UNKNOWN_FIELD, DcsTree, Edge, Word, load_trees, read_trees, tree_to_line, unknown_word,
 )
@@ -126,10 +130,7 @@ def check(results, must_reject):
     assert {got for _, got in results} == {"loaded", "rejected"}  # the mutations reach both sides
 
 
-def test_vocabulary_file_mutations(tmp_path):
-    path = tmp_path / "vocab.txt"
-    save_vocab(small_vocab(), path)
-    base = path.read_text(encoding="utf-8").splitlines()
+def vocab_mutations(base):
     entries = range(1, len(base))  # after the magic line
     words = [i for i in entries if base[i].startswith("W\t")]
     fields = [i for i in entries if base[i].startswith("F\t")]
@@ -138,7 +139,7 @@ def test_vocabulary_file_mutations(tmp_path):
         i = rng.choice(entries)
         lines[i] = rng.choice(("X", "w", "WF", "")) + lines[i][1:]
 
-    mutations = {
+    return {
         "truncate": lambda rng, lines: truncate(rng, lines, entries),
         "swap": lambda rng, lines: swap_columns(rng, lines, entries),
         "drop": lambda rng, lines: lines.pop(rng.choice(entries)),
@@ -147,8 +148,14 @@ def test_vocabulary_file_mutations(tmp_path):
         "huge_pair": lambda rng, lines: huge_pair(rng, lines, rng.choice((words, fields))),
         "keyword": keyword,
     }
+
+
+def test_vocabulary_file_mutations(tmp_path):
+    path = tmp_path / "vocab.txt"
+    save_vocab(small_vocab(), path)
+    base = path.read_text(encoding="utf-8").splitlines()
     must_reject = {"swap", "repeat", "bad_count", "huge_pair", "keyword"}
-    check(run_cases(base, mutations, file_loader(path, load_vocab)), must_reject)
+    check(run_cases(base, vocab_mutations(base), file_loader(path, load_vocab)), must_reject)
 
 
 def test_model_header_mutations():
@@ -194,9 +201,12 @@ PAYLOAD_VALUES = (np.nan, np.inf, -np.inf, 1e38, -3e38, 1e-45, -1e-40)
 
 
 def test_model_payload_mutations(tmp_path):
-    """Non-finite, huge and subnormal floats in rows of V, U, M and Minv:
-    each query returns the full scan's list, raw and normalized, or the
-    command exits 2 with one error line."""
+    """Non-finite, huge and subnormal floats in rows of V, U, M and Minv.
+    A NaN or an infinity fails the load, naming its table and row, and the
+    command exits 2 with one error line; the same tables built in memory
+    still get the full scan's list.  Finite values load, and each query
+    returns the full scan's list, raw and normalized, or the command exits
+    2 with one error line."""
     words = [Word(f"n{i}", "N") for i in range(30)] + [Word(f"v{i}", "V") for i in range(10)]
     words += [unknown_word("N"), unknown_word("V")]
     fields = (ARG, SUBJ, COMP, UNKNOWN_FIELD)
@@ -211,16 +221,17 @@ def test_model_payload_mutations(tmp_path):
     blob = path.read_bytes()
     start = len(blob) - 4 * (2 * n * d + 2 * m * d * d)
     rng = random.Random(SEED)
-    cli_tables = set()
+    cli_kinds = set()
     for case in range(CASES):
         table = ("V", "U", "M", "Minv")[case % 4]
         if table == "V":  # rows the query reads, half the time
-            row = rng.choice(query_words) if rng.random() < 0.5 else rng.randrange(n)
+            row = table_row = rng.choice(query_words) if rng.random() < 0.5 else rng.randrange(n)
         elif table == "U":
-            row = n + rng.randrange(n)
+            table_row = rng.randrange(n)
+            row = n + table_row
         else:  # per field: M, then Minv
-            field = rng.choice(query_fields) if rng.random() < 0.5 else rng.randrange(m)
-            row = 2 * n + d * (2 * field + (table == "Minv")) + rng.randrange(d)
+            table_row = rng.choice(query_fields) if rng.random() < 0.5 else rng.randrange(m)
+            row = 2 * n + d * (2 * table_row + (table == "Minv")) + rng.randrange(d)
         mutated = bytearray(blob)
         payload = np.frombuffer(mutated, dtype="<f4", offset=start).reshape(-1, d)
         value = rng.choice(PAYLOAD_VALUES)
@@ -229,7 +240,15 @@ def test_model_payload_mutations(tmp_path):
         else:
             payload[row, rng.randrange(d)] = value
         path.write_bytes(mutated)
-        raw, _ = load_model(path)
+        finite = bool(np.isfinite(value))
+        if finite:
+            raw, _ = load_model(path)
+        else:  # the same tables, built in memory
+            with pytest.raises(DimensionMismatch, match=rf"^{table} row {table_row} \(.*\) holds a value that is not finite"):
+                load_model(path)
+            V, U = payload[: 2 * n].reshape(2, n, d)
+            maps = payload[2 * n :].reshape(m, 2, d, d)
+            raw = ModelParams(d, vocab, V.copy(), U.copy(), maps[:, 0].copy(), maps[:, 1].copy())
         try:
             normalized = normalize(raw)
         except DcsvecError:
@@ -241,30 +260,29 @@ def test_model_payload_mutations(tmp_path):
             for pos in (None, "N"):
                 want = nearest_answers_oracle(params, query, 8, pos)
                 assert_same_ranking(nearest_answers(params, query, 8, pos), want)
-        if table not in cli_tables:  # one command per table: a CLI run takes a few tenths of a second
-            cli_tables.add(table)
-            proc = run_cli("nearest", path, "--tree", literal, "--k", 8, expect=0 if normalized else 2)
-            assert "Traceback" not in proc.stderr
-            if normalized is None:
-                one_error_line(proc)
-                continue
-            want = nearest_answers_oracle(normalized, compose_query(normalized, tree), 8)
-            got = [line.split("\t") for line in proc.stdout.splitlines()]
-            assert [word for _, word, _ in got] == [word.render() for word, _ in want]
-            for (_, _, text), (_, score) in zip(got, want):
-                assert text == f"{score:.6f}" or abs(float(text) - score) <= 1e-6 * (1 + abs(score))
-    assert cli_tables == {"V", "U", "M", "Minv"}
+        if (table, finite) in cli_kinds:  # one command per kind: a CLI run takes a few tenths of a second
+            continue
+        cli_kinds.add((table, finite))
+        proc = run_cli("nearest", path, "--tree", literal, "--k", 8, expect=0 if finite and normalized else 2)
+        assert "Traceback" not in proc.stderr
+        if proc.returncode == 2:
+            error, message = one_error_line(proc)
+            assert finite or (error == "DimensionMismatch" and message.startswith(f"{table} row {table_row} ("))
+            continue
+        want = nearest_answers_oracle(normalized, compose_query(normalized, tree), 8)
+        got = [line.split("\t") for line in proc.stdout.splitlines()]
+        assert [word for _, word, _ in got] == [word.render() for word, _ in want]
+        for (_, _, text), (_, score) in zip(got, want):
+            assert text == f"{score:.6f}" or abs(float(text) - score) <= 1e-6 * (1 + abs(score))
+    assert cli_kinds == {(table, finite) for table in ("V", "U", "M", "Minv") for finite in (True, False)}
 
 
-def test_tree_line_mutations():
-    base = [tree_to_line(tree) for tree in small_trees()]
+def tree_mutations(base):
     rows = range(len(base))
-
-    def load(lines):
-        list(read_trees(line + "\n" for line in lines))
+    edged = [i for i in rows if base[i].split("\t")[2]]  # the trees that have edges
 
     def edit_edge(rng, lines, edit):
-        i = rng.choice((0, 1))  # the trees that have edges
+        i = rng.choice(edged)
         root, words, edges = lines[i].split("\t")
         edges = [e.split(":") for e in edges.split(";")]
         edit(rng, rng.choice(edges))  # parent, child, parent field, child field
@@ -283,7 +301,7 @@ def test_tree_line_mutations():
         i = rng.choice(rows)
         lines[i] = rng.choice(BAD_INDICES) + lines[i][1:]
 
-    mutations = {
+    return {
         "truncate": lambda rng, lines: truncate(rng, lines, rows),
         "swap": lambda rng, lines: swap_columns(rng, lines, rows),
         "repeat": lambda rng, lines: lines.insert(rng.choice(rows), lines[rng.choice(rows)]),
@@ -292,8 +310,16 @@ def test_tree_line_mutations():
         "bad_index": lambda rng, lines: edit_edge(rng, lines, bad_index),
         "bad_field": lambda rng, lines: edit_edge(rng, lines, bad_field),
     }
+
+
+def test_tree_line_mutations():
+    base = [tree_to_line(tree) for tree in small_trees()]
+
+    def load(lines):
+        list(read_trees(line + "\n" for line in lines))
+
     must_reject = {"swap", "reverse_edge", "bad_root", "bad_index", "bad_field"}
-    check(run_cases(base, mutations, load), must_reject)
+    check(run_cases(base, tree_mutations(base), load), must_reject)
 
 
 # --- the seven text formats, as files -------------------------------------
@@ -311,6 +337,10 @@ CONFIG_ROWS = [
     "word-min = 2",
 ]
 NUMERIC_CONFIG_ROWS = (1, 2, 5, 8)
+# 1e999 is no integer; for a float key it reads as inf, which is a value
+# (a clip norm may be inf) that the setting's own check ranges
+INTEGER_CONFIG_ROWS = (1, 2)
+BOOLEAN_CONFIG_ROWS = (7,)
 PHRASE_ROWS = [
     "VO\teat/V bread/N\tcook/V soup/N\t4.5",
     "AN\tfresh/J bread/N\twarm/J soup/N\t3",
@@ -348,7 +378,10 @@ def formats(tmp_path_factory):
     vocab_path = root / "vocab.txt"
     save_vocab(Vocabulary(words, (ARG, SUBJ), {w: 1.0 + i for i, w in enumerate(words)}, {ARG: 3.0, SUBJ: 1.5}), vocab_path)
     model = root / "model.bin"
-    save_model(init_params(small_vocab(), 2, np.random.default_rng(SEED)), small_vocab(), model)
+    vocab = small_vocab()  # plus the placeholders of the other tags, as build_vocab writes them
+    extra = tuple(unknown_word(pos) for pos in ("J", "P", "R", "X"))
+    vocab = Vocabulary(vocab.words + extra, vocab.fields, {**vocab.word_counts, **dict.fromkeys(extra, 1.0)}, vocab.field_counts)
+    save_model(init_params(vocab, 2, np.random.default_rng(SEED)), vocab, model)
     completion = [json.dumps(row) for row in worldgen.completion_items(4, seed=4)]
     relation = [json.dumps(row) for row in worldgen.relation_instances(4, seed=8)]
     return {
@@ -373,10 +406,10 @@ def formats(tmp_path_factory):
 FORMATS = ("conllu", "trees", "vocab", "config", "phrase", "completion", "relation")
 
 
-def test_config_file_mutations(formats, tmp_path):
-    base = formats["config"].lines
+def config_mutations(base):
     entries = [i for i, line in enumerate(base) if "=" in line]
     numeric = [i for i in entries if i % len(CONFIG_ROWS) in NUMERIC_CONFIG_ROWS]
+    boolean = [i for i in entries if i % len(CONFIG_ROWS) in BOOLEAN_CONFIG_ROWS]
 
     def swap(rng, lines):
         i = rng.choice(entries)
@@ -388,10 +421,14 @@ def test_config_file_mutations(formats, tmp_path):
         lines[i] = rng.choice(("dimm", "bogus", "total_steps", "-")) + "=" + lines[i].partition("=")[2]
 
     def bad_value(rng, lines):
-        i = rng.choice(numeric)
-        lines[i] = lines[i].partition("=")[0] + "= " + rng.choice(("x", "", "1e999", "2 3", "0x10"))
+        if rng.random() < 0.5:
+            i = rng.choice(numeric)
+            values = ("x", "", "2 3", "0x10") + (("1e999",) if i % len(CONFIG_ROWS) in INTEGER_CONFIG_ROWS else ())
+        else:  # a boolean is 1/0, true/false or yes/no, nothing else
+            i, values = rng.choice(boolean), ("on", "ture", "off", "y", "", "2")
+        lines[i] = lines[i].partition("=")[0] + "= " + rng.choice(values)
 
-    mutations = {
+    return {
         "truncate": lambda rng, lines: truncate(rng, lines, entries),
         "swap": swap,
         "drop": lambda rng, lines: lines.pop(rng.choice(entries)),
@@ -399,12 +436,15 @@ def test_config_file_mutations(formats, tmp_path):
         "unknown_key": unknown_key,
         "bad_value": bad_value,
     }
+
+
+def test_config_file_mutations(formats, tmp_path):
+    base = formats["config"].lines
     load = file_loader(tmp_path / "config.txt", cli._load_config_file)
-    check(run_cases(base, mutations, load), {"swap", "unknown_key", "bad_value"})
+    check(run_cases(base, config_mutations(base), load), {"swap", "unknown_key", "bad_value"})
 
 
-def test_phrase_dataset_mutations(formats, tmp_path):
-    base = formats["phrase"].lines
+def phrase_mutations(base):
     rows = range(len(base))
 
     def set_column(rng, lines, col, values):
@@ -420,7 +460,7 @@ def test_phrase_dataset_mutations(formats, tmp_path):
         cols[col] = " ".join(cols[col].split()[1:])
         lines[i] = "\t".join(cols)
 
-    mutations = {
+    return {
         "truncate": lambda rng, lines: truncate(rng, lines, rows),
         "swap": lambda rng, lines: swap_columns(rng, lines, rows),
         "repeat": lambda rng, lines: lines.insert(rng.choice(rows), lines[rng.choice(rows)]),
@@ -429,8 +469,12 @@ def test_phrase_dataset_mutations(formats, tmp_path):
         "drop_token": drop_token,
         "bad_word": lambda rng, lines: set_column(rng, lines, 1, ("eat/ bread/N", "/V bread/N", "eat/V/N bread/N")),
     }
+
+
+def test_phrase_dataset_mutations(formats, tmp_path):
+    base = formats["phrase"].lines
     load = file_loader(tmp_path / "phrases.tsv", load_phrase_dataset)
-    check(run_cases(base, mutations, load), {"bad_score", "construction", "drop_token"})
+    check(run_cases(base, phrase_mutations(base), load), {"bad_score", "construction", "drop_token"})
 
 
 def json_mutations(int_keys):
@@ -472,6 +516,11 @@ def json_mutations(int_keys):
     def repeat_token(rng, row):
         row["tokens"].append(dict(rng.choice(row["tokens"])))
 
+    def swap(rng, row):  # the values of two of a token's keys
+        token = rng.choice(row["tokens"])
+        a, b = rng.sample(sorted(token), 2)
+        token[a], token[b] = token[b], token[a]
+
     def drop_optional(rng, row):  # the token fields that have defaults
         token = rng.choice(row["tokens"])
         del token[rng.choice(("form", "lemma", "upos", "deprel"))]
@@ -479,6 +528,7 @@ def json_mutations(int_keys):
     return {
         "truncate": lambda rng, lines: truncate(rng, lines, range(len(lines))),
         "repeat": lambda rng, lines: lines.insert(rng.randrange(len(lines)), rng.choice(lines)),
+        "swap": edit(swap),
         "drop_optional": edit(drop_optional),
         "drop_key": edit(drop_key),
         "self_head": edit(self_head),
@@ -492,27 +542,33 @@ def json_mutations(int_keys):
 JSON_MUST_REJECT = {"drop_key", "self_head", "huge", "non_integer", "bad_type", "repeat_token"}
 
 
-def test_completion_dataset_mutations(formats, tmp_path):
-    mutations = json_mutations(("blank", "answer"))
-
+def completion_mutations(base):
     def drop_choice(rng, lines):
         i = rng.randrange(len(lines))
         row = json.loads(lines[i])
         row["choices"].pop(rng.randrange(len(row["choices"])))
         lines[i] = json.dumps(row)
 
-    mutations["drop_choice"] = drop_choice
+    return {**json_mutations(("blank", "answer")), "drop_choice": drop_choice}
+
+
+def relation_mutations(base):
+    return json_mutations(("e1", "e2"))
+
+
+def test_completion_dataset_mutations(formats, tmp_path):
+    base = formats["completion"].lines
     load = file_loader(tmp_path / "items.jsonl", load_completion_dataset)
-    check(run_cases(formats["completion"].lines, mutations, load), JSON_MUST_REJECT | {"drop_choice"})
+    check(run_cases(base, completion_mutations(base), load), JSON_MUST_REJECT | {"drop_choice"})
 
 
 def test_relation_dataset_mutations(formats, tmp_path):
+    base = formats["relation"].lines
     load = file_loader(tmp_path / "instances.jsonl", load_relation_instances)
-    check(run_cases(formats["relation"].lines, json_mutations(("e1", "e2")), load), JSON_MUST_REJECT)
+    check(run_cases(base, relation_mutations(base), load), JSON_MUST_REJECT)
 
 
-def test_conllu_mutations(formats, tmp_path):
-    base = formats["conllu"].lines
+def conllu_mutations(base):
     tokens = [i for i, line in enumerate(base) if line and not line.startswith("#")]
 
     def set_column(rng, lines, col, values):
@@ -525,7 +581,7 @@ def test_conllu_mutations(formats, tmp_path):
         i = rng.choice(tokens)
         lines.insert(i, lines[i])
 
-    mutations = {
+    return {
         "truncate": lambda rng, lines: truncate(rng, lines, tokens),
         "swap": lambda rng, lines: swap_columns(rng, lines, tokens),
         "drop": lambda rng, lines: lines.pop(rng.choice(tokens)),
@@ -534,8 +590,12 @@ def test_conllu_mutations(formats, tmp_path):
         "bad_id": lambda rng, lines: set_column(rng, lines, 0, ("x", "0", "-1", "", "1e3")),
         "bad_head": lambda rng, lines: set_column(rng, lines, 6, ("x", "-1", "99", "", "1.5")),
     }
+
+
+def test_conllu_mutations(formats, tmp_path):
+    base = formats["conllu"].lines
     load = file_loader(tmp_path / "corpus.conllu", lambda p: list(parse_conllu_file(p)))
-    check(run_cases(base, mutations, load), {"repeat", "self_head", "bad_id", "bad_head"})
+    check(run_cases(base, conllu_mutations(base), load), {"repeat", "self_head", "bad_id", "bad_head"})
 
 
 BAD_BYTES = (b"\xff", b"\x80", b"\xc3", b"\xe2\x82", b"\xed\xa0\x80", b"\xf8\x88\x80\x80\x80")
@@ -618,3 +678,38 @@ def test_cli_exits_2_on_bad_bytes_and_truncation(formats, name, tmp_path):
     path.write_bytes(data)
     error, message = one_error_line(run_cli(*fmt.argv(path), expect=2))
     assert error == "MalformedLine" and message.startswith(f"line {line_no}: ")
+
+
+# per format: its mutations, and the ones the CLI pass runs, one of each
+# kind the format has: swapped columns, a bad value, a repeated id (an
+# entry, a row or a token) and a head cycle (a token heading itself, an
+# edge reversed)
+CLI_MUTATIONS = {
+    "conllu": (conllu_mutations, ("swap", "bad_head", "repeat", "self_head")),
+    "trees": (tree_mutations, ("swap", "bad_index", "repeat", "reverse_edge")),
+    "vocab": (vocab_mutations, ("swap", "bad_count", "repeat")),
+    "config": (config_mutations, ("swap", "bad_value", "repeat")),
+    "phrase": (phrase_mutations, ("swap", "bad_score", "repeat")),
+    "completion": (completion_mutations, ("swap", "non_integer", "repeat_token", "self_head")),
+    "relation": (relation_mutations, ("swap", "non_integer", "repeat_token", "self_head")),
+}
+
+
+@pytest.mark.parametrize("name", FORMATS)
+def test_cli_exits_0_or_2_on_line_mutations(formats, name, tmp_path):
+    """Each mutated file runs its command to exit 0, or to exit 2 with one
+    error line, always so when the library reader rejects the file; no
+    run prints a traceback."""
+    fmt = formats[name]
+    make, kinds = CLI_MUTATIONS[name]
+    mutations = make(fmt.lines)
+    rng = random.Random(SEED)
+    path = tmp_path / "input"
+    for kind in kinds:
+        lines = list(fmt.lines)
+        mutations[kind](rng, lines)
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        proc = run_cli(*fmt.argv(path), expect=(0, 2) if outcome(fmt.read, path) == "loaded" else 2)
+        assert "Traceback" not in proc.stderr
+        if proc.returncode == 2:
+            one_error_line(proc)
