@@ -41,6 +41,10 @@ _TRAIN_FIELDS = {  # config key -> TrainConfig field
     _SHORT_KEYS.get(f.name, f.name): f for f in fields(TrainConfig) if f.name != "total_steps"
 }
 
+# the train flags are generated from _TRAIN_FIELDS; these add choices and help
+_TRAIN_CHOICES = {"mode": MODES, "lr_schedule": LR_SCHEDULES}
+_TRAIN_HELP = {"noise": "noise examples per path"}
+
 _VOCAB_PARAMS = inspect.signature(build_vocab).parameters
 
 _DEFAULTS = {
@@ -242,7 +246,7 @@ def cmd_eval_completion(args) -> int:
 def cmd_export_features(args) -> int:
     params = _load_model_for_eval(args)
     instances = load_relation_instances(args.instances)
-    count = export_features(params, instances, args.features_out)
+    count = export_features(params, instances, args.features_out, strict=args.strict_oov)
     print(f"instances\t{count}")
     return 0
 
@@ -272,17 +276,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("trees_in")
     p.add_argument("vocab")
     p.add_argument("model_out")
-    p.add_argument("--dim", type=int, default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--lr-vec", dest="lr_vec", type=float, default=None)
-    p.add_argument("--lr-mat", dest="lr_mat", type=float, default=None)
-    p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--kappa", type=float, default=None)
-    p.add_argument("--noise", type=int, default=None, help="noise examples per path")
-    p.add_argument("--clip-vec", dest="clip_vec", type=float, default=None)
-    p.add_argument("--clip-mat", dest="clip_mat", type=float, default=None)
-    p.add_argument("--mode", choices=MODES, default=None)
-    p.add_argument("--lr-schedule", dest="lr_schedule", choices=LR_SCHEDULES, default=None)
+    for key, f in _TRAIN_FIELDS.items():
+        if key not in ("seed", "workers"):  # _add_common's
+            p.add_argument("--" + key.replace("_", "-"), dest=key, type=type(f.default), default=None,
+                           choices=_TRAIN_CHOICES.get(key), help=_TRAIN_HELP.get(key))
     p.add_argument("--dump-paths", dest="dump_paths", default=None,
                    help="before training, write one epoch of sampled paths to this file; an "
                         "independent sample from default_rng(--seed), not the trainer's stream")

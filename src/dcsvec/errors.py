@@ -36,8 +36,8 @@ class UnknownField(DcsvecError):
 
 
 class MissingPlaceholder(InputError):
-    """A training tree's word or field is absent from the vocabulary file,
-    and so is the placeholder it would fall back on."""
+    """A word or field is absent from the vocabulary, and so is the
+    placeholder a non-strict lookup would fall back on."""
 
 
 class MalformedLine(InputError):

@@ -18,18 +18,7 @@ import numpy as np
 from .errors import ConversionFailure, LengthMismatch, ZeroNorm, opened, parse_lines, text_lines
 from .model import ModelParams, compose_query, path_score
 from .train import softplus
-from .trees import (
-    ARG,
-    COMP,
-    SUBJ,
-    DcsTree,
-    Edge,
-    Word,
-    extract_subtree,
-    lca,
-    reroot,
-    tree_path,
-)
+from .trees import ARG, COMP, SUBJ, DcsTree, Edge, Word, lca, tree_path
 from .ud import UdSentence, UdToken, convert_sentence, finish_sentence
 
 # construction -> (POS tag of each token, root token, edges): VO hangs the
@@ -164,14 +153,9 @@ def relation_features(
     rooted at each marked node, then the common-ancestor subtree
     re-rooted at each marked node."""
     top = lca(inst.tree, inst.e1, inst.e2)
-    shared, remap = extract_subtree(inst.tree, top)
-    sub1, _ = extract_subtree(inst.tree, inst.e1)
-    sub2, _ = extract_subtree(inst.tree, inst.e2)
     blocks = [
-        compose_query(params, sub1, strict=strict),
-        compose_query(params, sub2, strict=strict),
-        compose_query(params, reroot(shared, remap[inst.e1]), strict=strict),
-        compose_query(params, reroot(shared, remap[inst.e2]), strict=strict),
+        compose_query(params, inst.tree, strict, at=at, within=within)
+        for at, within in ((inst.e1, inst.e1), (inst.e2, inst.e2), (inst.e1, top), (inst.e2, top))
     ]
     out = []
     for block in blocks:
@@ -182,13 +166,15 @@ def relation_features(
     return np.concatenate(out)
 
 
-def export_features(params: ModelParams, instances: Iterable[RelationInstance], sink) -> int:
+def export_features(
+    params: ModelParams, instances: Iterable[RelationInstance], sink, strict: bool = False
+) -> int:
     """One line per instance: label, then 1-based index:value pairs in
     ascending order with zeros omitted."""
     count = 0
     with opened(sink, "w", encoding="utf-8") as fh:
         for inst in instances:
-            feats = relation_features(params, inst)
+            feats = relation_features(params, inst, strict=strict)
             pairs = " ".join(
                 f"{i + 1}:{value:.6f}" for i, value in enumerate(feats) if value != 0.0
             )

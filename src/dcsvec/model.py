@@ -7,9 +7,13 @@ apply on the right, so a path from x to y scores as
 
     v_x @ M[near_1] @ Minv[far_1] @ ... @ M[near_l] @ Minv[far_l] @ u_y
 
-and tree composition is
+and tree composition from a node x is
 
-    q(x) = v_x + (1/n) * sum_i q(y_i) @ M[child_field_i] @ Minv[parent_field_i]
+    q(x) = v_x + (1/n) * sum_i q(y_i) @ M[f(y_i)] @ Minv[f(x)]
+
+over the n neighbours y_i of x other than the one the walk came from,
+each composed away from x, with f(y_i) and f(x) the fields at the two
+ends of the edge; from the root, the y_i are the children.
 
 Rows are found through the ``Vocabulary`` the parameters were built
 from (``params.vocab``), which owns the name-to-row index.  Storage
@@ -33,7 +37,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BadMagic, DimensionMismatch, InputError, InvalidConfig, TruncatedFile, ZeroNorm, opened
-from .trees import POS_TAGS, DcsTree, FieldId, Word
+from .trees import POS_TAGS, DcsTree, FieldId, Word, hop_fields, lca
 from .vocab import Vocabulary, entries_vocabulary, entry_lines, read_entry
 
 MODEL_MAGIC = "VECDCS 1"
@@ -116,31 +120,46 @@ def path_score(
     return float(r @ params.U[params.vocab.word_id(end, strict)].astype(np.float64))
 
 
-def compose_query(params: ModelParams, tree: DcsTree, strict: bool = True) -> np.ndarray:
-    """Query vector of a tree: the word vector plus the averaged child
-    query vectors, each mapped through M[child_field] @ Minv[parent_field].
+def compose_query(
+    params: ModelParams, tree: DcsTree, strict: bool = True, *, at: int | None = None, within: int | None = None
+) -> np.ndarray:
+    """Query vector of a tree composed from node ``at`` (default the root):
+    the word vector plus the averaged query vectors of its neighbours,
+    each composed away from it and mapped through M[neighbour's field] @
+    Minv[own field].  ``within`` bounds the walk to the subtree rooted
+    there (default the root: the whole tree), which must hold ``at``, so
+    the result is that of the subtree re-rooted at ``at``.
 
     Every node is composed once; out-of-vocabulary words fall back to the
     per-POS placeholder row unless ``strict``.
     """
-    return _compose(params, tree, tree.root, strict)
+    at = tree.root if at is None else at
+    within = tree.root if within is None else within
+    if not (0 <= at < tree.n_nodes and 0 <= within < tree.n_nodes) or lca(tree, at, within) != within:
+        raise ValueError(f"node {at} is not in the subtree of node {within}")
+    above = tree.parent_edge(within)  # the one edge out of the subtree
+    return _compose(params, tree, at, None, None if above is None else above.parent, strict)
 
 
-def _compose(params: ModelParams, tree: DcsTree, node: int, strict: bool) -> np.ndarray:
+def _compose(
+    params: ModelParams, tree: DcsTree, node: int, came_from: int | None, outside: int | None, strict: bool
+) -> np.ndarray:
     # Module-level rather than a closure that calls itself: such a closure
     # is a reference cycle through ``params``, which would keep a model its
     # caller has dropped (answer index included) alive until the cyclic
     # collector runs.
     q = params.V[params.vocab.word_id(tree.words[node], strict)].astype(np.float64)
-    children = tree.child_edges(node)
-    if children:
+    # neighbours ascend, as the child edges of the re-rooted tree would
+    away = [nb for nb in tree.neighbors(node) if nb != came_from and nb != outside]
+    if away:
         acc = np.zeros(params.dim, dtype=np.float64)
-        for e in children:
-            sub = _compose(params, tree, e.child, strict)
-            sub = sub @ params.M[params.vocab.field_id(e.child_field, strict)]
-            sub = sub @ params.Minv[params.vocab.field_id(e.parent_field, strict)]
+        for nb in away:
+            near, far = hop_fields(tree, nb, node)
+            sub = _compose(params, tree, nb, node, outside, strict)
+            sub = sub @ params.M[params.vocab.field_id(near, strict)]
+            sub = sub @ params.Minv[params.vocab.field_id(far, strict)]
             acc += sub
-        q = q + acc / len(children)
+        q = q + acc / len(away)
     return q
 
 

@@ -2,8 +2,8 @@
 
 A tree node is a content word (lemma plus coarse POS); every edge carries
 two field labels, one for each end.  The module also provides path
-enumeration with exact rational weights, re-rooting, subtree extraction,
-and the one-tree-per-line text format used between pipeline stages.
+enumeration with exact rational weights, and the one-tree-per-line text
+format used between pipeline stages.
 
 Path weights follow the degrade-long-paths rule: a path through
 intermediate nodes of degrees n_1..n_k has weight prod(1 / (n_i - 1)),
@@ -212,51 +212,6 @@ def lca(tree: DcsTree, a: int, b: int) -> int:
     while b not in on_a:
         b = tree.parent_edge(b).parent
     return b
-
-
-def reroot(tree: DcsTree, new_root: int) -> DcsTree:
-    """Same undirected labelled tree with edges on the old-root path
-    reversed (parent/child and their fields swapped)."""
-    if not 0 <= new_root < tree.n_nodes:
-        raise ValueError("new root out of range")
-    if new_root == tree.root:
-        return tree
-    edges = []
-    seen = {new_root}
-    stack = [new_root]
-    while stack:
-        node = stack.pop()
-        for nb in tree.neighbors(node):
-            if nb in seen:
-                continue
-            seen.add(nb)
-            old = tree.parent_edge(nb)
-            if old is not None and old.parent == node:
-                edges.append(old)
-            else:
-                old = tree.parent_edge(node)
-                edges.append(Edge(node, nb, old.child_field, old.parent_field))
-            stack.append(nb)
-    return DcsTree(tree.words, new_root, tuple(edges))
-
-
-def extract_subtree(tree: DcsTree, node: int) -> tuple[DcsTree, dict[int, int]]:
-    """Subtree rooted at ``node``; returns it plus the old->new index map."""
-    order = [node]
-    stack = [node]
-    while stack:
-        for e in tree.child_edges(stack.pop()):
-            order.append(e.child)
-            stack.append(e.child)
-    order.sort()
-    remap = {old: new for new, old in enumerate(order)}
-    words = tuple(tree.words[old] for old in order)
-    edges = tuple(
-        Edge(remap[e.parent], remap[e.child], e.parent_field, e.child_field)
-        for old in order
-        for e in tree.child_edges(old)
-    )
-    return DcsTree(words, remap[node], edges), remap
 
 
 def check_field_name(name: FieldId) -> FieldId:

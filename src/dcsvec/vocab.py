@@ -80,23 +80,28 @@ class Vocabulary:
         return len(self.fields)
 
     def word_id(self, w: Word, strict: bool = True) -> int:
-        """Row of ``w``; unless ``strict``, unknown words take their POS placeholder's."""
+        """Row of ``w``; unless ``strict``, unknown words take their POS
+        placeholder's, and a missing placeholder is a MissingPlaceholder."""
         idx = self.word_index.get(w)
-        if idx is None and not strict:
+        if idx is None and strict:
+            raise UnknownWord(f"{w.render()} not in vocabulary")
+        if idx is None:
             idx = self.word_index.get(unknown_word(w.pos))
         if idx is None:
-            nor = "" if strict else f", nor is its placeholder {unknown_word(w.pos).render()}"
-            raise UnknownWord(f"{w.render()} not in vocabulary{nor}")
+            placeholder = unknown_word(w.pos).render()
+            raise MissingPlaceholder(f"{w.render()} not in vocabulary, nor is its placeholder {placeholder}")
         return idx
 
     def field_id(self, f: FieldId, strict: bool = True) -> int:
-        """Row of ``f``; unless ``strict``, unknown fields take the placeholder's."""
+        """Row of ``f``; unless ``strict``, unknown fields take the
+        placeholder's, and a missing placeholder is a MissingPlaceholder."""
         idx = self.field_index.get(f)
-        if idx is None and not strict:
+        if idx is None and strict:
+            raise UnknownField(f"field {f} has no learned maps")
+        if idx is None:
             idx = self.field_index.get(UNKNOWN_FIELD)
         if idx is None:
-            nor = "" if strict else f", nor has its placeholder {UNKNOWN_FIELD}"
-            raise UnknownField(f"field {f} has no learned maps{nor}")
+            raise MissingPlaceholder(f"field {f} has no learned maps, nor has its placeholder {UNKNOWN_FIELD}")
         return idx
 
     # cumulative unigram counts, built on the first draw: querying never draws
@@ -314,15 +319,12 @@ def sample_paths(
     if tree.n_nodes < 2:
         return []
     traj = _walk_trajectories(tree, 1, rng)
-    try:
-        word_rows = [vocab.word_id(w, strict=False) for w in tree.words]
-        hop_rows = {}  # (near node, far node) -> (near field row, far field row)
-        for e in tree.edges:
-            pf, cf = (vocab.field_id(f, strict=False) for f in (e.parent_field, e.child_field))
-            hop_rows[e.parent, e.child] = (pf, cf)
-            hop_rows[e.child, e.parent] = (cf, pf)
-    except (UnknownWord, UnknownField) as exc:
-        raise MissingPlaceholder(str(exc)) from None
+    word_rows = [vocab.word_id(w, strict=False) for w in tree.words]
+    hop_rows = {}  # (near node, far node) -> (near field row, far field row)
+    for e in tree.edges:
+        pf, cf = (vocab.field_id(f, strict=False) for f in (e.parent_field, e.child_field))
+        hop_rows[e.parent, e.child] = (pf, cf)
+        hop_rows[e.child, e.parent] = (cf, pf)
     out: list[PathSample] = []
     for row in traj.tolist():
         start = node = row[0]

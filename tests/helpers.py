@@ -2,7 +2,8 @@
 
 The oracles deliberately avoid the package's evaluation code paths:
 denotations are checked by enumerating full tuple assignments, path
-chains by enumerating tuple sequences.
+chains by enumerating tuple sequences, and compositions from any node
+by building the re-rooted subtree and composing it over child edges.
 """
 
 import itertools
@@ -10,9 +11,10 @@ import itertools
 import numpy as np
 
 from dcsvec.logic import Database, DbTuple
+from dcsvec.model import init_params
 from dcsvec.train import NoisedExample, TrainConfig, loss_and_gradients
 from dcsvec.trees import ARG, COMP, SUBJ, DcsTree, Edge, Word, hop_fields, path_nodes
-from dcsvec.vocab import PathSample, _walk_trajectories
+from dcsvec.vocab import PathSample, Vocabulary, _walk_trajectories
 
 POS_CHOICES = ("N", "V", "J")
 FIELD_CHOICES = (ARG, SUBJ, COMP, "in", "on", "of")
@@ -34,6 +36,15 @@ def random_tree(rng: np.random.Generator, n_nodes: int, n_words: int | None = No
         lf = FIELD_CHOICES[int(rng.integers(len(FIELD_CHOICES)))]
         edges.append(Edge(parent, child, pf, lf))
     return DcsTree(words, 0, tuple(edges))
+
+
+def random_tree_model(rng: np.random.Generator, dim: int = 4):
+    """A float32 model over every word and field ``random_tree`` draws
+    with ``n_words=6``."""
+    words = tuple(Word(f"w{i}", pos) for i in range(6) for pos in POS_CHOICES)
+    return init_params(
+        Vocabulary(words, FIELD_CHOICES, dict.fromkeys(words, 1.0), dict.fromkeys(FIELD_CHOICES, 1.0)), dim, rng
+    )
 
 
 def random_db_for_tree(
@@ -166,3 +177,66 @@ def sample_path_counts(tree, rng, epochs, chunk=20000) -> np.ndarray:
             counts += np.bincount(base[valid] + nodes[valid], minlength=n * n)
         done += batch
     return counts.reshape(n, n)
+
+
+def reroot(tree: DcsTree, new_root: int) -> DcsTree:
+    """Same undirected labelled tree with edges on the old-root path
+    reversed (parent/child and their fields swapped)."""
+    if not 0 <= new_root < tree.n_nodes:
+        raise ValueError("new root out of range")
+    if new_root == tree.root:
+        return tree
+    edges = []
+    seen = {new_root}
+    stack = [new_root]
+    while stack:
+        node = stack.pop()
+        for nb in tree.neighbors(node):
+            if nb in seen:
+                continue
+            seen.add(nb)
+            old = tree.parent_edge(nb)
+            if old is not None and old.parent == node:
+                edges.append(old)
+            else:
+                old = tree.parent_edge(node)
+                edges.append(Edge(node, nb, old.child_field, old.parent_field))
+            stack.append(nb)
+    return DcsTree(tree.words, new_root, tuple(edges))
+
+
+def extract_subtree(tree: DcsTree, node: int) -> tuple[DcsTree, dict[int, int]]:
+    """Subtree rooted at ``node``; returns it plus the old->new index map."""
+    order = [node]
+    stack = [node]
+    while stack:
+        for e in tree.child_edges(stack.pop()):
+            order.append(e.child)
+            stack.append(e.child)
+    order.sort()
+    remap = {old: new for new, old in enumerate(order)}
+    words = tuple(tree.words[old] for old in order)
+    edges = tuple(
+        Edge(remap[e.parent], remap[e.child], e.parent_field, e.child_field)
+        for old in order
+        for e in tree.child_edges(old)
+    )
+    return DcsTree(words, remap[node], edges), remap
+
+
+def child_edge_compose(params, tree: DcsTree, strict: bool = True, node: int | None = None) -> np.ndarray:
+    """Query vector of the subtree rooted at ``node`` (default the root),
+    composed over child edges: the word vector plus the averaged child
+    query vectors, each mapped through M[child_field] @ Minv[parent_field]."""
+    node = tree.root if node is None else node
+    q = params.V[params.vocab.word_id(tree.words[node], strict)].astype(np.float64)
+    children = tree.child_edges(node)
+    if children:
+        acc = np.zeros(params.dim, dtype=np.float64)
+        for e in children:
+            sub = child_edge_compose(params, tree, strict, e.child)
+            sub = sub @ params.M[params.vocab.field_id(e.child_field, strict)]
+            sub = sub @ params.Minv[params.vocab.field_id(e.parent_field, strict)]
+            acc += sub
+        q = q + acc / len(children)
+    return q

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,9 +13,10 @@ from dcsvec import cli
 from dcsvec.cli import parse_tree_literal
 from dcsvec.errors import InputError, MalformedLine
 from dcsvec.train import TrainConfig
-from dcsvec.trees import ARG, COMP, DcsTree, Edge, Word, load_trees, tree_to_line
+from dcsvec.model import init_params, save_model
+from dcsvec.trees import ARG, COMP, DcsTree, Edge, Word, load_trees, tree_to_line, unknown_word
 from dcsvec.ud import convert_sentence, parse_conllu_file
-from dcsvec.vocab import load_vocab
+from dcsvec.vocab import Vocabulary, load_vocab
 from test_sampler import name_sample_paths
 
 DATA = Path(__file__).parent / "data"
@@ -399,6 +401,33 @@ def test_train_without_tuning_flags_uses_train_config_defaults(pipeline, tmp_pat
     assert captured == [TrainConfig()]
 
 
+def test_every_train_config_key_has_a_train_flag(pipeline, tmp_path, monkeypatch):
+    _, trees, vocab, _ = pipeline
+    argv, changed = [], {}
+    for key, f in cli._TRAIN_FIELDS.items():
+        if key in ("seed", "workers"):  # flags of every command
+            continue
+        value = {"mode": "no_matrix", "lr_schedule": "constant"}.get(key)
+        if value is None:
+            value = f.default + 1 if isinstance(f.default, int) else f.default / 2
+        argv += ["--" + key.replace("_", "-"), str(value)]
+        changed[f.name] = value
+    captured = []
+
+    class Captured(Exception):
+        pass
+
+    def fake_train(corpus, voc, config, log=None):
+        captured.append(config)
+        raise Captured
+
+    monkeypatch.setattr(cli, "train", fake_train)
+    with pytest.raises(Captured):
+        cli.main(["train", str(trees), str(vocab), str(tmp_path / "m.bin"), *argv])
+    assert captured == [replace(TrainConfig(), **changed)]
+    assert TrainConfig() != captured[0]
+
+
 def test_compose_prints_vector(pipeline):
     _, _, _, model = pipeline
     proc = run_cli("compose", model, "--tree", "food/N -ARG:COMP-> eat/V")
@@ -600,3 +629,34 @@ def test_export_features_command(pipeline, tmp_path):
     index, value = first_pair.split(":")
     assert int(index) >= 1
     float(value)
+
+
+def test_export_features_strict_oov_unknown_word_exits_1(pipeline, tmp_path):
+    _, _, _, model = pipeline
+    rows = worldgen.relation_instances(3, seed=8)
+    inst = tmp_path / "rel.jsonl"
+    inst.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    plain, strict = tmp_path / "plain.txt", tmp_path / "strict.txt"
+    run_cli("export-features", model, inst, plain)
+    run_cli("export-features", model, inst, strict, "--strict-oov")
+    assert strict.read_bytes() == plain.read_bytes()  # every word is in the vocabulary
+    rows[1]["tokens"][1].update(form="zebra", lemma="zebra")
+    inst.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    run_cli("export-features", model, inst, plain)
+    proc = run_cli("export-features", model, inst, strict, "--strict-oov", expect=1)
+    name, message = one_error_line(proc)
+    assert name == "UnknownWord" and "zebra/N" in message
+    assert proc.stdout == ""
+
+
+def test_eval_phrase_missing_placeholder_exits_2(tmp_path):
+    words = (Word("bread", "N"), unknown_word("N"), unknown_word("V"))
+    vocab = Vocabulary(words, (ARG,), dict.fromkeys(words, 1.0), {ARG: 1.0})
+    model = tmp_path / "m.bin"
+    save_model(init_params(vocab, 4, np.random.default_rng(0)), vocab, model)
+    ds = tmp_path / "phrases.tsv"
+    ds.write_text("AN\tfresh/J bread/N\tfresh/J bread/N\t1.0\n", encoding="utf-8")
+    proc = run_cli("eval-phrase", model, ds, expect=2)
+    name, message = one_error_line(proc)
+    assert name == "MissingPlaceholder"
+    assert "fresh/J" in message and "*UNKNOWN*/J" in message

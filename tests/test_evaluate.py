@@ -7,7 +7,7 @@ import pytest
 from scipy.stats import spearmanr
 
 import worldgen
-from dcsvec.errors import ConversionFailure, LengthMismatch, MalformedLine
+from dcsvec.errors import ConversionFailure, LengthMismatch, MalformedLine, UnknownWord
 from dcsvec.evaluate import (
     PHRASES,
     CompletionItem,
@@ -29,9 +29,10 @@ from dcsvec.evaluate import (
     spearman,
 )
 from dcsvec.model import compose_query, init_params
-from dcsvec.trees import ARG, COMP, SUBJ, DcsTree, Edge, Word, unknown_word
+from dcsvec.trees import ARG, COMP, SUBJ, DcsTree, Edge, Word, lca, unknown_word
 from dcsvec.ud import UdSentence, UdToken
 from dcsvec.vocab import Vocabulary
+from helpers import child_edge_compose, extract_subtree, random_tree, random_tree_model, reroot
 
 
 def w(lemma, pos="N"):
@@ -303,8 +304,6 @@ def test_relation_features_blocks_are_unit_and_ordered():
     v_smoke = params.V[params.vocab.word_index[w("smoke")]].astype(np.float64)
     assert np.allclose(feats[:d], v_smoke / np.linalg.norm(v_smoke), atol=1e-9)
     # block (c) composes the tree re-rooted at smoke
-    from dcsvec.trees import reroot
-
     q = compose_query(params, reroot(smoke_cause_delay(), 1))
     assert np.allclose(feats[2 * d : 3 * d], q / np.linalg.norm(q), atol=1e-9)
 
@@ -341,6 +340,46 @@ def test_relation_features_lca_subtree():
     )
     sub_inst = RelationInstance(trimmed, 1, 2, "x")
     assert np.allclose(feats, relation_features(params, sub_inst), atol=1e-12)
+
+
+def extract_reroot_relation_features(params, inst, strict=False):
+    """The four blocks composed on built trees: the subtree at e1 and at
+    e2, then the lca subtree re-rooted at e1 and at e2."""
+    shared, remap = extract_subtree(inst.tree, lca(inst.tree, inst.e1, inst.e2))
+    trees = [
+        extract_subtree(inst.tree, inst.e1)[0],
+        extract_subtree(inst.tree, inst.e2)[0],
+        reroot(shared, remap[inst.e1]),
+        reroot(shared, remap[inst.e2]),
+    ]
+    blocks = [child_edge_compose(params, t, strict) for t in trees]
+    return np.concatenate([b / float(np.linalg.norm(b)) for b in blocks])
+
+
+def test_relation_features_match_the_extract_reroot_oracle_bitwise():
+    rng = np.random.default_rng(23)
+    params = random_tree_model(rng, dim=5)
+    cases = set()
+    for _ in range(30):
+        tree = random_tree(rng, int(rng.integers(2, 15)), n_words=6)
+        for e1 in range(tree.n_nodes):
+            for e2 in range(tree.n_nodes):
+                if e1 == e2:
+                    continue
+                top = lca(tree, e1, e2)
+                cases.add("root" if top == tree.root else "ancestor" if top in (e1, e2) else "sibling")
+                inst = RelationInstance(tree, e1, e2, "x")
+                got = relation_features(params, inst)
+                assert got.tobytes() == extract_reroot_relation_features(params, inst).tobytes()
+    assert cases == {"root", "ancestor", "sibling"}
+
+
+def test_export_features_strict_raises_on_an_unknown_word():
+    params = params_for(w("cause", "V"), w("smoke"), seed=9)
+    inst = RelationInstance(smoke_cause_delay(), 1, 2, "x")
+    assert export_features(params, [inst], io.StringIO()) == 1  # delay/N takes the placeholder
+    with pytest.raises(UnknownWord, match="delay/N"):
+        export_features(params, [inst], io.StringIO(), strict=True)
 
 
 def test_export_features_format_and_roundtrip(tmp_path):

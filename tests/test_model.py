@@ -28,7 +28,7 @@ from dcsvec.model import (
 )
 from dcsvec.trees import ARG, COMP, POS_TAGS, SUBJ, DcsTree, Edge, Word, unknown_word
 from dcsvec.vocab import Vocabulary
-from helpers import path_matrix
+from helpers import child_edge_compose, extract_subtree, path_matrix, random_tree, random_tree_model, reroot
 
 
 def w(lemma, pos="N"):
@@ -271,6 +271,34 @@ def test_compose_matches_independent_root_path_accumulation():
         expected = sum(contribution(i) for i in range(tree.n_nodes))
         got = compose_query(params, tree)
         assert np.allclose(got, expected, rtol=1e-9, atol=1e-11)
+
+
+def test_compose_from_any_node_is_the_rerooted_subtree_bitwise():
+    rng = np.random.default_rng(21)
+    for _ in range(40):
+        tree = random_tree(rng, int(rng.integers(2, 15)), n_words=6)
+        params = random_tree_model(rng)
+        assert compose_query(params, tree).tobytes() == child_edge_compose(params, tree).tobytes()
+        for x in range(tree.n_nodes):
+            want = child_edge_compose(params, reroot(tree, x))
+            assert compose_query(params, tree, at=x).tobytes() == want.tobytes()
+            # bounded at each ancestor-or-self of x: the subtree there, re-rooted at x
+            top = x
+            while True:
+                sub, remap = extract_subtree(tree, top)
+                want = child_edge_compose(params, reroot(sub, remap[x]))
+                assert compose_query(params, tree, at=x, within=top).tobytes() == want.tobytes()
+                if (e := tree.parent_edge(top)) is None:
+                    break
+                top = e.parent
+
+
+def test_compose_start_must_lie_in_the_bounding_subtree():
+    tree = DcsTree((w("w0"), w("w1"), w("w2")), 0, (Edge(0, 1, ARG, ARG), Edge(0, 2, SUBJ, ARG)))
+    params = make_params(np.random.default_rng(22), n_words=3)
+    for at, within in ((0, 1), (2, 1), (3, None), (None, -1)):
+        with pytest.raises(ValueError):
+            compose_query(params, tree, at=at, within=within)
 
 
 def test_compose_oov_fallback_and_strict():

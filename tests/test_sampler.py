@@ -12,12 +12,11 @@ from dcsvec.trees import (
     Word,
     enumerate_paths,
     hop_fields,
-    reroot,
     unknown_word,
 )
 from dcsvec.ud import convert_sentence, parse_conllu_file
 from dcsvec.vocab import _walk_trajectories, build_vocab, sample_paths
-from helpers import random_tree, sample_path_counts
+from helpers import random_tree, reroot, sample_path_counts
 
 
 def w(lemma, pos="N"):

@@ -14,16 +14,14 @@ from dcsvec.trees import (
     Word,
     enumerate_paths,
     exact_path_weight,
-    extract_subtree,
     hop_fields,
     lca,
     path_nodes,
     read_trees,
-    reroot,
     tree_to_line,
     tree_path,
 )
-from helpers import random_tree
+from helpers import extract_subtree, random_tree, reroot
 
 
 def w(lemma, pos="N"):

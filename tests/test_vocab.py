@@ -219,12 +219,17 @@ def test_word_id_and_field_id_strict_and_placeholder():
     with pytest.raises(UnknownField):
         vocab.field_id("beneath")
     assert vocab.field_id("beneath", strict=False) == vocab.field_id(UNKNOWN_FIELD)
-    # with no placeholder row to fall back on, non-strict lookups raise too
+    # with no placeholder row to fall back on, a non-strict lookup is an
+    # input error naming both; a strict one is still a runtime miss
     bare = Vocabulary((w("a"),), (ARG,), {w("a"): 1.0}, {ARG: 1.0})
-    with pytest.raises(UnknownWord):
+    with pytest.raises(MissingPlaceholder, match=r"b/N .*\*UNKNOWN\*/N"):
         bare.word_id(w("b"), strict=False)
-    with pytest.raises(UnknownField):
+    with pytest.raises(MissingPlaceholder, match=r"field in .*\*UNKNOWN\*"):
         bare.field_id("in", strict=False)
+    with pytest.raises(UnknownWord):
+        bare.word_id(w("b"))
+    with pytest.raises(UnknownField):
+        bare.field_id("in")
 
 
 @pytest.mark.parametrize(
