@@ -200,14 +200,18 @@ class AnswerIndex:
     """U rounded to float32 with rows ordered by (POS, vocabulary index):
     the rows of one tag are the contiguous range ``spans[tag]`` of
     ``table``, and ``rows`` holds the vocabulary index of each table row.
-    ``max_norm`` is the largest 2-norm of a row of U (NaN or inf once a
-    row is not finite or its squares overflow); it bounds the error of
-    every float32 score."""
+    ``max_norm`` is the largest 2-norm of a row of U and ``span_norms[tag]``
+    the largest in that tag's span, each over the rows whose norm is finite;
+    they bound the error of the float32 scores of those rows.  A row whose
+    norm is not finite (a NaN, an inf, or squares that overflow) holds a
+    float32 entry that is not finite, so its float32 score is not finite
+    either."""
 
     table: np.ndarray  # (n_words, dim) float32
     rows: np.ndarray  # (n_words,) int64
     spans: dict  # POS tag -> (start, stop)
     max_norm: float
+    span_norms: dict  # POS tag -> largest finite row norm of its span
 
 
 def build_answer_index(params: ModelParams) -> AnswerIndex:
@@ -224,9 +228,12 @@ def build_answer_index(params: ModelParams) -> AnswerIndex:
     with np.errstate(over="ignore"):  # a float64 row past float32 range is inf: never screened
         table = np.asarray(params.U, dtype=np.float32)[rows]
     # squares summed in float64, buffered: no float64 copy of U
-    max_norm = float(np.sqrt(np.einsum("ij,ij->i", params.U, params.U, dtype=np.float64).max(initial=0.0)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.sqrt(np.einsum("ij,ij->i", params.U, params.U, dtype=np.float64))[rows]
+    norms[~np.isfinite(norms)] = 0.0
+    span_norms = {t: float(norms[start:stop].max()) for t, (start, stop) in spans.items()}
     table.flags.writeable = rows.flags.writeable = False
-    return AnswerIndex(table, rows, spans, max_norm)
+    return AnswerIndex(table, rows, spans, float(norms.max(initial=0.0)), span_norms)
 
 
 def answer_index(params: ModelParams) -> AnswerIndex:
@@ -255,10 +262,12 @@ def nearest_answers(
 
         tol = 2 (d+2) 2^-24 (max|u| + 2^-126) (|q| + 2^-126) + d 2^-126
 
-    (|.| the 2-norm, max|u| over the rows of U) in any summation order.
+    (|.| the 2-norm, max|u| over the finite-norm rows of the slice) in any
+    summation order.
     It covers the rounding of q and U to float32 (the 2^-126 terms cover
     inputs that round into the subnormal range), the float32 dot product
-    and the float64 score's own error.  So the k-th float32 score is at
+    and the float64 score's own error.  A row of non-finite norm has a
+    non-finite float32 score.  So the k-th float32 score is at
     most the k-th float64 score plus tol, and every row that can rank in
     the top k scores at least the k-th float32 score minus 2 tol.  Only
     those rows are scored in float64 and ranked.  When q, tol or a
@@ -280,7 +289,8 @@ def nearest_answers(
     with np.errstate(over="ignore", invalid="ignore"):
         if k < len(rows):
             d = params.dim
-            tol = (2 * (d + 2) * _EPS32 * (index.max_norm + _TINY32) * (np.sqrt(q @ q) + _TINY32)
+            max_norm = index.max_norm if pos_filter is None else index.span_norms[pos_filter]
+            tol = (2 * (d + 2) * _EPS32 * (max_norm + _TINY32) * (np.sqrt(q @ q) + _TINY32)
                    + d * _TINY32)
             coarse = index.table[start:stop] @ q.astype(np.float32)
             if np.isfinite(tol) and np.isfinite(coarse).all():

@@ -6,11 +6,14 @@ slots j < i and redraws everything from a uniformly chosen slot i on
 (fields slot-by-slot from the field unigram, the end word from the word
 unigram, slot parity preserved).  A step updates only the start query
 vector, the two positive-path maps straddling the noise boundary, the
-noise map at the boundary, and the two answer vectors.  The
-inverse-consistency and orthogonality regularizer runs on one step in
-`REG_EVERY`, at `REG_EVERY`x weight, chosen by step index (lazy
-regularization); on such a step it is computed once per touched field,
-for just the maps of that field the step touches.
+noise map at the boundary, and the two answer vectors; `step_maps` states
+which maps those are, and both `loss_and_gradients` and `train()` read it.
+Steps run without the inverse-consistency and orthogonality regularizer.
+After the last step of each block of `NOISE_BLOCK_TREES` trees, `train()`
+computes it once per field whose maps the block's steps updated, for just
+those maps, and applies each map's clipped gradient at n times the map
+learning rate, n being the number of the block's steps that updated the
+map: the expected update of regularizing every step.
 Training runs on one thread: one sampler RNG and one noise RNG walk the
 corpus in order, so a seeded run is bit-reproducible.  Noise is drawn a
 block of `NOISE_BLOCK_TREES` sampled trees at a time, by array draws.
@@ -25,11 +28,12 @@ model passed to `loss_and_gradients` or `step` directly still gets
 float64 arithmetic (each product casts its float32 operand exactly).
 
 Three modes (`TrainConfig.mode`) share one forward/backward, and during a
-step only `loss_and_gradients` reads the mode.  `full` is the model above.
-`no_matrix` scores a path with no map slots: s+ = v.u, each noise
-replaces only the end word (s- = v.u_z), and no map is updated or
-regularized; `train()` pins the saved maps to the identity.  `no_inverse`
-reads gamma as 0, dropping the inverse-consistency penalty.
+step only `loss_and_gradients` (through `step_maps`) reads the mode.
+`full` is the model above.  `no_matrix` scores a path with no map slots:
+s+ = v.u, each noise replaces only the end word (s- = v.u_z), and no map
+is updated or regularized; `train()` pins the saved maps to the identity.
+`no_inverse` reads gamma as 0, in a step and in the block's regularizer,
+dropping the inverse-consistency penalty.
 """
 
 from __future__ import annotations
@@ -50,10 +54,8 @@ from .vocab import PathSample, Vocabulary, sample_paths
 MODES = ("full", "no_matrix", "no_inverse")
 LR_SCHEDULES = ("linear", "constant")
 MAT_LR_WARN = 0.0005
-# train() regularizes the maps on steps whose index is a multiple of this,
-# at this many times gamma and kappa, and skips the regularizer otherwise
-REG_EVERY = 4
-# train() samples this many trees, in order, then draws all their noise at once
+# train() samples this many trees, in order, draws all their noise at once,
+# steps through their paths and then regularizes the maps those steps updated
 NOISE_BLOCK_TREES = 256
 
 
@@ -89,8 +91,9 @@ class TrainConfig:
                 "learning rates must be finite and >= 0",
             ),
             (
-                0 <= self.gamma < math.inf and 0 <= self.kappa < math.inf,
-                "regularizer weights must be finite and >= 0",
+                # the gradient weights regularizer_grads applies
+                0 <= 2 * self.gamma < math.inf and 0 <= 4 * self.kappa < math.inf,
+                "regularizer weights must be >= 0, with 2*gamma and 4*kappa finite",
             ),
             (self.clip_norm_vec > 0 and self.clip_norm_mat > 0, "clip norms must be > 0"),
             (
@@ -219,6 +222,52 @@ def regularizer_grads(
     return gM, gMinv
 
 
+Slot = tuple[int, bool]  # (field row, is_inverse): M[row], or Minv[row] if inverse
+
+
+def step_maps(
+    pos: PathSample, noises: Sequence[NoisedExample], mode: str
+) -> tuple[list[Slot], list[tuple[int, Slot | None]], list[int]]:
+    """The map slots a step on this example reads, and those it updates.
+
+    Returns the positive path's slots (slot 2t holds M[near], 2t+1
+    Minv[far]; none in `no_matrix`); per noise its first replaced slot ri
+    (0-based; 0 with no slots) and the map it redraws there, which the
+    step updates (None when it redraws none); and the ascending
+    positive-path slots the step updates, the two straddling each such
+    boundary.  A step updates no other map.  From ri on a noise reads its
+    own fields, in the parity of the path's slots.
+    """
+    slots = [] if mode == "no_matrix" else [
+        slot for near, far in pos.hops for slot in ((near, False), (far, True))
+    ]
+    two_l = len(slots)
+    boundaries = []
+    updated = set()
+    for noise in noises:
+        ri = min(noise.i - 1, two_l)
+        if ri < two_l and noise.fields:
+            boundaries.append((ri, (noise.fields[0], slots[ri][1])))
+            updated.add(ri - 1)
+            updated.add(ri)
+        else:
+            boundaries.append((ri, None))
+    return slots, boundaries, sorted(updated)
+
+
+def updated_maps(pos: PathSample, noises: Sequence[NoisedExample], mode: str) -> set[Slot]:
+    """Each map a step on this example updates, once (see `step_maps`)."""
+    slots, boundaries, updated = step_maps(pos, noises, mode)
+    maps = {slots[j] for j in updated}
+    maps.update(boundary for _, boundary in boundaries if boundary is not None)
+    return maps
+
+
+def _gamma(config: TrainConfig) -> float:
+    """The inverse-consistency weight the mode trains with."""
+    return 0.0 if config.mode == "no_inverse" else config.gamma
+
+
 def loss_and_gradients(
     params: ModelParams,
     pos: PathSample,
@@ -228,10 +277,11 @@ def loss_and_gradients(
     """NCE loss and the sparse gradient set for one example.
 
     Keys are ("v", row), ("u", row), ("M", field id), ("Minv", field id);
-    contributions to a shared parameter accumulate.  The regularizer
-    runs once per touched field (one `regularizer_grads` call) and adds
-    its gradient to that field's touched maps only.  Every gradient is a
-    fresh float64 array, so `step` may scale it in place.
+    contributions to a shared parameter accumulate.  The map keys are the
+    maps `step_maps` names.  The regularizer (which `train()` leaves out
+    of its steps) runs once per touched field (one `regularizer_grads`
+    call) and adds its gradient to that field's touched maps only.  Every
+    gradient is a fresh float64 array, so `step` may scale it in place.
 
     Maps are read from the tables as they are; a float32 map is cast
     inside each product it enters (the cast is exact).  `ndarray.dot`
@@ -244,10 +294,7 @@ def loss_and_gradients(
     """
     xi, yi = pos.start, pos.end
     M, Minv = params.M, params.Minv
-    # (field row, is_inverse) per slot; slot 2t holds M[near], 2t+1 Minv[far]
-    slots = [] if config.mode == "no_matrix" else [
-        slot for near, far in pos.hops for slot in ((near, False), (far, True))
-    ]
+    slots, boundaries, updated = step_maps(pos, noises, config.mode)
     two_l = len(slots)
     mats = [Minv[fid] if inv else M[fid] for fid, inv in slots]
     v = np.asarray(params.V[xi], dtype=np.float64)
@@ -265,14 +312,14 @@ def loss_and_gradients(
     gv = g_pos * cols[0]  # the start word's gradient, accumulated in place
     grads: dict[tuple[str, int], np.ndarray] = {("v", xi): gv, ("u", yi): g_pos * rows[two_l]}
 
-    # per noise: its first replaced slot (0-based; 0 with no slots), the
-    # boundary map's key, its backward columns and its sigmoid
+    # per noise that redraws a map: its first replaced slot, the boundary
+    # map's key, its backward columns and its sigmoid
     noise_data = []
     terms = []  # the other gradients, in key order; no_matrix has no map term
-    for noise in noises:
-        ri = min(noise.i - 1, two_l)
-        redrawn = [(fid, inv) for fid, (_, inv) in zip(noise.fields, slots[ri:])]
-        nmats = mats[:ri] + [Minv[fid] if inv else M[fid] for fid, inv in redrawn]
+    for noise, (ri, boundary) in zip(noises, boundaries):
+        nmats = mats[:ri] + [
+            Minv[fid] if inv else M[fid] for fid, (_, inv) in zip(noise.fields, slots[ri:])
+        ]
         ncols = [np.asarray(params.U[noise.word], dtype=np.float64)] * (two_l + 1)
         for j in range(two_l - 1, -1, -1):
             ncols[j] = nmats[j].dot(ncols[j + 1])
@@ -284,15 +331,15 @@ def loss_and_gradients(
         for m in nmats[ri:]:
             nr = nr.dot(m)
         terms.append((("u", noise.word), g_neg * nr))
-        if redrawn:
-            fid, inv = redrawn[0]
+        if boundary is not None:
+            fid, inv = boundary
             noise_data.append((ri, ("Minv" if inv else "M", fid), ncols, g_neg))
 
     # positive-path maps at the noise boundary, then the boundary noise map.
     # An outer product is a (d, 1) x (1, d) BLAS product, whose entries are
     # the single products r_i * c_j, rounded as a broadcast multiply rounds
     # them; each is scaled in place (x * s rounds as s * x does).
-    for j in sorted({j for ri, _, _, _ in noise_data for j in (ri - 1, ri)}):
+    for j in updated:
         fid, inv = slots[j]
         row = rows[j][:, None]
         g = row.dot(cols[j + 1][None, :])
@@ -313,7 +360,7 @@ def loss_and_gradients(
         else:
             grads[key] = g
 
-    gamma = 0.0 if config.mode == "no_inverse" else config.gamma
+    gamma = _gamma(config)
     if gamma != 0.0 or config.kappa != 0.0:
         touched: dict[int, set[str]] = {}
         for kind, fid in grads:
@@ -345,6 +392,20 @@ def _lr_at(initial: float, config: TrainConfig, step_index: int) -> float:
 _TABLE = {"v": "V", "u": "U", "M": "M", "Minv": "Minv"}
 
 
+def _descend(row: np.ndarray, g: np.ndarray, lr: float, clip: float, where: str, key) -> None:
+    """Rescale the fresh gradient g to norm ``clip`` when it is longer, scale
+    it by ``lr`` and subtract it from ``row`` in place, through the view (no
+    write-back copy).  A non-finite norm is a NonFiniteGradient."""
+    flat = g.ravel()
+    norm = math.sqrt(flat.dot(flat))  # what np.linalg.norm computes
+    if not math.isfinite(norm):
+        raise NonFiniteGradient(f"{where}: gradient for {key[0]}[{key[1]}] has norm {norm}")
+    if norm > clip:
+        g *= clip / norm
+    g *= lr
+    row -= g
+
+
 def step(
     params: ModelParams,
     pos: PathSample,
@@ -357,20 +418,35 @@ def step(
     loss, grads = loss_and_gradients(params, pos, noises, config)
     vec = (_lr_at(config.lr_vec, config, step_index), config.clip_norm_vec)
     mat = (_lr_at(config.lr_mat, config, step_index), config.clip_norm_mat)
-    for (kind, idx), g in grads.items():
+    where = f"step {step_index}"
+    for key, g in grads.items():
         lr, clip = vec if g.ndim == 1 else mat  # vector gradients are 1-d, maps 2-d
-        flat = g.ravel()
-        norm = math.sqrt(flat.dot(flat))  # what np.linalg.norm computes
-        if not math.isfinite(norm):
-            raise NonFiniteGradient(
-                f"step {step_index}: gradient for {kind}[{idx}] has norm {norm}"
-            )
-        if norm > clip:
-            g *= clip / norm
-        g *= lr
-        row = getattr(params, _TABLE[kind])[idx]
-        row -= g  # in place through the view: no write-back copy
+        _descend(getattr(params, _TABLE[key[0]])[key[1]], g, lr, clip, where, key)
     return loss
+
+
+def regularize_maps(
+    params: ModelParams, counts: dict[Slot, int], config: TrainConfig, step_index: int
+) -> None:
+    """The regularizer of a block of steps, applied once after its last step.
+
+    ``counts`` holds, per map, how many of the block's steps updated it.
+    One `regularizer_grads` call per field, in ascending field row, on the
+    maps as they stand, gives the gradient of each counted map; each is
+    clipped as `step` clips a map gradient and applied at count times the
+    map learning rate of step ``step_index``, the block's last.
+    """
+    lr, clip = _lr_at(config.lr_mat, config, step_index), config.clip_norm_mat
+    where = f"regularizer after step {step_index}"
+    for fid in sorted({fid for fid, _ in counts}):
+        n = (counts.get((fid, False), 0), counts.get((fid, True), 0))
+        grads = regularizer_grads(
+            params.M[fid], params.Minv[fid], _gamma(config), config.kappa,
+            need_M=n[0] > 0, need_Minv=n[1] > 0,
+        )
+        for kind, g, times in zip(("M", "Minv"), grads, n):
+            if g is not None:
+                _descend(getattr(params, kind)[fid], g, times * lr, clip, where, (kind, fid))
 
 
 @dataclass
@@ -400,7 +476,8 @@ def train(
     log: Callable[[str], None] | None = None,
 ) -> tuple[ModelParams, TrainStats]:
     """Epochs of (sample a block of trees' paths -> draw the block's noise
-    -> one sparse SGD step per path), on one thread over the corpus in order.
+    -> one sparse SGD step per path, without the regularizer -> regularize
+    the maps those steps updated), on one thread over the corpus in order.
 
     The parameters are initialised float32, as `init_params` makes them,
     trained on float64 copies of the tables, and returned rounded to
@@ -427,8 +504,7 @@ def train(
         identity_maps(params)
     _cast_tables(params, np.float64)
     sampler_rng, noise_rng = (np.random.default_rng(s) for s in walk_seq.spawn(2))
-    reg_cfg = replace(cfg, gamma=cfg.gamma * REG_EVERY, kappa=cfg.kappa * REG_EVERY)
-    plain_cfg = replace(cfg, gamma=0.0, kappa=0.0)
+    step_cfg = replace(cfg, gamma=0.0, kappa=0.0)
 
     stats = TrainStats(skipped_trees=skipped)
     step_index = 0
@@ -440,10 +516,13 @@ def train(
             trees_in_block = usable[start : start + NOISE_BLOCK_TREES]
             block = [s for tree in trees_in_block for s in sample_paths(tree, vocab, sampler_rng)]
             noise_lists = make_noise(block, vocab, noise_rng, cfg.noise_per_example)
+            counts: dict[Slot, int] = {}
             for sample, noises in zip(block, noise_lists):
-                step_cfg = reg_cfg if step_index % REG_EVERY == 0 else plain_cfg
                 loss_sum += step(params, sample, noises, step_cfg, step_index)
+                for key in updated_maps(sample, noises, cfg.mode):
+                    counts[key] = counts.get(key, 0) + 1
                 step_index += 1
+            regularize_maps(params, counts, cfg, step_index - 1)
         done = step_index - first
         elapsed = max(time.perf_counter() - t0, 1e-9)
         row = EpochStats(

@@ -1,19 +1,16 @@
-"""Quality of the criterion-7 world across seeds, training modes and
-regularizer schedules.
+"""Quality of the criterion-7 world across seeds and training modes.
 
     PYTHONPATH=src:tests python3 tests/quality_table.py --seeds 814 815 816 \
-        --modes full no_matrix no_inverse --reg-every 4
+        --modes full no_matrix no_inverse
 
-For each seed, each mode and each `REG_EVERY` value, trains the
-20,000-sentence worldgen world with criterion 7's config (dim 25, 5
-epochs, workers=1), then prints one JSON line: held-out hit rate,
-completion accuracy, probe accuracy, the epoch losses, and each field's
-inverse and orthogonality penalty at unit weight (`regularizer_penalties`
-on the trained maps).  After the runs it prints one summary line per
-(mode, `REG_EVERY`) pair: the median, min and max over seeds of hit rate,
-completion accuracy, probe accuracy and final loss.
-`REG_EVERY` = 1 is the every-step regularizer.  The world, its
-evaluation sets and the metrics are criterion 7's own
+For each seed and each mode, trains the 20,000-sentence worldgen world
+with criterion 7's config (dim 25, 5 epochs, workers=1), then prints one
+JSON line: held-out hit rate, completion accuracy, probe accuracy, the
+epoch losses, and each field's inverse and orthogonality penalty at unit
+weight (`regularizer_penalties` on the trained maps).  After the runs it
+prints one summary line per mode: the median, min and max over seeds of
+hit rate, completion accuracy, probe accuracy and final loss.  The world,
+its evaluation sets and the metrics are criterion 7's own
 (`test_acceptance`); each seed's world is built once for all its runs.
 Each model takes a few minutes on a 2-core VM.
 """
@@ -29,7 +26,6 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
-import dcsvec.train as train_module
 from dcsvec.evaluate import eval_completion
 from dcsvec.model import normalize
 from dcsvec.train import MODES, regularizer_penalties, train
@@ -42,8 +38,7 @@ from test_acceptance import (
 )
 
 
-def quality_row(seed: int, mode: str, reg_every: int, trees, vocab, items, instances) -> dict:
-    train_module.REG_EVERY = reg_every
+def quality_row(seed: int, mode: str, trees, vocab, items, instances) -> dict:
     t0 = time.perf_counter()
     params, stats = train(trees, vocab, replace(E2E_CONFIG, seed=seed, mode=mode))
     train_s = time.perf_counter() - t0
@@ -56,7 +51,6 @@ def quality_row(seed: int, mode: str, reg_every: int, trees, vocab, items, insta
     return {
         "seed": seed,
         "mode": mode,
-        "reg_every": reg_every,
         "hit_rate": held_out_hit_rate(full),
         "completion_accuracy": completion.accuracy,
         "completion_skipped": completion.skipped,
@@ -72,9 +66,9 @@ def quality_row(seed: int, mode: str, reg_every: int, trees, vocab, items, insta
 SUMMARY_METRICS = ("hit_rate", "completion_accuracy", "probe_accuracy", "final_loss")
 
 
-def summary_row(mode: str, reg_every: int, rows: list[dict]) -> dict:
+def summary_row(mode: str, rows: list[dict]) -> dict:
     """Median, min and max over the seeds' runs of each summary metric."""
-    out = {"mode": mode, "reg_every": reg_every, "seeds": [row["seed"] for row in rows]}
+    out = {"mode": mode, "seeds": [row["seed"] for row in rows]}
     for name in SUMMARY_METRICS:
         values = [row["epoch_losses"][-1] if name == "final_loss" else row[name] for row in rows]
         out[name] = {"median": statistics.median(values), "min": min(values), "max": max(values)}
@@ -85,19 +79,18 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--seeds", type=int, nargs="+", default=[E2E_CONFIG.seed])
     ap.add_argument("--modes", nargs="+", choices=MODES, default=[E2E_CONFIG.mode])
-    ap.add_argument("--reg-every", type=int, nargs="+", default=[train_module.REG_EVERY])
     args = ap.parse_args(argv)
-    runs = {(mode, reg_every): [] for mode in args.modes for reg_every in args.reg_every}
+    runs = {mode: [] for mode in args.modes}
     for seed in args.seeds:
         with tempfile.TemporaryDirectory() as tmp:
             _, trees, vocab = prepare_world(Path(tmp), seed)
             items, instances = evaluation_sets(Path(tmp), seed)
-            for mode, reg_every in runs:
-                row = quality_row(seed, mode, reg_every, trees, vocab, items, instances)
-                runs[mode, reg_every].append(row)
+            for mode in runs:
+                row = quality_row(seed, mode, trees, vocab, items, instances)
+                runs[mode].append(row)
                 print(json.dumps(row), flush=True)
-    for (mode, reg_every), rows in runs.items():
-        print(json.dumps({"summary": summary_row(mode, reg_every, rows)}), flush=True)
+    for mode, rows in runs.items():
+        print(json.dumps({"summary": summary_row(mode, rows)}), flush=True)
     return 0
 
 

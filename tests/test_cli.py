@@ -335,7 +335,7 @@ def test_train_stats_lines(pipeline):
     "flag, value",
     [("--gamma", -1), ("--dim", 1), ("--noise", 0), ("--workers", 0), ("--epochs", -1),
      ("--clip-vec", 0), ("--seed", -1), ("--gamma", "inf"), ("--kappa", "inf"),
-     ("--lr-vec", "inf"), ("--lr-mat", "inf"), ("--gamma", 1e308)],
+     ("--lr-vec", "inf"), ("--lr-mat", "inf"), ("--gamma", 1e308), ("--kappa", 1e308)],
 )
 def test_train_bad_value_exits_2(pipeline, tmp_path, flag, value):
     _, trees, vocab, _ = pipeline

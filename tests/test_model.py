@@ -557,14 +557,48 @@ def test_the_screen_rescores_few_rows(monkeypatch):
             want = nearest_answers_oracle(params, query, 10, pos)
             assert_same_ranking(nearest_answers(params, query, 10, pos), want)
     assert max(scored) < 30, scored  # of 1,500 or 3,000 rows
-    # a NaN row leaves no bound on the float32 error: every row is scored
+    # a NaN row leaves no bound on the float32 error of its own slice:
+    # every row of the slice is scored
     U = U.copy()
     U[5] = np.nan
     params = normalize(ModelParams(dim, vocab_of(words, (ARG,)), U, U, eye, eye))
     scored.clear()
-    want = nearest_answers_oracle(params, query, 10, "N")
-    assert_same_ranking(nearest_answers(params, query, 10, "N"), want)
+    want = nearest_answers_oracle(params, query, 10, "V")  # row 5 is a V word
+    assert_same_ranking(nearest_answers(params, query, 10, "V"), want)
     assert scored == [n_words // 2]
+
+
+def test_a_non_finite_row_keeps_the_screen_on_the_other_spans(monkeypatch):
+    scored = []
+    exact = model_mod._exact_scores
+    monkeypatch.setattr(
+        model_mod, "_exact_scores", lambda U, rows, q: scored.append(len(rows)) or exact(U, rows, q)
+    )
+    rng = np.random.default_rng(31)
+    n_words, dim = 3000, 16
+    words = tuple(w(f"w{i}", "NV"[i % 2]) for i in range(n_words))
+    eye = np.eye(dim, dtype=np.float32)[None]
+    U = rng.standard_normal((n_words, dim)).astype(np.float32)
+    U[5] = np.nan  # a V word
+    U[7, 3] = np.inf  # another V word
+    params = ModelParams(dim, vocab_of(words, (ARG,)), U, U, eye, eye)
+    index = model_mod.answer_index(params)
+    finite = np.sqrt(np.sum(params.U.astype(np.float64) ** 2, axis=1))
+    finite[[5, 7]] = 0.0
+    assert index.max_norm == pytest.approx(finite.max(), rel=1e-15)
+    for tag in ("N", "V"):
+        start, stop = index.spans[tag]
+        assert index.span_norms[tag] == pytest.approx(finite[index.rows[start:stop]].max(), rel=1e-15)
+    for _ in range(10):
+        query = rng.standard_normal(dim)
+        scored.clear()
+        assert_same_ranking(nearest_answers(params, query, 10, "N"), nearest_answers_oracle(params, query, 10, "N"))
+        assert max(scored) < 30, scored  # of 1,500 N rows
+        # the slices that hold the non-finite rows are scanned in full
+        for pos, n_rows in (("V", n_words // 2), (None, n_words)):
+            scored.clear()
+            assert_same_ranking(nearest_answers(params, query, 10, pos), nearest_answers_oracle(params, query, 10, pos))
+            assert scored == [n_rows]
 
 
 def test_normalized_model_is_read_only_and_memoizes_its_answer_index(monkeypatch):
@@ -603,7 +637,12 @@ def test_answer_index_orders_rows_by_pos_then_vocabulary_index():
     assert sorted(index.rows.tolist()) == list(range(len(params.words)))
     assert index.table.dtype == np.float32 and not index.table.flags.writeable
     assert np.array_equal(index.table, params.U[index.rows], equal_nan=True)
-    assert math.isnan(index.max_norm)  # row 7 of U is NaN
+    norms = np.sqrt(np.sum(params.U.astype(np.float64) ** 2, axis=1))
+    assert math.isnan(norms[7])  # row 7 of U is NaN: the bounds are over the other rows
+    assert index.max_norm == np.nanmax(norms)
+    for tag, (start, stop) in index.spans.items():
+        span = [r for r in index.rows[start:stop].tolist() if r != 7]
+        assert index.span_norms[tag] == (norms[span].max() if span else 0.0)
     params.U[7] = 3.0  # a writeable U is indexed afresh
     norms = np.sqrt(np.sum(params.U.astype(np.float64) ** 2, axis=1))
     assert abs(model_mod.answer_index(params).max_norm - norms.max()) <= 1e-15 * norms.max()

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import importlib
 import io
@@ -9,8 +10,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from dcsvec.errors import InvalidConfig
-from dcsvec.model import ModelParams, init_params, save_model
+from dcsvec.errors import InvalidConfig, NonFiniteGradient
+from dcsvec.model import ModelParams, identity_maps, init_params, save_model
 from dcsvec.train import (
     MODES,
     TrainConfig,
@@ -627,7 +628,6 @@ def test_non_finite_gradient_aborts_with_diagnostics():
     rng = np.random.default_rng(14)
     params = make_params(rng)
     params.V[0] = np.inf
-    from dcsvec.errors import NonFiniteGradient
 
     cfg = TrainConfig(dim=5, lr_schedule="constant")
     with np.errstate(invalid="ignore"), pytest.raises(NonFiniteGradient) as err:
@@ -647,6 +647,14 @@ def test_config_validation():
         TrainConfig(gamma=-1.0)
     with pytest.raises(ValueError):
         TrainConfig(noise_per_example=0)
+
+
+@pytest.mark.parametrize("gamma, kappa", [(1e308, 0.0), (0.0, 5e307), (math.nan, 0.0), (0.0, math.inf)])
+def test_config_rejects_regularizer_weights_whose_gradient_weight_overflows(gamma, kappa):
+    # regularizer_grads scales by 2 gamma and 4 kappa
+    with pytest.raises(InvalidConfig, match="regularizer weights"):
+        TrainConfig(gamma=gamma, kappa=kappa)
+    TrainConfig(gamma=8e307, kappa=4e307)
 
 
 @pytest.mark.parametrize("total_steps", [-5, 0])
@@ -820,9 +828,8 @@ def test_training_bytes_match_the_mode_oracle_in_every_mode(monkeypatch):
 
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("mode", MODES)
-def test_lazy_regularization_schedule(monkeypatch, mode, workers):
-    """Steps whose index is a multiple of REG_EVERY get REG_EVERY x gamma
-    and kappa, every other step gets 0, and nothing else in the config
+def test_every_step_runs_without_the_regularizer(monkeypatch, mode, workers):
+    """Every step gets gamma = kappa = 0 and nothing else in the config
     changes; the indices run 0, 1, 2, ... whatever `workers` says."""
     rng = np.random.default_rng(36)
     trees = [random_tree(rng, int(rng.integers(2, 6)), 10) for _ in range(30)]
@@ -841,41 +848,166 @@ def test_lazy_regularization_schedule(monkeypatch, mode, workers):
 
     monkeypatch.setattr(train_module, "step", recording_step)
     _, stats = train(trees, vocab, cfg)
-    every = train_module.REG_EVERY
-    assert every > 1
     assert [index for index, _ in calls] == list(range(stats.total_steps))
+    assert stats.total_steps >= 100
+    unregularized = dataclasses.replace(cfg, gamma=0.0, kappa=0.0)
     for index, config in calls:
-        scale = every if index % every == 0 else 0
-        assert (config.gamma, config.kappa) == (cfg.gamma * scale, cfg.kappa * scale), index
-        assert dataclasses.replace(config, gamma=cfg.gamma, kappa=cfg.kappa) == cfg
-    assert {config.gamma for _, config in calls} == {0.0, cfg.gamma * every}
+        assert config == unregularized, index
 
 
-def test_reg_every_one_trains_the_every_step_model(monkeypatch):
-    rng = np.random.default_rng(37)
+def block_rule_oracle_model(trees, vocab, cfg, block_trees):
+    """Slow-path oracle of `train()` with the block regularizer written out.
+
+    Each step is `oracle_step` with gamma = kappa = 0, and the maps it
+    updates are read off its gradient keys.  After the last step of each
+    block of ``block_trees`` trees, each field those steps touched, in
+    ascending row, gets one per-key regularizer call on its maps as they
+    stand (gamma 0 in no_inverse); each touched map's output is clipped
+    like a step's and subtracted at n times the map rate of the block's
+    last step, n the number of the block's steps that touched the map.
+    Returns the model bytes, the step count and the largest n."""
+    lr_at = importlib.import_module("dcsvec.train")._lr_at
+    init_seq, walk_seq = np.random.SeedSequence(cfg.seed).spawn(2)
+    params = init_params(vocab, cfg.dim, np.random.default_rng(init_seq))
+    if cfg.mode == "no_matrix":
+        identity_maps(params)
+    for name in ("V", "U", "M", "Minv"):
+        setattr(params, name, getattr(params, name).astype(np.float64))
+    sampler_rng, noise_rng = (np.random.default_rng(s) for s in walk_seq.spawn(2))
+    plain = dataclasses.replace(cfg, gamma=0.0, kappa=0.0)
+    gamma = 0.0 if cfg.mode == "no_inverse" else cfg.gamma
+    index = most = 0
+    for _ in range(cfg.epochs):
+        for first in range(0, len(trees), block_trees):
+            paths = [p for tree in trees[first : first + block_trees] for p in sample_paths(tree, vocab, sampler_rng)]
+            counts = collections.Counter()
+            for pos, noises in zip(paths, make_noise(paths, vocab, noise_rng, cfg.noise_per_example)):
+                _, grads = mode_oracle_loss_and_gradients(params, pos, noises, plain)
+                counts.update(key for key in grads if key[0] in ("M", "Minv"))
+                oracle_step(params, pos, noises, plain, index)
+                index += 1
+            lr = lr_at(cfg.lr_mat, cfg, index - 1)
+            for fid in sorted({fid for _, fid in counts}):
+                gM, gMinv = _per_key_regularizer_grads(params.M[fid], params.Minv[fid], gamma, cfg.kappa)
+                for kind, g, table in (("M", gM, params.M), ("Minv", gMinv, params.Minv)):
+                    n = counts[kind, fid]
+                    if n:
+                        norm = float(np.linalg.norm(g))
+                        if norm > cfg.clip_norm_mat:
+                            g = g * (cfg.clip_norm_mat / norm)
+                        table[fid] = table[fid] - (n * lr) * g
+            most = max([most, *counts.values()])
+    for name in ("V", "U", "M", "Minv"):
+        setattr(params, name, getattr(params, name).astype(np.float32))
+    buf = io.BytesIO()
+    save_model(params, vocab, buf)
+    return buf.getvalue(), index, most
+
+
+def test_training_bytes_match_the_block_rule_oracle_in_every_mode(monkeypatch):
+    rng = np.random.default_rng(39)
     trees = [random_tree(rng, int(rng.integers(2, 6)), 10) for _ in range(60)]
     vocab = build_vocab(trees, 1, 1)
-    cfg = TrainConfig(dim=8, epochs=2, seed=9, workers=1, gamma=0.02, kappa=0.005)
     train_module = importlib.import_module("dcsvec.train")
-    real_step = train_module.step
-
-    def model_bytes():
-        params, _ = train(trees, vocab, cfg)
+    monkeypatch.setattr(train_module, "NOISE_BLOCK_TREES", 7)  # 8 blocks of 7 trees, then one of 4
+    models = set()
+    for mode in MODES:
+        cfg = TrainConfig(
+            dim=8, epochs=2, seed=10, gamma=0.02, kappa=0.005, mode=mode, total_steps=700
+        )
+        params, stats = train(trees, vocab, cfg)
         buf = io.BytesIO()
         save_model(params, vocab, buf)
-        return buf.getvalue()
+        want, steps, most = block_rule_oracle_model(trees, vocab, cfg, 7)
+        assert stats.total_steps == steps >= 300
+        assert buf.getvalue() == want, mode
+        assert most >= (0 if mode == "no_matrix" else 3)  # blocks weight a map by its step count
+        models.add(want)
+    # full and no_inverse differ only in the gamma of the block regularizer
+    assert len(models) == 3
 
-    def callers_config_step(params, pos, noises, config, step_index):
-        own = dataclasses.replace(config, gamma=cfg.gamma, kappa=cfg.kappa)
-        return real_step(params, pos, noises, own, step_index)
 
-    lazy = model_bytes()
-    with monkeypatch.context() as patch:
-        patch.setattr(train_module, "REG_EVERY", 1)
-        every_step = model_bytes()
-    monkeypatch.setattr(train_module, "step", callers_config_step)
-    assert model_bytes() == every_step
-    assert lazy != every_step
+@pytest.mark.parametrize("mode", MODES)
+def test_regularizer_runs_after_each_block_with_the_modes_gamma(monkeypatch, mode):
+    """At most one regularizer call per field, all after the block's last
+    step; gamma is 0 in no_inverse, and no_matrix never regularizes."""
+    train_module = importlib.import_module("dcsvec.train")
+    real_step, real_noise, real_reg = train_module.step, train_module.make_noise, train_module.regularizer_grads
+    events, block_sizes = [], []
+
+    def recording_step(params, pos, noises, config, step_index):
+        events.append(("step", step_index))
+        return real_step(params, pos, noises, config, step_index)
+
+    def recording_noise(samples, vocab, rng, k=1):
+        block_sizes.append(len(samples))
+        return real_noise(samples, vocab, rng, k)
+
+    def recording_reg(M, Minv, gamma, kappa, **flags):
+        if mode == "no_matrix":
+            raise AssertionError("no_matrix regularizes no map")
+        events.append(("reg", gamma, kappa))
+        return real_reg(M, Minv, gamma, kappa, **flags)
+
+    monkeypatch.setattr(train_module, "step", recording_step)
+    monkeypatch.setattr(train_module, "make_noise", recording_noise)
+    monkeypatch.setattr(train_module, "regularizer_grads", recording_reg)
+    monkeypatch.setattr(train_module, "NOISE_BLOCK_TREES", 5)
+    rng = np.random.default_rng(37)
+    trees = [random_tree(rng, int(rng.integers(2, 6)), 10) for _ in range(23)]
+    vocab = build_vocab(trees, 1, 1)
+    cfg = TrainConfig(dim=6, epochs=2, seed=9, gamma=0.02, kappa=0.005, mode=mode)
+    _, stats = train(trees, vocab, cfg)
+    assert len(block_sizes) == 10
+    ends = set(np.cumsum(block_sizes) - 1)
+    regs = [event for event in events if event[0] == "reg"]
+    if mode == "no_matrix":
+        assert not regs and len(events) == stats.total_steps
+        return
+    assert set(regs) == {("reg", 0.0 if mode == "no_inverse" else cfg.gamma, cfg.kappa)}
+    last_step, after_end = None, []
+    for event in events:
+        if event[0] == "step":
+            last_step = event[1]
+            after_end.append(0)
+        else:
+            assert last_step in ends
+            after_end[-1] += 1
+    per_block = [after_end[end] for end in sorted(ends)]
+    assert all(1 <= n <= vocab.n_fields for n in per_block)
+    assert sum(per_block) == len(regs)
+
+
+def test_regularize_maps_applies_each_counted_map_at_its_count():
+    train_module = importlib.import_module("dcsvec.train")
+    rng = np.random.default_rng(24)
+    params = make_params(rng, dim=6)
+    params.M[FID[ARG]] *= 3  # a regularizer gradient past the clip norm
+    before = params.copy()
+    cfg = TrainConfig(dim=6, gamma=0.02, kappa=0.005, total_steps=100)
+    counts = {(FID[ARG], False): 3, (FID[SUBJ], True): 1, (FID[SUBJ], False): 2}
+    train_module.regularize_maps(params, counts, cfg, 40)
+    lr = train_module._lr_at(cfg.lr_mat, cfg, 40)
+    clipped = 0
+    for (fid, inv), n in counts.items():
+        gM, gMinv = regularizer_grads(before.M[fid], before.Minv[fid], cfg.gamma, cfg.kappa)
+        g = gMinv if inv else gM
+        norm = float(np.linalg.norm(g))
+        if norm > cfg.clip_norm_mat:
+            g = g * (cfg.clip_norm_mat / norm)
+            clipped += 1
+        table, old = (params.Minv, before.Minv) if inv else (params.M, before.M)
+        assert np.array_equal(table[fid], old[fid] - (n * lr) * g)
+    assert clipped >= 1
+    assert np.array_equal(params.Minv[FID[ARG]], before.Minv[FID[ARG]])
+    for fid in set(range(len(FIELDS))) - {FID[ARG], FID[SUBJ]}:
+        assert np.array_equal(params.M[fid], before.M[fid])
+        assert np.array_equal(params.Minv[fid], before.Minv[fid])
+    params.M[FID[COMP]] = np.inf
+    with np.errstate(invalid="ignore", over="ignore"), pytest.raises(
+        NonFiniteGradient, match="regularizer after step 7: gradient for M"
+    ):
+        train_module.regularize_maps(params, {(FID[COMP], False): 1}, cfg, 7)
 
 
 def test_no_inverse_is_read_by_a_direct_call():
