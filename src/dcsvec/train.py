@@ -8,12 +8,13 @@ unigram, slot parity preserved).  A step updates only the start query
 vector, the two positive-path maps straddling the noise boundary, the
 noise map at the boundary, and the two answer vectors; `step_maps` states
 which maps those are, and both `loss_and_gradients` and `train()` read it.
-Steps run without the inverse-consistency and orthogonality regularizer.
-After the last step of each block of `NOISE_BLOCK_TREES` trees, `train()`
-computes it once per field whose maps the block's steps updated, for just
-those maps, and applies each map's clipped gradient at n times the map
-learning rate, n being the number of the block's steps that updated the
-map: the expected update of regularizing every step.
+A step computes only the NCE loss and its gradients.  The
+inverse-consistency and orthogonality regularizer runs in `regularize_maps`
+alone, which `train()` calls after the last step of each block of
+`NOISE_BLOCK_TREES` trees: once per field whose maps the block's steps
+updated, for just those maps, it applies each map's clipped gradient at n
+times the map learning rate, n being the number of the block's steps that
+updated the map: the expected update of regularizing every step.
 Training runs on one thread: one sampler RNG and one noise RNG walk the
 corpus in order, so a seeded run is bit-reproducible.  Noise is drawn a
 block of `NOISE_BLOCK_TREES` sampled trees at a time, by array draws.
@@ -32,8 +33,8 @@ step only `loss_and_gradients` (through `step_maps`) reads the mode.
 `full` is the model above.  `no_matrix` scores a path with no map slots:
 s+ = v.u, each noise replaces only the end word (s- = v.u_z), and no map
 is updated or regularized; `train()` pins the saved maps to the identity.
-`no_inverse` reads gamma as 0, in a step and in the block's regularizer,
-dropping the inverse-consistency penalty.
+`no_inverse` steps as `full` does; `regularize_maps` reads its gamma as
+0, dropping the inverse-consistency penalty.
 """
 
 from __future__ import annotations
@@ -263,11 +264,6 @@ def updated_maps(pos: PathSample, noises: Sequence[NoisedExample], mode: str) ->
     return maps
 
 
-def _gamma(config: TrainConfig) -> float:
-    """The inverse-consistency weight the mode trains with."""
-    return 0.0 if config.mode == "no_inverse" else config.gamma
-
-
 def loss_and_gradients(
     params: ModelParams,
     pos: PathSample,
@@ -278,10 +274,9 @@ def loss_and_gradients(
 
     Keys are ("v", row), ("u", row), ("M", field id), ("Minv", field id);
     contributions to a shared parameter accumulate.  The map keys are the
-    maps `step_maps` names.  The regularizer (which `train()` leaves out
-    of its steps) runs once per touched field (one `regularizer_grads`
-    call) and adds its gradient to that field's touched maps only.  Every
-    gradient is a fresh float64 array, so `step` may scale it in place.
+    maps `step_maps` names.  The regularizer is not part of it (see
+    `regularize_maps`).  Every gradient is a fresh float64 array, so
+    `step` may scale it in place.
 
     Maps are read from the tables as they are; a float32 map is cast
     inside each product it enters (the cast is exact).  `ndarray.dot`
@@ -290,7 +285,7 @@ def loss_and_gradients(
 
     The mode is read here and nowhere else in a step: `no_matrix` runs
     this code on an empty slot list, so the noise boundary clamps to slot
-    0 and no map key appears; `no_inverse` uses gamma = 0.
+    0 and no map key appears.
     """
     xi, yi = pos.start, pos.end
     M, Minv = params.M, params.Minv
@@ -359,25 +354,6 @@ def loss_and_gradients(
             grads[key] += g
         else:
             grads[key] = g
-
-    gamma = _gamma(config)
-    if gamma != 0.0 or config.kappa != 0.0:
-        touched: dict[int, set[str]] = {}
-        for kind, fid in grads:
-            if kind in ("M", "Minv"):
-                touched.setdefault(fid, set()).add(kind)
-        for fid, kinds in touched.items():
-            reg = regularizer_grads(
-                M[fid],
-                Minv[fid],
-                gamma,
-                config.kappa,
-                need_M="M" in kinds,
-                need_Minv="Minv" in kinds,
-            )
-            for kind, g in zip(("M", "Minv"), reg):
-                if g is not None:
-                    grads[(kind, fid)] += g
     return loss, grads
 
 
@@ -414,7 +390,9 @@ def step(
     step_index: int,
 ) -> float:
     """One SGD step: each gradient is clipped, scaled by its learning rate
-    and subtracted in place (float64 arithmetic, rounded to the table's dtype)."""
+    and subtracted in place (float64 arithmetic, rounded to the table's dtype).
+    A step never regularizes, whatever ``config.gamma`` and ``config.kappa``
+    say; `regularize_maps` does."""
     loss, grads = loss_and_gradients(params, pos, noises, config)
     vec = (_lr_at(config.lr_vec, config, step_index), config.clip_norm_vec)
     mat = (_lr_at(config.lr_mat, config, step_index), config.clip_norm_mat)
@@ -434,14 +412,17 @@ def regularize_maps(
     One `regularizer_grads` call per field, in ascending field row, on the
     maps as they stand, gives the gradient of each counted map; each is
     clipped as `step` clips a map gradient and applied at count times the
-    map learning rate of step ``step_index``, the block's last.
+    map learning rate of step ``step_index``, the block's last.  Training
+    reads gamma and kappa here and nowhere else; `no_inverse` reads gamma
+    as 0.
     """
+    gamma = 0.0 if config.mode == "no_inverse" else config.gamma
     lr, clip = _lr_at(config.lr_mat, config, step_index), config.clip_norm_mat
     where = f"regularizer after step {step_index}"
     for fid in sorted({fid for fid, _ in counts}):
         n = (counts.get((fid, False), 0), counts.get((fid, True), 0))
         grads = regularizer_grads(
-            params.M[fid], params.Minv[fid], _gamma(config), config.kappa,
+            params.M[fid], params.Minv[fid], gamma, config.kappa,
             need_M=n[0] > 0, need_Minv=n[1] > 0,
         )
         for kind, g, times in zip(("M", "Minv"), grads, n):
@@ -504,7 +485,6 @@ def train(
         identity_maps(params)
     _cast_tables(params, np.float64)
     sampler_rng, noise_rng = (np.random.default_rng(s) for s in walk_seq.spawn(2))
-    step_cfg = replace(cfg, gamma=0.0, kappa=0.0)
 
     stats = TrainStats(skipped_trees=skipped)
     step_index = 0
@@ -518,7 +498,7 @@ def train(
             noise_lists = make_noise(block, vocab, noise_rng, cfg.noise_per_example)
             counts: dict[Slot, int] = {}
             for sample, noises in zip(block, noise_lists):
-                loss_sum += step(params, sample, noises, step_cfg, step_index)
+                loss_sum += step(params, sample, noises, cfg, step_index)
                 for key in updated_maps(sample, noises, cfg.mode):
                     counts[key] = counts.get(key, 0) + 1
                 step_index += 1

@@ -139,9 +139,9 @@ def id_example(vocab, start, end, hops, *noises):
 
 
 def nce_loss(params, pos, noises) -> float:
-    """-log sigmoid(s+) - sum over noises of log sigmoid(-s-), without the
-    regularizer: the loss `loss_and_gradients` returns for gamma = kappa = 0."""
-    loss, _ = loss_and_gradients(params, pos, noises, TrainConfig(gamma=0.0, kappa=0.0))
+    """-log sigmoid(s+) - sum over noises of log sigmoid(-s-): the loss
+    `loss_and_gradients` returns."""
+    loss, _ = loss_and_gradients(params, pos, noises, TrainConfig())
     return loss
 
 

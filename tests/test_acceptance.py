@@ -141,6 +141,24 @@ def _random_instance(rng, dim):
     return params, pos, noise
 
 
+def _fd_check(row, analytic, objective, h, where):
+    """Central differences of objective() over the entries of ``row``,
+    perturbed in place, against ``analytic``."""
+    base = row.copy()
+    fd = np.zeros_like(base)
+    it = np.nditer(base, flags=["multi_index"])
+    for _ in it:
+        mi = it.multi_index
+        row[mi] = base[mi] + h
+        up = objective()
+        row[mi] = base[mi] - h
+        down = objective()
+        row[mi] = base[mi]
+        fd[mi] = (up - down) / (2.0 * h)
+    rel = np.linalg.norm(fd - analytic) / max(np.linalg.norm(fd), 1e-12)
+    assert rel <= 1e-4, f"{where}: rel error {rel:.2e}"
+
+
 def test_criterion_3_gradient_check():
     with criterion(3, "analytic gradients match central finite differences"):
         t0 = time.perf_counter()
@@ -152,30 +170,28 @@ def test_criterion_3_gradient_check():
             _, grads = loss_and_gradients(params, pos, [noise], cfg)
             tables = {"v": params.V, "u": params.U, "M": params.M, "Minv": params.Minv}
             for (kind, idx), analytic in grads.items():
-                table = tables[kind]
-                base = table[idx].copy()
+                _fd_check(
+                    tables[kind][idx], analytic, lambda: nce_loss(params, pos, [noise]), h,
+                    f"trial {trial}, {kind}[{idx}]",
+                )
+            # the regularizer gradient regularize_maps applies to the maps the
+            # step updated, for each pair of maps it can ask for
+            for fid in sorted({idx for kind, idx in grads if kind in ("M", "Minv")}):
+                M, Minv = params.M[fid], params.Minv[fid]
 
-                def objective():
-                    value = nce_loss(params, pos, [noise])
-                    if kind in ("M", "Minv"):
-                        gpen, kpen = regularizer_penalties(
-                            params.M[idx], params.Minv[idx], cfg.gamma, cfg.kappa
-                        )
-                        value += gpen + (kpen if kind == "M" else 0.0)
-                    return value
+                def penalties():
+                    return regularizer_penalties(M, Minv, cfg.gamma, cfg.kappa)
 
-                fd = np.zeros_like(base)
-                it = np.nditer(base, flags=["multi_index"])
-                for _ in it:
-                    mi = it.multi_index
-                    table[idx][mi] = base[mi] + h
-                    up = objective()
-                    table[idx][mi] = base[mi] - h
-                    down = objective()
-                    table[idx][mi] = base[mi]
-                    fd[mi] = (up - down) / (2.0 * h)
-                rel = np.linalg.norm(fd - analytic) / max(np.linalg.norm(fd), 1e-12)
-                assert rel <= 1e-4, f"trial {trial}, {kind}[{idx}]: rel error {rel:.2e}"
+                for need_M, need_Minv in ((True, False), (False, True), (True, True)):
+                    gM, gMinv = regularizer_grads(
+                        M, Minv, cfg.gamma, cfg.kappa, need_M=need_M, need_Minv=need_Minv
+                    )
+                    assert (gM is not None, gMinv is not None) == (need_M, need_Minv)
+                    where = f"trial {trial}, regularizer of field {fid}, need {need_M, need_Minv}"
+                    if need_M:
+                        _fd_check(M, gM, lambda: sum(penalties()), h, f"{where}, M")
+                    if need_Minv:
+                        _fd_check(Minv, gMinv, lambda: penalties()[0], h, f"{where}, Minv")
         elapsed = time.perf_counter() - t0
         assert elapsed <= 30.0, f"took {elapsed:.1f}s"
 

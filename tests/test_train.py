@@ -21,6 +21,7 @@ from dcsvec.train import (
     regularizer_penalties,
     step,
     train,
+    updated_maps,
 )
 from dcsvec.trees import ARG, COMP, SUBJ, DcsTree, Edge, Word
 from dcsvec.vocab import Vocabulary, build_vocab, sample_paths
@@ -249,23 +250,14 @@ def test_gradients_match_finite_differences():
             table = {"v": params.V, "u": params.U, "M": params.M, "Minv": params.Minv}[kind]
             base = table[idx].copy()
 
-            def objective():
-                value = nce_loss(params, pos, [noise])
-                if kind in ("M", "Minv"):
-                    gpen, kpen = regularizer_penalties(
-                        params.M[idx], params.Minv[idx], cfg.gamma, cfg.kappa
-                    )
-                    value += gpen + (kpen if kind == "M" else 0.0)
-                return value
-
             fd = np.zeros_like(base)
             it = np.nditer(base, flags=["multi_index"])
             for _ in it:
                 mi = it.multi_index
                 table[idx][mi] = base[mi] + h
-                up = objective()
+                up = nce_loss(params, pos, [noise])
                 table[idx][mi] = base[mi] - h
-                down = objective()
+                down = nce_loss(params, pos, [noise])
                 table[idx][mi] = base[mi]
                 fd[mi] = (up - down) / (2 * h)
             rel = np.linalg.norm(fd - analytic) / max(np.linalg.norm(fd), 1e-12)
@@ -397,31 +389,9 @@ def _per_key_regularizer_grads(M, Minv, gamma, kappa):
     return gM, gMinv
 
 
-def per_key_loss_and_gradients(params, pos, noises, config):
-    """Slow-path oracle: the data gradients of loss_and_gradients, then one
-    full regularizer call per touched map key."""
-    unregularized = dataclasses.replace(config, gamma=0.0, kappa=0.0)
-    loss, grads = loss_and_gradients(params, pos, noises, unregularized)
-    if config.gamma != 0.0 or config.kappa != 0.0:
-        for kind, fid in [key for key in grads if key[0] in ("M", "Minv")]:
-            gM, gMinv = _per_key_regularizer_grads(
-                params.M[fid], params.Minv[fid], config.gamma, config.kappa
-            )
-            grads[(kind, fid)] = grads[(kind, fid)] + (gM if kind == "M" else gMinv)
-    return loss, grads
-
-
-def touched_kinds(grads):
-    kinds = {}
-    for kind, fid in grads:
-        if kind in ("M", "Minv"):
-            kinds.setdefault(fid, set()).add(kind)
-    return kinds
-
-
 FID = {f: i for i, f in enumerate(FIELDS)}
 
-# (positive hops, noise (i, fields, word), the kinds each listed field must be touched as)
+# (positive hops, noise (i, fields, word), the kinds each listed field must be updated as)
 FUSION_CASES = [
     # M[SUBJ] and Minv[ARG] on the path, boundary noise map Minv[COMP]
     (((SUBJ, ARG), (COMP, "of")), (2, (COMP, "in", "on"), w("w2")),
@@ -443,83 +413,28 @@ FUSION_CASES = [
 @pytest.mark.parametrize("gamma, kappa", [(0.0, 0.0), (0.01, 0.0), (0.0, 0.003), (0.01, 0.003)])
 @pytest.mark.parametrize("case", range(len(FUSION_CASES)))
 def test_fused_regularizer_matches_per_key_oracle(case, gamma, kappa, dtype):
+    """The case's step updates the maps it lists, and for each of their
+    fields `regularizer_grads` gives, for every pair of maps
+    `regularize_maps` can ask for, the per-key oracle's gradients bitwise
+    and None for a map not asked for."""
     hops, noise, expected_kinds = FUSION_CASES[case]
     params = make_params(np.random.default_rng(20 + case), dim=7, dtype=dtype)
-    second = (2, tuple(FIELDS[: 2 * len(hops) - 1]), w("w5"))
-    for extra in ((), (second,)):
-        pos, noises = id_example(params.vocab, w("w0"), w("w1"), hops, noise, *extra)
-        cfg = TrainConfig(dim=7, gamma=gamma, kappa=kappa)
-        loss, grads = loss_and_gradients(params, pos, noises, cfg)
-        want_loss, want = per_key_loss_and_gradients(params, pos, noises, cfg)
-        assert loss == want_loss
-        assert grads.keys() == want.keys()
-        for key in want:
-            assert grads[key].dtype == want[key].dtype
-            assert np.array_equal(grads[key], want[key]), key
-    kinds = touched_kinds(loss_and_gradients(params, pos, noises[:1], cfg)[1])
-    for f, expected in expected_kinds.items():
-        assert kinds[FID[f]] == expected
-
-
-def test_fused_regularizer_training_bytes_match_per_key_oracle(monkeypatch):
-    rng = np.random.default_rng(21)
-    trees = [random_tree(rng, int(rng.integers(2, 6)), 10) for _ in range(60)]
-    vocab = build_vocab(trees, 1, 1)
-    cfg = TrainConfig(dim=8, epochs=2, seed=6, workers=1, gamma=0.02, kappa=0.005)
-    train_module = importlib.import_module("dcsvec.train")
-
-    def model_bytes():
-        params, stats = train(trees, vocab, cfg)
-        buf = io.BytesIO()
-        save_model(params, vocab, buf)
-        return buf.getvalue(), stats.total_steps
-
-    fused, steps = model_bytes()
-    monkeypatch.setattr(train_module, "loss_and_gradients", per_key_loss_and_gradients)
-    per_key, oracle_steps = model_bytes()
-    assert steps == oracle_steps and steps >= 300
-    assert fused == per_key
-
-
-def test_regularizer_runs_once_per_touched_field(monkeypatch):
-    train_module = importlib.import_module("dcsvec.train")
-    real = train_module.regularizer_grads
-    calls = []
-
-    def counting(M, Minv, gamma, kappa, **flags):
-        out = real(M, Minv, gamma, kappa, **flags)
-        calls.append((flags["need_M"], flags["need_Minv"], out))
-        return out
-
-    monkeypatch.setattr(train_module, "regularizer_grads", counting)
-    rng = np.random.default_rng(22)
-    vocab = make_vocab()
-    params = make_params(rng, dim=6)
-    seen = set()
-    for _ in range(60):
-        l = int(rng.integers(1, 3))
-        hops = tuple(
-            (FIELDS[int(rng.integers(3))], FIELDS[int(rng.integers(3))]) for _ in range(l)
-        )
-        pos, _ = id_example(vocab, w("w0"), w("w1"), hops)
-        (noises,) = make_noise([pos], vocab, rng, k=int(rng.integers(1, 3)))
-        calls.clear()
-        _, grads = loss_and_gradients(params, pos, noises, TrainConfig(dim=6))
-        kinds = touched_kinds(grads)
-        assert len(calls) == len(kinds)
-        assert sorted((m, i) for m, i, _ in calls) == sorted(
-            ("M" in k, "Minv" in k) for k in kinds.values()
-        )
-        for need_M, need_Minv, (gM, gMinv) in calls:
-            assert (gM is not None) == need_M and (gMinv is not None) == need_Minv
-            seen.add((need_M, need_Minv))
-    assert seen == {(True, False), (False, True), (True, True)}
-
-    calls.clear()
-    pos, noises = sample(2, (2, (ARG, SUBJ, COMP), w("w2")))
-    loss_and_gradients(params, pos, noises, TrainConfig(dim=6, gamma=0.0, kappa=0.0))
-    loss_and_gradients(params, pos, noises, TrainConfig(dim=6, mode="no_matrix"))
-    assert calls == []
+    pos, noises = id_example(params.vocab, w("w0"), w("w1"), hops, noise)
+    maps = updated_maps(pos, noises, "full")
+    assert maps == {(FID[f], kind == "Minv") for f, kinds in expected_kinds.items() for kind in kinds}
+    _, grads = loss_and_gradients(params, pos, noises, TrainConfig(dim=7))
+    assert {(fid, kind == "Minv") for kind, fid in grads if kind in ("M", "Minv")} == maps
+    for fid in sorted({fid for fid, _ in maps}):
+        want = _per_key_regularizer_grads(params.M[fid], params.Minv[fid], gamma, kappa)
+        for need in ((True, False), (False, True), (True, True)):
+            got = regularizer_grads(
+                params.M[fid], params.Minv[fid], gamma, kappa, need_M=need[0], need_Minv=need[1]
+            )
+            for g, expected, asked in zip(got, want, need):
+                if asked:
+                    assert g.dtype == np.float64 and np.array_equal(g, expected), (fid, need)
+                else:
+                    assert g is None
 
 
 def test_regularizer_grads_skips_outputs_not_asked_for():
@@ -716,12 +631,11 @@ def separate_no_matrix_loss_and_gradients(params, pos, noises, config):
 
 def mode_oracle_loss_and_gradients(params, pos, noises, config):
     """Slow-path oracle of all three modes: no_matrix through its separate
-    forward/backward, no_inverse as full with gamma set to 0."""
+    forward/backward, full and no_inverse both through the uncached full
+    forward/backward."""
     if config.mode == "no_matrix":
         return separate_no_matrix_loss_and_gradients(params, pos, noises, config)
-    if config.mode == "no_inverse":
-        config = dataclasses.replace(config, mode="full", gamma=0.0)
-    return per_key_loss_and_gradients(params, pos, noises, config)
+    return uncached_loss_and_gradients(params, pos, noises, dataclasses.replace(config, mode="full"))
 
 
 def oracle_step(params, pos, noises, config, step_index):
@@ -826,45 +740,47 @@ def test_training_bytes_match_the_mode_oracle_in_every_mode(monkeypatch):
     assert len({fast[mode][0] for mode in modes}) == 3
 
 
-@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("k", [1, 2])
 @pytest.mark.parametrize("mode", MODES)
-def test_every_step_runs_without_the_regularizer(monkeypatch, mode, workers):
-    """Every step gets gamma = kappa = 0 and nothing else in the config
-    changes; the indices run 0, 1, 2, ... whatever `workers` says."""
-    rng = np.random.default_rng(36)
-    trees = [random_tree(rng, int(rng.integers(2, 6)), 10) for _ in range(30)]
-    vocab = build_vocab(trees, 1, 1)
-    cfg = TrainConfig(
-        dim=6, epochs=2, seed=8, workers=workers, gamma=0.02, kappa=0.005, mode=mode,
-        total_steps=500,
-    )
-    train_module = importlib.import_module("dcsvec.train")
-    real_step = train_module.step
-    calls = []
-
-    def recording_step(params, pos, noises, config, step_index):
-        calls.append((step_index, config))
-        return real_step(params, pos, noises, config, step_index)
-
-    monkeypatch.setattr(train_module, "step", recording_step)
-    _, stats = train(trees, vocab, cfg)
-    assert [index for index, _ in calls] == list(range(stats.total_steps))
-    assert stats.total_steps >= 100
-    unregularized = dataclasses.replace(cfg, gamma=0.0, kappa=0.0)
-    for index, config in calls:
-        assert config == unregularized, index
+def test_every_step_runs_without_the_regularizer(mode, k):
+    """A step's loss, gradient keys and values, and the tables it writes,
+    are bitwise the same whatever gamma and kappa are, and in no_inverse
+    the same as in full: only `regularize_maps` reads them."""
+    rng = np.random.default_rng(35 + k)
+    vocab = make_vocab()
+    params = make_params(rng, dim=6)
+    plain = TrainConfig(dim=6, gamma=0.0, kappa=0.0, mode=mode, total_steps=20)
+    others = [
+        dataclasses.replace(plain, gamma=0.5),
+        dataclasses.replace(plain, kappa=0.3),
+        dataclasses.replace(plain, gamma=0.02, kappa=0.005),
+    ]
+    if mode == "no_inverse":
+        others.append(dataclasses.replace(plain, mode="full"))
+    for index in range(20):
+        pos, noises = random_example(rng, vocab, k)
+        want = loss_and_gradients(params, pos, noises, plain)
+        stepped = params.copy()
+        step(stepped, pos, noises, plain, index)
+        for cfg in others:
+            assert_same_gradients(loss_and_gradients(params, pos, noises, cfg), want)
+            got = params.copy()
+            assert step(got, pos, noises, cfg, index) == want[0]
+            for name in ("V", "U", "M", "Minv"):
+                assert np.array_equal(getattr(got, name), getattr(stepped, name)), (cfg, name)
+        params = stepped
 
 
 def block_rule_oracle_model(trees, vocab, cfg, block_trees):
     """Slow-path oracle of `train()` with the block regularizer written out.
 
-    Each step is `oracle_step` with gamma = kappa = 0, and the maps it
-    updates are read off its gradient keys.  After the last step of each
-    block of ``block_trees`` trees, each field those steps touched, in
-    ascending row, gets one per-key regularizer call on its maps as they
-    stand (gamma 0 in no_inverse); each touched map's output is clipped
-    like a step's and subtracted at n times the map rate of the block's
-    last step, n the number of the block's steps that touched the map.
+    Each step is `oracle_step`, and the maps it updates are read off its
+    gradient keys.  After the last step of each block of ``block_trees``
+    trees, each field those steps touched, in ascending row, gets one
+    per-key regularizer call on its maps as they stand (gamma 0 in
+    no_inverse); each touched map's output is clipped like a step's and
+    subtracted at n times the map rate of the block's last step, n the
+    number of the block's steps that touched the map.
     Returns the model bytes, the step count and the largest n."""
     lr_at = importlib.import_module("dcsvec.train")._lr_at
     init_seq, walk_seq = np.random.SeedSequence(cfg.seed).spawn(2)
@@ -874,7 +790,6 @@ def block_rule_oracle_model(trees, vocab, cfg, block_trees):
     for name in ("V", "U", "M", "Minv"):
         setattr(params, name, getattr(params, name).astype(np.float64))
     sampler_rng, noise_rng = (np.random.default_rng(s) for s in walk_seq.spawn(2))
-    plain = dataclasses.replace(cfg, gamma=0.0, kappa=0.0)
     gamma = 0.0 if cfg.mode == "no_inverse" else cfg.gamma
     index = most = 0
     for _ in range(cfg.epochs):
@@ -882,9 +797,9 @@ def block_rule_oracle_model(trees, vocab, cfg, block_trees):
             paths = [p for tree in trees[first : first + block_trees] for p in sample_paths(tree, vocab, sampler_rng)]
             counts = collections.Counter()
             for pos, noises in zip(paths, make_noise(paths, vocab, noise_rng, cfg.noise_per_example)):
-                _, grads = mode_oracle_loss_and_gradients(params, pos, noises, plain)
+                _, grads = mode_oracle_loss_and_gradients(params, pos, noises, cfg)
                 counts.update(key for key in grads if key[0] in ("M", "Minv"))
-                oracle_step(params, pos, noises, plain, index)
+                oracle_step(params, pos, noises, cfg, index)
                 index += 1
             lr = lr_at(cfg.lr_mat, cfg, index - 1)
             for fid in sorted({fid for _, fid in counts}):
@@ -985,7 +900,8 @@ def test_regularize_maps_applies_each_counted_map_at_its_count():
     params.M[FID[ARG]] *= 3  # a regularizer gradient past the clip norm
     before = params.copy()
     cfg = TrainConfig(dim=6, gamma=0.02, kappa=0.005, total_steps=100)
-    counts = {(FID[ARG], False): 3, (FID[SUBJ], True): 1, (FID[SUBJ], False): 2}
+    # ARG counted as M only, SUBJ as both maps, COMP as Minv only
+    counts = {(FID[ARG], False): 3, (FID[SUBJ], True): 1, (FID[SUBJ], False): 2, (FID[COMP], True): 2}
     train_module.regularize_maps(params, counts, cfg, 40)
     lr = train_module._lr_at(cfg.lr_mat, cfg, 40)
     clipped = 0
@@ -1000,7 +916,8 @@ def test_regularize_maps_applies_each_counted_map_at_its_count():
         assert np.array_equal(table[fid], old[fid] - (n * lr) * g)
     assert clipped >= 1
     assert np.array_equal(params.Minv[FID[ARG]], before.Minv[FID[ARG]])
-    for fid in set(range(len(FIELDS))) - {FID[ARG], FID[SUBJ]}:
+    assert np.array_equal(params.M[FID[COMP]], before.M[FID[COMP]])
+    for fid in set(range(len(FIELDS))) - {FID[ARG], FID[SUBJ], FID[COMP]}:
         assert np.array_equal(params.M[fid], before.M[fid])
         assert np.array_equal(params.Minv[fid], before.Minv[fid])
     params.M[FID[COMP]] = np.inf
@@ -1008,22 +925,6 @@ def test_regularize_maps_applies_each_counted_map_at_its_count():
         NonFiniteGradient, match="regularizer after step 7: gradient for M"
     ):
         train_module.regularize_maps(params, {(FID[COMP], False): 1}, cfg, 7)
-
-
-def test_no_inverse_is_read_by_a_direct_call():
-    rng = np.random.default_rng(35)
-    vocab = make_vocab()
-    params = make_params(rng, dim=6)
-    no_inverse = TrainConfig(dim=6, mode="no_inverse", gamma=0.5)
-    full_without_gamma = TrainConfig(dim=6, mode="full", gamma=0.0)
-    for _ in range(20):
-        pos, noises = random_example(rng, vocab, 2)
-        got = loss_and_gradients(params, pos, noises, no_inverse)
-        want = loss_and_gradients(params, pos, noises, full_without_gamma)
-        assert got[0] == want[0]
-        assert list(got[1]) == list(want[1])
-        for key in want[1]:
-            assert np.array_equal(got[1][key], want[1][key]), key
 
 
 def test_import_dcsvec_train_gives_the_module():
@@ -1064,41 +965,6 @@ def test_train_samples_each_listed_tree_once_per_epoch_in_chunk_order(monkeypatc
 # --- maps read from the tables, float32 or float64 -----------------------
 
 
-def uncached_regularizer_grads(M, Minv, gamma, kappa, *, need_M=True, need_Minv=True):
-    """Slow-path oracle: `regularizer_grads` casting its own inputs, with
-    np.trace and a .flat diagonal."""
-
-    def trace_centered(B):
-        d = B.shape[0]
-        B.flat[:: d + 1] -= np.trace(B) / d
-        return B
-
-    d = M.shape[0]
-    M = np.asarray(M, dtype=np.float64)
-    Minv = np.asarray(Minv, dtype=np.float64)
-    gM = gMinv = None
-    if gamma != 0.0:
-        E = trace_centered(Minv @ M)
-        if need_M:
-            gM = Minv.T @ E
-            gM *= 2.0 * gamma
-        if need_Minv:
-            gMinv = E @ M.T
-            gMinv *= 2.0 * gamma
-    if kappa != 0.0 and need_M:
-        term = M @ trace_centered(M.T @ M)
-        term *= 4.0 * kappa
-        if gM is None:
-            gM = term
-        else:
-            gM += term
-    if need_M and gM is None:
-        gM = np.zeros((d, d))
-    if need_Minv and gMinv is None:
-        gMinv = np.zeros((d, d))
-    return gM, gMinv
-
-
 def uncached_loss_and_gradients(params, pos, noises, config):
     """Slow-path oracle: `loss_and_gradients` reading each map from the
     table at every product (a float32 map is cast inside each product),
@@ -1121,7 +987,6 @@ def uncached_loss_and_gradients(params, pos, noises, config):
     slots = [] if config.mode == "no_matrix" else [
         slot for near, far in pos.hops for slot in ((near, False), (far, True))
     ]
-    gamma = 0.0 if config.mode == "no_inverse" else config.gamma
     two_l = len(slots)
     v = params.V[xi].astype(np.float64)
     u = params.U[yi].astype(np.float64)
@@ -1174,20 +1039,6 @@ def uncached_loss_and_gradients(params, pos, noises, config):
     for ri, nslots, ncols, g_neg in noise_data:
         fid, inv = nslots[ri]
         add(("Minv" if inv else "M", fid), g_neg * np.outer(rows[ri], ncols[ri + 1]))
-
-    if gamma != 0.0 or config.kappa != 0.0:
-        touched = {}
-        for kind, fid in grads:
-            if kind in ("M", "Minv"):
-                touched.setdefault(fid, set()).add(kind)
-        for fid, kinds in touched.items():
-            reg = uncached_regularizer_grads(
-                params.M[fid], params.Minv[fid], gamma, config.kappa,
-                need_M="M" in kinds, need_Minv="Minv" in kinds,
-            )
-            for kind, g in zip(("M", "Minv"), reg):
-                if g is not None:
-                    grads[(kind, fid)] = grads[(kind, fid)] + g
     return loss, grads
 
 
@@ -1351,17 +1202,6 @@ def map_cache_loss_and_gradients(params, pos, noises, config):
     for ri, nslots, ncols, g_neg in noise_data:
         fid, inv = nslots[ri]
         accumulate(grads, ("Minv" if inv else "M", fid), g_neg * (rows[ri][:, None] * ncols[ri + 1]))
-
-    gamma = 0.0 if config.mode == "no_inverse" else config.gamma
-    if gamma != 0.0 or config.kappa != 0.0:
-        for fid, kinds in touched_kinds(grads).items():
-            reg = regularizer_grads(
-                params.M[fid], params.Minv[fid], gamma, config.kappa,
-                need_M="M" in kinds, need_Minv="Minv" in kinds,
-            )
-            for kind, g in zip(("M", "Minv"), reg):
-                if g is not None:
-                    grads[(kind, fid)] += g
     return loss, grads
 
 
