@@ -771,6 +771,22 @@ def test_every_step_runs_without_the_regularizer(mode, k):
         params = stepped
 
 
+def test_no_inverse_is_read_by_a_direct_call():
+    rng = np.random.default_rng(35)
+    vocab = make_vocab()
+    params = make_params(rng, dim=6)
+    no_inverse = TrainConfig(dim=6, mode="no_inverse", gamma=0.5)
+    full_without_gamma = TrainConfig(dim=6, mode="full", gamma=0.0)
+    for _ in range(20):
+        pos, noises = random_example(rng, vocab, 2)
+        got = loss_and_gradients(params, pos, noises, no_inverse)
+        want = loss_and_gradients(params, pos, noises, full_without_gamma)
+        assert got[0] == want[0]
+        assert list(got[1]) == list(want[1])
+        for key in want[1]:
+            assert np.array_equal(got[1][key], want[1][key]), key
+
+
 def block_rule_oracle_model(trees, vocab, cfg, block_trees):
     """Slow-path oracle of `train()` with the block regularizer written out.
 
