@@ -91,10 +91,18 @@ def init_params(
         raise ValueError("dim must be >= 2")
     n, m = vocab.n_words, vocab.n_fields
     scale = dim ** -0.5
-    V = (rng.standard_normal((n, dim)) * scale).astype(dtype)
-    U = (rng.standard_normal((n, dim)) * scale).astype(dtype)
-    G = rng.standard_normal((m, dim, dim)) * scale
-    M = ((np.eye(dim) + G) / 2.0).astype(dtype)
+    # each float64 draw is scaled in place, so one copy of it is held
+    V = rng.standard_normal((n, dim))
+    V *= scale
+    V = V.astype(dtype)
+    U = rng.standard_normal((n, dim))
+    U *= scale
+    U = U.astype(dtype)
+    G = rng.standard_normal((m, dim, dim))
+    G *= scale
+    G += np.eye(dim)
+    G /= 2.0
+    M = G.astype(dtype)
     Minv = np.transpose(M, (0, 2, 1)).copy()
     return ModelParams(dim, vocab, V, U, M, Minv)
 

@@ -7,7 +7,8 @@ slots j < i and redraws everything from a uniformly chosen slot i on
 unigram, slot parity preserved).  A step updates only the start query
 vector, the two positive-path maps straddling the noise boundary, the
 noise map at the boundary, and the two answer vectors; `step_maps` states
-which maps those are, and both `loss_and_gradients` and `train()` read it.
+which maps those are, `loss_and_gradients` reads it, and `step` returns
+the keys of the maps it updated, from which `train()` counts them.
 A step computes only the NCE loss and its gradients.  The
 inverse-consistency and orthogonality regularizer runs in `regularize_maps`
 alone, which `train()` calls after the last step of each block of
@@ -20,6 +21,13 @@ corpus in order, so a seeded run is bit-reproducible.  Noise is drawn a
 block of `NOISE_BLOCK_TREES` sampled trees at a time, by array draws.
 Per-parameter gradients whose norm exceeds the clip threshold are
 rescaled to it, and each gradient is applied in place.
+
+A step's map gradient is a sum of outer products, one per forward slot it
+comes from (the slot's forward row times a backward column that mixes the
+positive and the noise terms), so it is kept as those (row, column)
+factors: rank one with one noise.  `step` takes its clip norm from the
+factors and subtracts one d x d outer product per factor; no d x d
+gradient is formed.
 
 Gradients are taken per slot occurrence: a map repeated in an unselected
 slot is held constant there.  Examples hold vocabulary row ids, so a
@@ -256,12 +264,7 @@ def step_maps(
     return slots, boundaries, sorted(updated)
 
 
-def updated_maps(pos: PathSample, noises: Sequence[NoisedExample], mode: str) -> set[Slot]:
-    """Each map a step on this example updates, once (see `step_maps`)."""
-    slots, boundaries, updated = step_maps(pos, noises, mode)
-    maps = {slots[j] for j in updated}
-    maps.update(boundary for _, boundary in boundaries if boundary is not None)
-    return maps
+MapFactors = list[tuple[np.ndarray, np.ndarray]]  # (row, column) pairs: the gradient is sum r ⊗ c
 
 
 def loss_and_gradients(
@@ -272,11 +275,20 @@ def loss_and_gradients(
 ) -> tuple[float, dict]:
     """NCE loss and the sparse gradient set for one example.
 
-    Keys are ("v", row), ("u", row), ("M", field id), ("Minv", field id);
-    contributions to a shared parameter accumulate.  The map keys are the
-    maps `step_maps` names.  The regularizer is not part of it (see
-    `regularize_maps`).  Every gradient is a fresh float64 array, so
-    `step` may scale it in place.
+    Keys are ("v", row), ("u", row), then ("M", field id) and ("Minv",
+    field id); the map keys are the maps `step_maps` names.  A vector
+    gradient is a fresh float64 array, and contributions to a shared
+    vector accumulate.  A map gradient is returned as its factors: one
+    (row, column) pair per forward slot j it comes from, the gradient
+    being the sum of their outer products.  The row is the forward row at
+    slot j (v times the maps before it); the column is g+ times the
+    positive backward column after j, plus g- times each noise's backward
+    column after j for every noise whose boundary lies after j, plus that
+    term of a noise whose boundary map at j is this map.  So with one
+    noise every map gradient is one pair.  Every array is fresh float64
+    (rows may be shared between pairs), so updating the tables leaves the
+    factors as they were.  The regularizer is not part of it (see
+    `regularize_maps`).
 
     Maps are read from the tables as they are; a float32 map is cast
     inside each product it enters (the cast is exact).  `ndarray.dot`
@@ -292,7 +304,7 @@ def loss_and_gradients(
     slots, boundaries, updated = step_maps(pos, noises, config.mode)
     two_l = len(slots)
     mats = [Minv[fid] if inv else M[fid] for fid, inv in slots]
-    v = np.asarray(params.V[xi], dtype=np.float64)
+    v = np.array(params.V[xi], dtype=np.float64)  # a copy: rows[0] is a factor
     u = np.asarray(params.U[yi], dtype=np.float64)
     rows = [v]
     for m in mats:
@@ -305,12 +317,13 @@ def loss_and_gradients(
     g_pos = _sigmoid(s_pos) - 1.0
     loss = softplus(-s_pos)
     gv = g_pos * cols[0]  # the start word's gradient, accumulated in place
-    grads: dict[tuple[str, int], np.ndarray] = {("v", xi): gv, ("u", yi): g_pos * rows[two_l]}
+    grads: dict[tuple[str, int], np.ndarray | MapFactors] = {
+        ("v", xi): gv, ("u", yi): g_pos * rows[two_l]
+    }
 
     # per noise that redraws a map: its first replaced slot, the boundary
     # map's key, its backward columns and its sigmoid
     noise_data = []
-    terms = []  # the other gradients, in key order; no_matrix has no map term
     for noise, (ri, boundary) in zip(noises, boundaries):
         nmats = mats[:ri] + [
             Minv[fid] if inv else M[fid] for fid, (_, inv) in zip(noise.fields, slots[ri:])
@@ -325,35 +338,36 @@ def loss_and_gradients(
         nr = rows[ri]
         for m in nmats[ri:]:
             nr = nr.dot(m)
-        terms.append((("u", noise.word), g_neg * nr))
+        gu = g_neg * nr
+        key = ("u", noise.word)
+        if key in grads:
+            grads[key] += gu
+        else:
+            grads[key] = gu
         if boundary is not None:
             fid, inv = boundary
             noise_data.append((ri, ("Minv" if inv else "M", fid), ncols, g_neg))
 
-    # positive-path maps at the noise boundary, then the boundary noise map.
-    # An outer product is a (d, 1) x (1, d) BLAS product, whose entries are
-    # the single products r_i * c_j, rounded as a broadcast multiply rounds
-    # them; each is scaled in place (x * s rounds as s * x does).
+    # the map columns, per key and forward slot: the positive-path maps at
+    # the noise boundaries, then each boundary noise map, which joins slot
+    # ri's column when it is that slot's map
+    columns: dict[tuple[str, int], dict[int, np.ndarray]] = {}
     for j in updated:
-        fid, inv = slots[j]
-        row = rows[j][:, None]
-        g = row.dot(cols[j + 1][None, :])
-        g *= g_pos
+        c = g_pos * cols[j + 1]
         for ri, _, ncols, g_neg in noise_data:
             if j < ri:
-                term = row.dot(ncols[j + 1][None, :])
-                term *= g_neg
-                g += term
-        terms.append((("Minv" if inv else "M", fid), g))
+                c += g_neg * ncols[j + 1]
+        fid, inv = slots[j]
+        columns.setdefault(("Minv" if inv else "M", fid), {})[j] = c
     for ri, key, ncols, g_neg in noise_data:
-        g = rows[ri][:, None].dot(ncols[ri + 1][None, :])
-        g *= g_neg
-        terms.append((key, g))
-    for key, g in terms:
-        if key in grads:
-            grads[key] += g
+        by_slot = columns.setdefault(key, {})
+        c = g_neg * ncols[ri + 1]
+        if ri in by_slot:
+            by_slot[ri] += c
         else:
-            grads[key] = g
+            by_slot[ri] = c
+    for key, by_slot in columns.items():
+        grads[key] = [(rows[j], c) for j, c in by_slot.items()]
     return loss, grads
 
 
@@ -382,33 +396,71 @@ def _descend(row: np.ndarray, g: np.ndarray, lr: float, clip: float, where: str,
     row -= g
 
 
+def _factored_norm(pairs: MapFactors) -> float:
+    """||G||_F of G = sum r ⊗ c, from the factors alone: sqrt((r.r)(c.c))
+    for one pair; for k pairs, rows R and columns C, ||G||^2 is the sum of
+    the entrywise product (R R^T) * (C C^T).  Non-finite factors give a
+    non-finite norm."""
+    if len(pairs) == 1:
+        ((r, c),) = pairs
+        return math.sqrt(float(r.dot(r)) * float(c.dot(c)))  # inf * 0 is NaN, not a warning
+    R = np.array([r for r, _ in pairs])
+    C = np.array([c for _, c in pairs])
+    sq = float(np.sum(R.dot(R.T) * C.dot(C.T)))
+    # rounding can leave the sum just below 0; max keeps a NaN first argument
+    return math.sqrt(max(sq, 0.0))
+
+
+def _descend_factors(
+    table: np.ndarray, pairs: MapFactors, lr: float, clip: float, where: str, key
+) -> None:
+    """Subtract s times the map gradient G = sum r ⊗ c from ``table`` in
+    place, s = lr * min(1, clip / ||G||), with one (d, 1) x (1, d) BLAS
+    product per pair, whose entries are the single products (s r_i) c_j; no
+    d x d gradient is formed.  A non-finite norm is a NonFiniteGradient."""
+    norm = _factored_norm(pairs)
+    if not math.isfinite(norm):
+        raise NonFiniteGradient(f"{where}: gradient for {key[0]}[{key[1]}] has norm {norm}")
+    s = lr * (clip / norm) if norm > clip else lr
+    for r, c in pairs:
+        table -= (s * r)[:, None].dot(c[None, :])
+
+
 def step(
     params: ModelParams,
     pos: PathSample,
     noises: list[NoisedExample],
     config: TrainConfig,
     step_index: int,
-) -> float:
+) -> tuple[float, list[tuple[str, int]]]:
     """One SGD step: each gradient is clipped, scaled by its learning rate
-    and subtracted in place (float64 arithmetic, rounded to the table's dtype).
+    and subtracted in place (float64 arithmetic, rounded to the table's
+    dtype); a map gradient is applied from its factors (`_descend_factors`).
+    Returns the loss and the keys of the maps it updated, in order.
     A step never regularizes, whatever ``config.gamma`` and ``config.kappa``
     say; `regularize_maps` does."""
     loss, grads = loss_and_gradients(params, pos, noises, config)
-    vec = (_lr_at(config.lr_vec, config, step_index), config.clip_norm_vec)
-    mat = (_lr_at(config.lr_mat, config, step_index), config.clip_norm_mat)
+    lr_vec = _lr_at(config.lr_vec, config, step_index)
+    lr_mat = _lr_at(config.lr_mat, config, step_index)
     where = f"step {step_index}"
+    maps = []
     for key, g in grads.items():
-        lr, clip = vec if g.ndim == 1 else mat  # vector gradients are 1-d, maps 2-d
-        _descend(getattr(params, _TABLE[key[0]])[key[1]], g, lr, clip, where, key)
-    return loss
+        row = getattr(params, _TABLE[key[0]])[key[1]]
+        if key[0] in ("v", "u"):
+            _descend(row, g, lr_vec, config.clip_norm_vec, where, key)
+        else:
+            _descend_factors(row, g, lr_mat, config.clip_norm_mat, where, key)
+            maps.append(key)
+    return loss, maps
 
 
 def regularize_maps(
-    params: ModelParams, counts: dict[Slot, int], config: TrainConfig, step_index: int
+    params: ModelParams, counts: dict[tuple[str, int], int], config: TrainConfig, step_index: int
 ) -> None:
     """The regularizer of a block of steps, applied once after its last step.
 
-    ``counts`` holds, per map, how many of the block's steps updated it.
+    ``counts`` holds, per map key (("M", field id) or ("Minv", field id), as
+    `step` returns them), how many of the block's steps updated it.
     One `regularizer_grads` call per field, in ascending field row, on the
     maps as they stand, gives the gradient of each counted map; each is
     clipped as `step` clips a map gradient and applied at count times the
@@ -419,8 +471,8 @@ def regularize_maps(
     gamma = 0.0 if config.mode == "no_inverse" else config.gamma
     lr, clip = _lr_at(config.lr_mat, config, step_index), config.clip_norm_mat
     where = f"regularizer after step {step_index}"
-    for fid in sorted({fid for fid, _ in counts}):
-        n = (counts.get((fid, False), 0), counts.get((fid, True), 0))
+    for fid in sorted({fid for _, fid in counts}):
+        n = (counts.get(("M", fid), 0), counts.get(("Minv", fid), 0))
         grads = regularizer_grads(
             params.M[fid], params.Minv[fid], gamma, config.kappa,
             need_M=n[0] > 0, need_Minv=n[1] > 0,
@@ -496,10 +548,11 @@ def train(
             trees_in_block = usable[start : start + NOISE_BLOCK_TREES]
             block = [s for tree in trees_in_block for s in sample_paths(tree, vocab, sampler_rng)]
             noise_lists = make_noise(block, vocab, noise_rng, cfg.noise_per_example)
-            counts: dict[Slot, int] = {}
+            counts: dict[tuple[str, int], int] = {}
             for sample, noises in zip(block, noise_lists):
-                loss_sum += step(params, sample, noises, cfg, step_index)
-                for key in updated_maps(sample, noises, cfg.mode):
+                loss, maps = step(params, sample, noises, cfg, step_index)
+                loss_sum += loss
+                for key in maps:
                     counts[key] = counts.get(key, 0) + 1
                 step_index += 1
             regularize_maps(params, counts, cfg, step_index - 1)

@@ -12,7 +12,7 @@ import numpy as np
 
 from dcsvec.logic import Database, DbTuple
 from dcsvec.model import init_params
-from dcsvec.train import NoisedExample, TrainConfig, loss_and_gradients
+from dcsvec.train import NoisedExample, TrainConfig, loss_and_gradients, step_maps
 from dcsvec.trees import ARG, COMP, SUBJ, DcsTree, Edge, Word, hop_fields, path_nodes
 from dcsvec.vocab import PathSample, Vocabulary, _walk_trajectories
 
@@ -136,6 +136,24 @@ def id_example(vocab, start, end, hops, *noises):
         NoisedExample(i, tuple(vocab.field_id(f) for f in fields), vocab.word_id(word))
         for i, fields, word in noises
     ]
+
+
+def updated_maps(pos, noises, mode) -> set:
+    """Each map a step on this example updates, once, as (field row,
+    is_inverse) (see `step_maps`)."""
+    slots, boundaries, updated = step_maps(pos, noises, mode)
+    maps = {slots[j] for j in updated}
+    maps.update(boundary for _, boundary in boundaries if boundary is not None)
+    return maps
+
+
+def dense_gradient(g) -> np.ndarray:
+    """A gradient as `loss_and_gradients` returns it, made dense: a vector
+    as it is, a map's (row, column) factors as the sum of their outer
+    products."""
+    if isinstance(g, np.ndarray):
+        return g
+    return sum(r[:, None] * c[None, :] for r, c in g)
 
 
 def nce_loss(params, pos, noises) -> float:

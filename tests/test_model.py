@@ -1,6 +1,7 @@
 import gc
 import io
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -84,6 +85,45 @@ def test_init_inverse_is_exact_transpose():
     params = init_params(vocab, 8, np.random.default_rng(1))
     for i in range(len(params.fields)):
         assert np.array_equal(params.Minv[i], params.M[i].T)
+
+
+def out_of_place_init_params(vocab, dim, rng, dtype=np.float32):
+    """`init_params` as one expression per table, a fresh array per operation."""
+    n, m = vocab.n_words, vocab.n_fields
+    scale = dim ** -0.5
+    V = (rng.standard_normal((n, dim)) * scale).astype(dtype)
+    U = (rng.standard_normal((n, dim)) * scale).astype(dtype)
+    G = rng.standard_normal((m, dim, dim)) * scale
+    M = ((np.eye(dim) + G) / 2.0).astype(dtype)
+    return V, U, M, np.transpose(M, (0, 2, 1)).copy()
+
+
+@pytest.mark.parametrize("n_fields, dim, seed", [(1, 2, 0), (4, 25, 1), (3, 250, 7), (9, 7, 3), (6, 100, 814)])
+def test_init_params_writes_the_bytes_of_the_out_of_place_expression(n_fields, dim, seed):
+    fields = tuple(f"f{i}" for i in range(n_fields))
+    vocab = vocab_of([w(f"w{i}") for i in range(11)], fields)
+    for dtype in (np.float32, np.float64):
+        params = init_params(vocab, dim, np.random.default_rng(seed), dtype=dtype)
+        want = out_of_place_init_params(vocab, dim, np.random.default_rng(seed), dtype)
+        for name, table in zip(("V", "U", "M", "Minv"), want):
+            got = getattr(params, name)
+            assert got.dtype == table.dtype and got.tobytes() == table.tobytes(), (name, dtype)
+
+
+def test_init_params_holds_one_float64_copy_of_the_map_draw():
+    vocab = vocab_of([w("w0"), w("w1")], (ARG, SUBJ, COMP, "of"))
+    dim = 250
+    draw = 4 * dim * dim * 8  # the float64 draw of the four fields' maps
+    init_params(vocab, dim, np.random.default_rng(3))  # first-call set-up outside the trace
+    tracemalloc.start()
+    try:
+        init_params(vocab, dim, np.random.default_rng(3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the draw and M and Minv in float32 (half the draw each); the
+    # out-of-place expression held a second float64 copy, 2.5 draws in all
+    assert peak < 2.25 * draw, peak / draw
 
 
 def test_init_vector_variance_near_one_over_d():

@@ -4,6 +4,7 @@ import importlib
 import io
 import itertools
 import math
+import tracemalloc
 import types
 
 import numpy as np
@@ -21,11 +22,17 @@ from dcsvec.train import (
     regularizer_penalties,
     step,
     train,
-    updated_maps,
 )
 from dcsvec.trees import ARG, COMP, SUBJ, DcsTree, Edge, Word
 from dcsvec.vocab import Vocabulary, build_vocab, sample_paths
-from helpers import id_example, nce_loss, random_orthogonal, random_tree
+from helpers import (
+    dense_gradient,
+    id_example,
+    nce_loss,
+    random_orthogonal,
+    random_tree,
+    updated_maps,
+)
 
 
 def w(lemma, pos="N"):
@@ -206,9 +213,10 @@ def test_step_manual_gradient_arithmetic():
             dim=5, lr_vec=0.05, lr_mat=0.01, gamma=0.0, kappa=0.0,
             clip_norm_vec=1e9, clip_norm_mat=1e9, lr_schedule="constant",
         )
-    loss = step(params, pos, [noise], cfg, 0)
+    loss, maps = step(params, pos, [noise], cfg, 0)
 
     fi = params.vocab.field_index
+    assert maps == [("M", fi[ARG]), ("Minv", fi[SUBJ]), ("Minv", fi[COMP])]
     v, uy, uz = before.V[0], before.U[1], before.U[2]
     A, B, Bn = before.M[fi[ARG]], before.Minv[fi[SUBJ]], before.Minv[fi[COMP]]
     s_pos = v @ A @ B @ uy
@@ -246,7 +254,8 @@ def test_gradients_match_finite_differences():
         pos, [noise] = id_example(params.vocab, w("w0"), w("w1"), hops, noise)
         loss, grads = loss_and_gradients(params, pos, [noise], cfg)
 
-        for (kind, idx), analytic in grads.items():
+        for (kind, idx), g in grads.items():
+            analytic = dense_gradient(g)  # a map's factors as their dense product
             table = {"v": params.V, "u": params.U, "M": params.M, "Minv": params.Minv}[kind]
             base = table[idx].copy()
 
@@ -290,7 +299,7 @@ def test_step_zero_learning_rates_keep_params():
     params = make_params(rng, dtype=np.float32)
     before = params.copy()
     cfg = TrainConfig(dim=5, lr_vec=0.0, lr_mat=0.0, lr_schedule="constant")
-    loss = step(params, *sample(1, (2, (ARG,), w("w2"))), cfg, 0)
+    loss, _ = step(params, *sample(1, (2, (ARG,), w("w2"))), cfg, 0)
     assert math.isfinite(loss) and loss > 0
     assert np.array_equal(before.V, params.V)
     assert np.array_equal(before.U, params.U)
@@ -626,35 +635,107 @@ def separate_no_matrix_loss_and_gradients(params, pos, noises, config):
         loss += softplus(s_neg)
         add(("v", xi), g_neg * uz)
         add(("u", zi), g_neg * v)
-    return loss, grads
+    return loss, grads, {}
 
 
 def mode_oracle_loss_and_gradients(params, pos, noises, config):
     """Slow-path oracle of all three modes: no_matrix through its separate
     forward/backward, full and no_inverse both through the uncached full
-    forward/backward."""
+    forward/backward.  Returns (loss, dense gradients, map terms)."""
     if config.mode == "no_matrix":
         return separate_no_matrix_loss_and_gradients(params, pos, noises, config)
     return uncached_loss_and_gradients(params, pos, noises, dataclasses.replace(config, mode="full"))
 
 
+# --- map gradients as factors ---------------------------------------------
+#
+# The dense oracles build each map gradient as a sum of g * outer(row,
+# column) terms and also return those terms, per map key a list of (slot j,
+# row, g * column) in the order they add them.  `map_factors` gathers the
+# terms into the (row, column) pairs `loss_and_gradients` returns, and the
+# oracle steps apply the pairs by the factored rule.
+
+
+def map_factors(terms):
+    """Per map key, one (row, column) pair per slot, in the order the slots
+    first appear; a slot's column is the sum of its terms' columns, added
+    in term order."""
+    out = {}
+    for key, key_terms in terms.items():
+        by_slot = {}
+        for j, row, column in key_terms:
+            by_slot[j] = (row, by_slot[j][1] + column) if j in by_slot else (row, column)
+        out[key] = list(by_slot.values())
+    return out
+
+
+UNIT_ROUNDOFF = 2.0**-53
+
+
+def gamma(n):
+    """Higham's gamma_n = n u / (1 - n u): the relative error bound of n
+    successive float64 roundings."""
+    return n * UNIT_ROUNDOFF / (1 - n * UNIT_ROUNDOFF)
+
+
+def product_bound(key_terms):
+    """Entrywise bound on |dense oracle - dense product of the factors| for
+    a map with T rank-one terms.  Each entry is a sum of T exact terms
+    row_a * g * column_b.  The oracle rounds a term twice (the outer
+    product, then g) and the sum T - 1 times; the factors round g * column
+    once, the column sum T - 1 times, row_a times the column once, and the
+    sum over at most T pairs T - 1 times.  So each side is within
+    gamma(2T + 1) times sum |row_a| |g column_b| of the exact entry, and
+    the difference within twice that (gamma(2T + 2) also covers rounding
+    in the magnitude itself)."""
+    n = 2 * len(key_terms) + 2
+    return 2 * gamma(n) * sum(np.abs(r)[:, None] * np.abs(c)[None, :] for _, r, c in key_terms)
+
+
+def factored_norm_oracle(pairs):
+    """The clip norm from the factors: sqrt((r.r)(c.c)) for one pair; for
+    several, rows R and columns C, sqrt of the sum of (R R^T) * (C C^T)."""
+    if len(pairs) == 1:
+        ((r, c),) = pairs
+        return math.sqrt(float(r @ r) * float(c @ c))
+    R = np.stack([r for r, _ in pairs])
+    C = np.stack([c for _, c in pairs])
+    return math.sqrt(max(float(((R @ R.T) * (C @ C.T)).sum()), 0.0))
+
+
+def apply_factors_oracle(table, idx, pairs, lr, clip):
+    """The factored map update: s = lr * min(1, clip / norm) with the norm
+    from the factors, then table[idx] -= (s r) ⊗ c for each pair."""
+    norm = factored_norm_oracle(pairs)
+    s = lr * (clip / norm) if norm > clip else lr
+    for r, c in pairs:
+        table[idx] -= (s * r)[:, None] * c[None, :]
+
+
+def map_keys(grads):
+    return [key for key in grads if key[0] in ("M", "Minv")]
+
+
 def oracle_step(params, pos, noises, config, step_index):
-    """Slow-path oracle of `step`: the mode oracle's gradients, each
-    clipped and written back as float64 arithmetic cast to the table."""
+    """Slow-path oracle of `step`: the mode oracle's gradients, each vector
+    clipped and written back as float64 arithmetic cast to the table, each
+    map applied from the oracle's factors.  Returns the loss and the map
+    keys."""
     lr_at = importlib.import_module("dcsvec.train")._lr_at
-    loss, grads = mode_oracle_loss_and_gradients(params, pos, noises, config)
+    loss, grads, terms = mode_oracle_loss_and_gradients(params, pos, noises, config)
+    factors = map_factors(terms)
     lr_v = lr_at(config.lr_vec, config, step_index)
     lr_m = lr_at(config.lr_mat, config, step_index)
     for (kind, idx), g in grads.items():
-        is_vec = kind in ("v", "u")
-        clip = config.clip_norm_vec if is_vec else config.clip_norm_mat
-        norm = float(np.linalg.norm(g))
-        if norm > clip:
-            g = g * (clip / norm)
         table = {"v": params.V, "u": params.U, "M": params.M, "Minv": params.Minv}[kind]
-        lr = lr_v if is_vec else lr_m
-        table[idx] = (table[idx].astype(np.float64) - lr * g).astype(table.dtype)
-    return loss
+        if kind in ("M", "Minv"):
+            apply_factors_oracle(table, idx, factors[kind, idx], lr_m, config.clip_norm_mat)
+            continue
+        norm = float(np.linalg.norm(g))
+        if norm > config.clip_norm_vec:
+            g = g * (config.clip_norm_vec / norm)
+        table[idx] = (table[idx].astype(np.float64) - lr_v * g).astype(table.dtype)
+    return loss, map_keys(grads)
 
 
 def random_example(rng, vocab, k):
@@ -684,12 +765,7 @@ def test_every_mode_matches_its_oracle_bitwise(mode, k, dtype):
         pos, noises = random_example(rng, vocab, k)
         hop_counts.add(len(pos.hops))
         loss, grads = loss_and_gradients(params, pos, noises, cfg)
-        want_loss, want = mode_oracle_loss_and_gradients(params, pos, noises, cfg)
-        assert loss == want_loss
-        assert list(grads) == list(want)
-        for key in want:
-            assert grads[key].dtype == want[key].dtype
-            assert np.array_equal(grads[key], want[key]), key
+        assert_matches_dense_oracle((loss, grads), mode_oracle_loss_and_gradients(params, pos, noises, cfg))
         if mode == "no_matrix":
             assert all(kind in ("v", "u") for kind, _ in grads)
     assert hop_counts == {1, 2, 3}
@@ -765,7 +841,7 @@ def test_every_step_runs_without_the_regularizer(mode, k):
         for cfg in others:
             assert_same_gradients(loss_and_gradients(params, pos, noises, cfg), want)
             got = params.copy()
-            assert step(got, pos, noises, cfg, index) == want[0]
+            assert step(got, pos, noises, cfg, index) == (want[0], map_keys(want[1]))
             for name in ("V", "U", "M", "Minv"):
                 assert np.array_equal(getattr(got, name), getattr(stepped, name)), (cfg, name)
         params = stepped
@@ -790,8 +866,8 @@ def test_no_inverse_is_read_by_a_direct_call():
 def block_rule_oracle_model(trees, vocab, cfg, block_trees):
     """Slow-path oracle of `train()` with the block regularizer written out.
 
-    Each step is `oracle_step`, and the maps it updates are read off its
-    gradient keys.  After the last step of each block of ``block_trees``
+    Each step is `oracle_step`, and the maps it updates are the map keys
+    it returns.  After the last step of each block of ``block_trees``
     trees, each field those steps touched, in ascending row, gets one
     per-key regularizer call on its maps as they stand (gamma 0 in
     no_inverse); each touched map's output is clipped like a step's and
@@ -813,9 +889,8 @@ def block_rule_oracle_model(trees, vocab, cfg, block_trees):
             paths = [p for tree in trees[first : first + block_trees] for p in sample_paths(tree, vocab, sampler_rng)]
             counts = collections.Counter()
             for pos, noises in zip(paths, make_noise(paths, vocab, noise_rng, cfg.noise_per_example)):
-                _, grads = mode_oracle_loss_and_gradients(params, pos, noises, cfg)
-                counts.update(key for key in grads if key[0] in ("M", "Minv"))
-                oracle_step(params, pos, noises, cfg, index)
+                _, maps = oracle_step(params, pos, noises, cfg, index)
+                counts.update(maps)
                 index += 1
             lr = lr_at(cfg.lr_mat, cfg, index - 1)
             for fid in sorted({fid for _, fid in counts}):
@@ -917,11 +992,12 @@ def test_regularize_maps_applies_each_counted_map_at_its_count():
     before = params.copy()
     cfg = TrainConfig(dim=6, gamma=0.02, kappa=0.005, total_steps=100)
     # ARG counted as M only, SUBJ as both maps, COMP as Minv only
-    counts = {(FID[ARG], False): 3, (FID[SUBJ], True): 1, (FID[SUBJ], False): 2, (FID[COMP], True): 2}
+    counts = {("M", FID[ARG]): 3, ("Minv", FID[SUBJ]): 1, ("M", FID[SUBJ]): 2, ("Minv", FID[COMP]): 2}
     train_module.regularize_maps(params, counts, cfg, 40)
     lr = train_module._lr_at(cfg.lr_mat, cfg, 40)
     clipped = 0
-    for (fid, inv), n in counts.items():
+    for (kind, fid), n in counts.items():
+        inv = kind == "Minv"
         gM, gMinv = regularizer_grads(before.M[fid], before.Minv[fid], cfg.gamma, cfg.kappa)
         g = gMinv if inv else gM
         norm = float(np.linalg.norm(g))
@@ -940,7 +1016,7 @@ def test_regularize_maps_applies_each_counted_map_at_its_count():
     with np.errstate(invalid="ignore", over="ignore"), pytest.raises(
         NonFiniteGradient, match="regularizer after step 7: gradient for M"
     ):
-        train_module.regularize_maps(params, {(FID[COMP], False): 1}, cfg, 7)
+        train_module.regularize_maps(params, {("M", FID[COMP]): 1}, cfg, 7)
 
 
 def test_import_dcsvec_train_gives_the_module():
@@ -984,7 +1060,8 @@ def test_train_samples_each_listed_tree_once_per_epoch_in_chunk_order(monkeypatc
 def uncached_loss_and_gradients(params, pos, noises, config):
     """Slow-path oracle: `loss_and_gradients` reading each map from the
     table at every product (a float32 map is cast inside each product),
-    with np.outer and a fresh array per accumulation."""
+    with dense np.outer map gradients and a fresh array per accumulation.
+    Returns (loss, gradients, map terms)."""
     train_module = importlib.import_module("dcsvec.train")
     sigmoid, softplus = train_module._sigmoid, train_module.softplus
 
@@ -1041,38 +1118,47 @@ def uncached_loss_and_gradients(params, pos, noises, config):
         add(("u", zi), g_neg * nr)
         noise_data.append((ri, nslots, ncols, g_neg))
 
+    terms = {}
     if not slots:
-        return loss, grads
+        return loss, grads, terms
 
     selected = sorted({j for ri, _, _, _ in noise_data for j in (ri - 1, ri)})
     for j in selected:
         fid, inv = slots[j]
+        key = ("Minv" if inv else "M", fid)
         g = g_pos * np.outer(rows[j], cols[j + 1])
+        terms.setdefault(key, []).append((j, rows[j], g_pos * cols[j + 1]))
         for ri, _, ncols, g_neg in noise_data:
             if j < ri:
                 g = g + g_neg * np.outer(rows[j], ncols[j + 1])
-        add(("Minv" if inv else "M", fid), g)
+                terms[key].append((j, rows[j], g_neg * ncols[j + 1]))
+        add(key, g)
     for ri, nslots, ncols, g_neg in noise_data:
         fid, inv = nslots[ri]
-        add(("Minv" if inv else "M", fid), g_neg * np.outer(rows[ri], ncols[ri + 1]))
-    return loss, grads
+        key = ("Minv" if inv else "M", fid)
+        add(key, g_neg * np.outer(rows[ri], ncols[ri + 1]))
+        terms.setdefault(key, []).append((ri, rows[ri], g_neg * ncols[ri + 1]))
+    return loss, grads, terms
 
 
 def uncached_step(params, pos, noises, config, step_index):
-    """Slow-path oracle of `step` on the uncached gradients, with np.linalg.norm."""
+    """Slow-path oracle of `step` on the uncached gradients: vectors with
+    np.linalg.norm, maps from the oracle's factors."""
     lr_at = importlib.import_module("dcsvec.train")._lr_at
-    loss, grads = uncached_loss_and_gradients(params, pos, noises, config)
+    loss, grads, terms = uncached_loss_and_gradients(params, pos, noises, config)
+    factors = map_factors(terms)
     lr_v = lr_at(config.lr_vec, config, step_index)
     lr_m = lr_at(config.lr_mat, config, step_index)
     tables = {"v": params.V, "u": params.U, "M": params.M, "Minv": params.Minv}
     for (kind, idx), g in grads.items():
-        is_vec = kind in ("v", "u")
-        clip = config.clip_norm_vec if is_vec else config.clip_norm_mat
+        if kind in ("M", "Minv"):
+            apply_factors_oracle(tables[kind], idx, factors[kind, idx], lr_m, config.clip_norm_mat)
+            continue
         norm = float(np.linalg.norm(g))
-        if norm > clip:
-            g = g * (clip / norm)
-        tables[kind][idx] -= (lr_v if is_vec else lr_m) * g
-    return loss
+        if norm > config.clip_norm_vec:
+            g = g * (config.clip_norm_vec / norm)
+        tables[kind][idx] -= lr_v * g
+    return loss, map_keys(grads)
 
 
 def boundary_noise_on_the_path(pos, noises):
@@ -1084,12 +1170,45 @@ def boundary_noise_on_the_path(pos, noises):
     return [first] + noises[1:]
 
 
+def assert_same_factors(got, want, key):
+    assert len(got) == len(want), key
+    for got_pair, want_pair in zip(got, want):
+        for a, b in zip(got_pair, want_pair):
+            assert a.dtype == b.dtype == np.float64 and np.array_equal(a, b), key
+
+
 def assert_same_gradients(got, want):
+    """Two `loss_and_gradients` results are bitwise equal: the loss, the
+    keys and their order, every vector gradient and every map factor."""
     assert got[0] == want[0]
     assert list(got[1]) == list(want[1])
     for key, g in want[1].items():
-        assert got[1][key].dtype == g.dtype
-        assert np.array_equal(got[1][key], g), key
+        if isinstance(g, list):
+            assert_same_factors(got[1][key], g, key)
+        else:
+            assert got[1][key].dtype == g.dtype
+            assert np.array_equal(got[1][key], g), key
+
+
+def assert_matches_dense_oracle(got, want):
+    """``got`` is a `loss_and_gradients` result, ``want`` a dense oracle's
+    (loss, gradients, map terms).  Bitwise: the loss, the keys and their
+    order, the vector gradients, and each map's factors against the
+    oracle's terms gathered by `map_factors`.  Each map's dense product of
+    factors lies within `product_bound` of the oracle's dense gradient."""
+    loss, grads = got
+    want_loss, want, terms = want
+    assert loss == want_loss
+    assert list(grads) == list(want)
+    factors = map_factors(terms)
+    assert sorted(factors) == sorted(map_keys(want))
+    for key, g in want.items():
+        if key in factors:
+            assert_same_factors(grads[key], factors[key], key)
+            assert np.all(np.abs(dense_gradient(grads[key]) - g) <= product_bound(terms[key])), key
+        else:
+            assert grads[key].dtype == g.dtype
+            assert np.array_equal(grads[key], g), key
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -1111,7 +1230,7 @@ def test_cast_once_step_matches_the_uncached_oracle(mode, k, dtype):
         # the same example twice in a row: the second step writes the
         # fields the first just wrote, and must read them as written
         for _ in range(1 + (trial % 3 == 0)):
-            assert_same_gradients(
+            assert_matches_dense_oracle(
                 loss_and_gradients(params, pos, noises, cfg),
                 uncached_loss_and_gradients(expected, pos, noises, cfg),
             )
@@ -1136,7 +1255,7 @@ def test_cast_once_handles_a_field_used_as_both_maps_and_twice_on_a_path():
             (((SUBJ, ARG), (SUBJ, ARG)), (2, (SUBJ, ARG, SUBJ), w("w2"))),
         ):
             pos, noises = id_example(vocab, w("w0"), w("w1"), hops, noise)
-            assert_same_gradients(
+            assert_matches_dense_oracle(
                 loss_and_gradients(params, pos, noises, cfg),
                 uncached_loss_and_gradients(params, pos, noises, cfg),
             )
@@ -1148,7 +1267,8 @@ def test_cast_once_handles_a_field_used_as_both_maps_and_twice_on_a_path():
 def map_cache_loss_and_gradients(params, pos, noises, config):
     """Slow-path oracle: `loss_and_gradients` as it was with float32
     working tables: each map the NCE term uses cast to float64 once into a
-    per-step cache, and every contribution added through `accumulate`."""
+    per-step cache, dense map gradients, and every contribution added
+    through `accumulate`.  Returns (loss, gradients, map terms)."""
     train_module = importlib.import_module("dcsvec.train")
     sigmoid, softplus = train_module._sigmoid, train_module.softplus
 
@@ -1204,40 +1324,50 @@ def map_cache_loss_and_gradients(params, pos, noises, config):
         accumulate(grads, ("u", noise.word), g_neg * nr)
         noise_data.append((ri, nslots, ncols, g_neg))
 
+    terms = {}
     if not slots:
-        return loss, grads
+        return loss, grads, terms
 
     selected = sorted({j for ri, _, _, _ in noise_data for j in (ri - 1, ri)})
     for j in selected:
         fid, inv = slots[j]
+        key = ("Minv" if inv else "M", fid)
         g = g_pos * (rows[j][:, None] * cols[j + 1])
+        terms.setdefault(key, []).append((j, rows[j], g_pos * cols[j + 1]))
         for ri, _, ncols, g_neg in noise_data:
             if j < ri:
                 g += g_neg * (rows[j][:, None] * ncols[j + 1])
-        accumulate(grads, ("Minv" if inv else "M", fid), g)
+                terms[key].append((j, rows[j], g_neg * ncols[j + 1]))
+        accumulate(grads, key, g)
     for ri, nslots, ncols, g_neg in noise_data:
         fid, inv = nslots[ri]
-        accumulate(grads, ("Minv" if inv else "M", fid), g_neg * (rows[ri][:, None] * ncols[ri + 1]))
-    return loss, grads
+        key = ("Minv" if inv else "M", fid)
+        accumulate(grads, key, g_neg * (rows[ri][:, None] * ncols[ri + 1]))
+        terms.setdefault(key, []).append((ri, rows[ri], g_neg * ncols[ri + 1]))
+    return loss, grads, terms
 
 
 def map_cache_step(params, pos, noises, config, step_index):
-    """Slow-path oracle of `step` as it was: a per-step table dict, the
-    kind's rate and clip picked by name, and `table[idx] -= lr * g`."""
+    """Slow-path oracle of `step` as it was, with the factored map rule: a
+    per-step table dict, the kind's rate and clip picked by name,
+    `table[idx] -= lr * g` for a vector, and each map applied from the
+    oracle's factors."""
     lr_at = importlib.import_module("dcsvec.train")._lr_at
-    loss, grads = map_cache_loss_and_gradients(params, pos, noises, config)
+    loss, grads, terms = map_cache_loss_and_gradients(params, pos, noises, config)
+    factors = map_factors(terms)
     lr_v = lr_at(config.lr_vec, config, step_index)
     lr_m = lr_at(config.lr_mat, config, step_index)
     tables = {"v": params.V, "u": params.U, "M": params.M, "Minv": params.Minv}
     for (kind, idx), g in grads.items():
-        is_vec = kind in ("v", "u")
-        clip = config.clip_norm_vec if is_vec else config.clip_norm_mat
+        if kind in ("M", "Minv"):
+            apply_factors_oracle(tables[kind], idx, factors[kind, idx], lr_m, config.clip_norm_mat)
+            continue
         flat = g.ravel()
         norm = math.sqrt(flat.dot(flat))
-        if norm > clip:
-            g = g * (clip / norm)
-        tables[kind][idx] -= (lr_v if is_vec else lr_m) * g
-    return loss
+        if norm > config.clip_norm_vec:
+            g = g * (config.clip_norm_vec / norm)
+        tables[kind][idx] -= lr_v * g
+    return loss, map_keys(grads)
 
 
 def field_twice_on_the_path(pos, noises):
@@ -1266,10 +1396,10 @@ def test_step_on_float64_tables_matches_the_map_cache_step_bitwise(mode, k):
             noises = boundary_noise_on_the_path(pos, noises)
         got_loss, got = loss_and_gradients(params, pos, noises, cfg)
         clipped += any(
-            np.linalg.norm(g) > (cfg.clip_norm_vec if kind in ("v", "u") else cfg.clip_norm_mat)
+            np.linalg.norm(dense_gradient(g)) > (cfg.clip_norm_vec if kind in ("v", "u") else cfg.clip_norm_mat)
             for (kind, _), g in got.items()
         )
-        assert_same_gradients((got_loss, got), map_cache_loss_and_gradients(expected, pos, noises, cfg))
+        assert_matches_dense_oracle((got_loss, got), map_cache_loss_and_gradients(expected, pos, noises, cfg))
         assert step(params, pos, noises, cfg, index) == map_cache_step(expected, pos, noises, cfg, index)
     assert twice >= 10 and clipped >= 10
     for name in ("V", "U", "M", "Minv"):
@@ -1316,8 +1446,9 @@ def test_train_draws_noise_once_per_block_of_trees(monkeypatch):
     losses = []
 
     def recording_step(*args):
-        losses.append(real_step(*args))
-        return losses[-1]
+        loss, maps = real_step(*args)
+        losses.append(loss)
+        return loss, maps
 
     monkeypatch.setattr(train_module, "make_noise", recording_noise)
     monkeypatch.setattr(train_module, "step", recording_step)
@@ -1333,3 +1464,187 @@ def test_train_draws_noise_once_per_block_of_trees(monkeypatch):
     assert [e.steps for e in stats.epochs] == [half, 2 * half]
     means = [sum(losses[:half]) / half, sum(losses[half:]) / half]
     assert [e.mean_loss for e in stats.epochs] == pytest.approx(means, rel=1e-12)
+
+
+# --- map gradients as factors: products, norms, clipping, memory ----------
+
+
+def rank_two_examples(vocab):
+    """Examples whose map gradients need two factor pairs, and one whose
+    boundary noise map joins the pair of its slot."""
+    return [
+        # ARG's M and SUBJ's Minv each at two updated slots
+        id_example(vocab, w("w0"), w("w1"), ((ARG, SUBJ), (ARG, SUBJ)),
+                   (2, (COMP, "in", "on"), w("w2")), (4, ("of",), w("w3"))),
+        # the boundary noise map Minv[COMP] of the noise at slot 3 is the
+        # positive path's map at slot 1, which the other noise updates
+        id_example(vocab, w("w0"), w("w1"), ((ARG, COMP), (SUBJ, ARG)),
+                   (2, ("in", "on", "to"), w("w2")), (4, (COMP,), w("w4"))),
+        # the boundary noise map Minv[SUBJ] is slot 1's own map: one pair
+        id_example(vocab, w("w0"), w("w1"), ((ARG, SUBJ),), (2, (SUBJ,), w("w2"))),
+    ]
+
+
+def test_factor_products_match_the_dense_oracles():
+    """The factors' dense product against the mode, uncached and map-cache
+    oracles' dense gradients, within the bound `product_bound` derives;
+    the factors themselves are bitwise the oracles' terms gathered per slot."""
+    rng = np.random.default_rng(70)
+    vocab = make_vocab()
+    cfg = TrainConfig(dim=6)
+    oracles = (mode_oracle_loss_and_gradients, uncached_loss_and_gradients, map_cache_loss_and_gradients)
+    ranks = collections.Counter()
+    for trial in range(400):
+        params = make_params(rng, dim=int(rng.integers(2, 13)), dtype=(np.float64, np.float32)[trial % 2])
+        params.V *= 1 + 3 * (trial % 3)  # scores from small to saturating
+        pos, noises = random_example(rng, vocab, int(rng.integers(1, 4)))
+        if trial % 4 == 1 and len(pos.hops) >= 2:
+            pos, noises = field_twice_on_the_path(pos, noises)
+        if trial % 4 == 2:
+            noises = boundary_noise_on_the_path(pos, noises)
+        got = loss_and_gradients(params, pos, noises, cfg)
+        for oracle in oracles:
+            assert_matches_dense_oracle(got, oracle(params, pos, noises, cfg))
+        ranks.update(len(pairs) for key, pairs in got[1].items() if key[0] in ("M", "Minv"))
+    for pos, noises in rank_two_examples(vocab):
+        params = make_params(rng, dim=7)
+        got = loss_and_gradients(params, pos, noises, cfg)
+        for oracle in oracles:
+            assert_matches_dense_oracle(got, oracle(params, pos, noises, cfg))
+        ranks.update(len(pairs) for key, pairs in got[1].items() if key[0] in ("M", "Minv"))
+    assert ranks[1] > 400 and ranks[2] >= 10
+
+
+def test_factored_norm_matches_the_dense_norm():
+    """`_factored_norm` against np.linalg.norm of the factors' dense product.
+    Both squares lie within gamma(n) * S of the exact ||G||^2, where S is
+    ||G||^2 of the factors' absolute values: the factored sum rounds each
+    entry of R R^T and C C^T (d products each), their product and the k^2
+    sum; the dense route rounds each entry's k-term sum and the d^2-term
+    sum of squares."""
+    factored_norm = importlib.import_module("dcsvec.train")._factored_norm
+    rng = np.random.default_rng(71)
+    vocab = make_vocab()
+    cfg = TrainConfig(dim=6)
+    examples = [random_example(rng, vocab, int(rng.integers(1, 4))) for _ in range(150)]
+    examples += [field_twice_on_the_path(*ex) for ex in examples[:60] if len(ex[0].hops) >= 2]
+    examples += rank_two_examples(vocab)
+    ranks = collections.Counter()
+    for pos, noises in examples:
+        dim = int(rng.integers(2, 30))
+        params = make_params(rng, dim=dim)
+        for key, pairs in loss_and_gradients(params, pos, noises, cfg)[1].items():
+            if key[0] not in ("M", "Minv"):
+                continue
+            k = len(pairs)
+            ranks[k] += 1
+            got = factored_norm(pairs)
+            want = float(np.linalg.norm(dense_gradient(pairs)))
+            S = np.linalg.norm(dense_gradient([(np.abs(r), np.abs(c)) for r, c in pairs])) ** 2
+            assert abs(got**2 - want**2) <= gamma(dim * dim + 2 * dim + k * k + 3 * k + 8) * S, (key, k)
+            if k == 1:
+                ((r, c),) = pairs
+                assert got == math.sqrt(float(r @ r) * float(c @ c))
+    assert ranks[1] > 300 and ranks[2] >= 10
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+def test_factored_update_below_at_and_above_the_clip(rank):
+    descend = importlib.import_module("dcsvec.train")._descend_factors
+    d = 6
+    r = np.array([3.0, 4.0, 0.0, 0.0, 0.0, 0.0])
+    c = np.array([0.0, 1.0, 0.0, 0.0, 0.0, 0.0])
+    pairs = [(r, c)] if rank == 1 else [(r, c), (np.array([0.0, 0.0, 4.0, 0.0, 0.0, 3.0]), c)]
+    norm = 5.0 * math.sqrt(rank)  # exact for rank 1; the second pair is orthogonal to the first
+    lr = 0.5
+    for clip, s in ((2 * norm, lr), (norm, lr), (norm / 4, lr * ((norm / 4) / norm))):
+        table = np.zeros((d, d))
+        descend(table, pairs, lr, clip, "step 0", ("M", 0))
+        want = np.zeros((d, d))
+        for pr, pc in pairs:
+            want -= (s * pr)[:, None] * pc[None, :]
+        assert np.array_equal(table, want), clip
+        assert abs(np.linalg.norm(table) - lr * min(norm, clip)) <= 1e-15 * norm
+    # random factors: the applied update has norm lr * min(norm, clip)
+    rng = np.random.default_rng(72)
+    for _ in range(50):
+        pairs = [(rng.standard_normal(d), rng.standard_normal(d)) for _ in range(rank)]
+        norm = float(np.linalg.norm(dense_gradient(pairs)))
+        for clip in (norm / 3, norm * 3):
+            table = rng.standard_normal((d, d))
+            before = table.copy()
+            descend(table, pairs, lr, clip, "step 0", ("M", 0))
+            assert abs(np.linalg.norm(before - table) - lr * min(norm, clip)) <= 1e-12 * norm
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("rank", [1, 2])
+@pytest.mark.parametrize("side", ["row", "column"])
+def test_a_non_finite_factor_is_a_non_finite_gradient(bad, rank, side):
+    descend = importlib.import_module("dcsvec.train")._descend_factors
+    rng = np.random.default_rng(73)
+    pairs = [(rng.standard_normal(5), rng.standard_normal(5)) for _ in range(rank)]
+    pairs[-1][0 if side == "row" else 1][2] = bad
+    table = rng.standard_normal((5, 5))
+    before = table.copy()
+    with np.errstate(invalid="ignore", over="ignore"), pytest.raises(
+        NonFiniteGradient, match=r"^step 3: gradient for Minv\[2\] has norm (inf|nan)$"
+    ):
+        descend(table, pairs, 0.1, 0.1, "step 3", ("Minv", 2))
+    assert np.array_equal(table, before)  # nothing is applied
+
+
+def test_step_returns_the_map_keys_it_applies():
+    rng = np.random.default_rng(74)
+    vocab = make_vocab()
+    for mode in MODES:
+        cfg = TrainConfig(dim=6, mode=mode, lr_schedule="constant")
+        for _ in range(30):
+            params = make_params(rng, dim=6)
+            pos, noises = random_example(rng, vocab, int(rng.integers(1, 4)))
+            _, grads = loss_and_gradients(params, pos, noises, cfg)
+            before = params.copy()
+            _, maps = step(params, pos, noises, cfg, 0)
+            assert maps == map_keys(grads)
+            assert {(fid, kind == "Minv") for kind, fid in maps} == updated_maps(pos, noises, mode)
+            changed = {
+                (name, fid)
+                for name in ("M", "Minv")
+                for fid in range(len(FIELDS))
+                if not np.array_equal(getattr(params, name)[fid], getattr(before, name)[fid])
+            }
+            assert changed == set(maps)
+
+
+def test_train_runs_step_maps_once_per_step(monkeypatch):
+    train_module = importlib.import_module("dcsvec.train")
+    real_step_maps = train_module.step_maps
+    calls = []
+
+    def counting_step_maps(*args):
+        calls.append(args)
+        return real_step_maps(*args)
+
+    monkeypatch.setattr(train_module, "step_maps", counting_step_maps)
+    trees = toy_corpus() * 3
+    _, stats = train(trees, build_vocab(trees, 1, 1), TrainConfig(dim=6, epochs=2, seed=4))
+    assert len(calls) == stats.total_steps > 0
+
+
+def test_one_dim_250_step_allocates_about_one_map():
+    """A dim-250 step holds one d x d product at a time: its traced peak
+    stays below 1.5 d^2 float64s (dense gradients took about 4 d^2)."""
+    d = 250
+    rng = np.random.default_rng(75)
+    params = make_params(rng, dim=d)
+    cfg = TrainConfig(dim=d, lr_schedule="constant")
+    pos, noises = sample(2, (3, ("in", "on"), w("w2")))
+    step(params, pos, noises, cfg, 0)  # first-call set-up outside the trace
+    tracemalloc.start()
+    try:
+        _, maps = step(params, pos, noises, cfg, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(maps) == 3
+    assert peak < 1.5 * d * d * 8, peak / (d * d * 8)
