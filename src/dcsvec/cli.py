@@ -2,17 +2,23 @@
 eval-phrase, eval-completion, export-features.
 
 Every subcommand accepts --seed, --config and --workers (accepted and
-ignored: training runs on one thread); precedence is
+ignored: training runs on one thread; both are range-checked by
+``TrainConfig`` in every command); precedence is
 flags > config file > defaults.  Config files are key=value lines with
 ``#`` comments; keys use the flag names with dashes or underscores.
 Errors print one machine-readable line to stderr:
-``error<TAB>ErrorClass<TAB>message``; exit codes are 0 (ok), 1 (runtime
-error), 2 (usage or input error).
+``error<TAB>ErrorClass<TAB>message``; a command line that does not parse
+is a ``UsageError``.  Exit codes are 0 (ok), 1 (runtime error), 2 (usage
+or input error).
+
+``main`` builds its parser on its first call and reuses it; each call
+finds its ``cmd_*`` by name, so a ``cmd_*`` patched later is what runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import re
 import sys
@@ -20,7 +26,7 @@ from dataclasses import fields
 
 import numpy as np
 
-from .errors import DcsvecError, InputError, parse_lines, text_lines
+from .errors import DcsvecError, InputError, UsageError, parse_lines, text_lines
 from .evaluate import (
     eval_completion,
     eval_phrase_dataset,
@@ -95,6 +101,7 @@ def _resolve(args: argparse.Namespace) -> argparse.Namespace:
     for key, default in _DEFAULTS.items():
         if getattr(args, key, None) is None:
             setattr(args, key, file_values.get(key, default))
+    TrainConfig(seed=args.seed, workers=args.workers)  # range-checks both, in every command
     return args
 
 
@@ -251,8 +258,16 @@ def cmd_export_features(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Where argparse would print usage and exit, raises a UsageError
+    naming the (sub)command, which main() reports like any other error."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dcsvec",
         description="Train and query compositional word vectors over dependency-derived trees",
     )
@@ -262,7 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("conllu_in")
     p.add_argument("trees_out")
     _add_common(p)
-    p.set_defaults(func=cmd_convert)
 
     p = subs.add_parser("build-vocab", help="count path endpoints and apply thresholds")
     p.add_argument("trees_in")
@@ -270,7 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--word-min", dest="word_min", type=float, default=None)
     p.add_argument("--prep-min", dest="prep_min", type=float, default=None)
     _add_common(p)
-    p.set_defaults(func=cmd_build_vocab)
 
     p = subs.add_parser("train", help="noise-contrastive training over sampled paths")
     p.add_argument("trees_in")
@@ -284,7 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="before training, write one epoch of sampled paths to this file; an "
                         "independent sample from default_rng(--seed), not the trainer's stream")
     _add_common(p)
-    p.set_defaults(func=cmd_train)
 
     def add_query_flags(p, with_query=True):
         p.add_argument("model")
@@ -299,20 +311,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("compose", help="print the query vector of a tree")
     add_query_flags(p)
     _add_common(p)
-    p.set_defaults(func=cmd_compose)
 
     p = subs.add_parser("nearest", help="rank answer words for a composed query")
     add_query_flags(p)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--pos", default=None, help="restrict answers to one POS tag")
     _add_common(p)
-    p.set_defaults(func=cmd_nearest)
 
     p = subs.add_parser("eval-phrase", help="Spearman rho on a phrase similarity TSV")
     add_query_flags(p, with_query=False)
     p.add_argument("dataset")
     _add_common(p)
-    p.set_defaults(func=cmd_eval_phrase)
 
     p = subs.add_parser("eval-completion", help="accuracy on a completion JSONL dataset")
     add_query_flags(p, with_query=False)
@@ -320,24 +329,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--unweighted", action="store_const", const=True, default=None,
                    help="sum path log-probabilities instead of weight-averaging")
     _add_common(p)
-    p.set_defaults(func=cmd_eval_completion)
 
     p = subs.add_parser("export-features", help="write relation features for an external classifier")
     add_query_flags(p, with_query=False)
     p.add_argument("instances")
     p.add_argument("features_out")
     _add_common(p)
-    p.set_defaults(func=cmd_export_features)
 
     return parser
 
 
+_parser = functools.cache(build_parser)  # main()'s, built on its first call
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        parser = _parser()
+        args, extra = parser.parse_known_args(argv)
+        if extra:  # argparse would name the top-level prog only
+            raise UsageError(f"{parser.prog} {args.command}: unrecognized arguments: {' '.join(extra)}")
         args = _resolve(args)
-        return args.func(args)
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except DcsvecError as exc:
         print(f"error\t{type(exc).__name__}\t{exc}", file=sys.stderr)
         return exc.exit_code

@@ -19,6 +19,11 @@ class InputError(DcsvecError):
     exit_code = 2
 
 
+class UsageError(InputError):
+    """The command line does not parse: an unknown command or flag, a
+    missing argument, a value of the wrong type."""
+
+
 class InvalidConfig(InputError, ValueError):
     """A setting is out of range: training, vocab thresholds, query k."""
 

@@ -1,3 +1,5 @@
+import argparse
+import inspect
 import json
 import os
 import subprocess
@@ -133,16 +135,167 @@ def test_unknown_flag_fails_fast(tmp_path):
     assert "bogus-flag" in proc.stderr
 
 
-@pytest.mark.parametrize(
-    "command",
-    ["convert", "build-vocab", "train", "compose", "nearest",
-     "eval-phrase", "eval-completion", "export-features"],
-)
+COMMANDS = ["convert", "build-vocab", "train", "compose", "nearest",
+            "eval-phrase", "eval-completion", "export-features"]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
 def test_every_subcommand_has_help(command):
     proc = run_cli(command, "--help")
     assert "--seed" in proc.stdout
     assert "--config" in proc.stdout
     assert "--workers" in proc.stdout
+
+
+def subcommand_parsers(parser):
+    """The subcommand name -> its parser, in the order they were added."""
+    (subs,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return subs.choices
+
+
+def minimal_argv(command):
+    """``command`` with a placeholder for each positional and, where one is
+    required, a --tree: an argv that parses (the files need not exist)."""
+    sub = subcommand_parsers(cli.build_parser())[command]
+    argv = [command] + ["x" for a in sub._actions if not a.option_strings]
+    if any(group.required for group in sub._mutually_exclusive_groups):
+        argv += ["--tree", "x/N"]
+    return argv
+
+
+def test_main_builds_its_parser_once_and_not_at_import(tmp_path, monkeypatch):
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli.build_parser()
+    one_build = list(built)
+    assert len(one_build) == 1 + len(COMMANDS)
+    built.clear()
+    cli._parser.cache_clear()
+    trees, vocab = str(tmp_path / "trees.txt"), str(tmp_path / "vocab.txt")
+    for _ in range(3):
+        assert cli.main(["convert", str(DATA / "mini.conllu"), trees]) == 0
+        assert cli.main(["build-vocab", trees, vocab]) == 0
+    assert built == one_build
+    # a fresh import builds none: setup time of a process that never calls main
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+    code = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "argparse.ArgumentParser.__init__ = lambda self, *a, **k: built.append(1) or init(self, *a, **k)\n"
+        "import dcsvec.cli\n"
+        "print(len(built))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=CLI_TIMEOUT_S)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0\n"
+
+
+def test_a_command_patched_after_the_first_call_is_the_one_that_runs(pipeline, monkeypatch, capsys):
+    _, _, _, model = pipeline
+    argv = ["nearest", str(model), "--tree", "food/N -ARG:COMP-> eat/V", "--k", "3"]
+    assert cli.main(argv) == 0
+    first = capsys.readouterr().out
+    assert len(first.splitlines()) == 3
+    calls = []
+    monkeypatch.setattr(cli, "cmd_nearest", lambda args: calls.append(args) or 7)
+    assert cli.main(argv) == 7
+    assert [(args.command, args.k, args.model) for args in calls] == [("nearest", 3, str(model))]
+    assert capsys.readouterr().out == ""
+    monkeypatch.undo()
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == first
+
+
+def test_every_command_dispatches_to_its_cmd_function(monkeypatch):
+    choices = subcommand_parsers(cli.build_parser())
+    assert list(choices) == COMMANDS
+    functions = {name for name, obj in vars(cli).items() if name.startswith("cmd_")}
+    assert functions == {"cmd_" + command.replace("-", "_") for command in COMMANDS}
+    ran = []
+    for command in COMMANDS:
+        name = "cmd_" + command.replace("-", "_")
+        assert inspect.isfunction(getattr(cli, name))
+        monkeypatch.setattr(cli, name, lambda args, command=command: ran.append((command, args.command)) or 0)
+    for command in COMMANDS:
+        assert cli.main(minimal_argv(command)) == 0
+    assert ran == [(command, command) for command in COMMANDS]
+
+
+@pytest.mark.parametrize("argv", [[command, "--help"] for command in COMMANDS] + [["--help"]], ids=" ".join)
+def test_help_from_the_reused_parser_matches_a_fresh_parser(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(argv)
+    assert exc.value.code == 0
+    expected = capsys.readouterr().out
+    assert "usage: dcsvec" in expected
+    for _ in range(2):  # the first call may build the parser, the second reuses it
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 0
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (expected, "")
+
+
+USAGE_ERRORS = {  # argv, the (sub)command named, a fragment of argparse's message
+    "unknown flag": (["convert", "--bogus-flag", "x", "y"], "dcsvec convert", "unrecognized arguments: --bogus-flag"),
+    "missing positional": (["train", "t", "v"], "dcsvec train", "model_out"),
+    "bad int value": (["train", "t", "v", "m", "--dim", "abc"], "dcsvec train", "--dim"),
+    "unknown command": (["bogus"], "dcsvec", "bogus"),
+    "missing command": ([], "dcsvec", "command"),
+    "nearest without a tree": (["nearest", "m.bin"], "dcsvec nearest", "--tree --tree-file"),
+}
+
+
+@pytest.mark.parametrize("case", USAGE_ERRORS)
+def test_usage_error_is_one_error_line(case, capsys):
+    argv, prog, fragment = USAGE_ERRORS[case]
+    for _ in range(2):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        kind, name, message = line.split("\t", 2)
+        assert (kind, name) == ("error", "UsageError")
+        assert message.startswith(prog + ": ") and fragment in message
+        assert "usage:" not in message
+
+
+def test_usage_error_exits_2_from_the_command_line():
+    proc = run_cli("train", "t", "v", "m", "--dim", "abc", expect=2)
+    name, message = one_error_line(proc)
+    assert name == "UsageError" and message.startswith("dcsvec train: ")
+
+
+@pytest.mark.parametrize("via_config", [False, True])
+@pytest.mark.parametrize("key, value", [("workers", 0), ("workers", -3), ("seed", -5)])
+@pytest.mark.parametrize("command", COMMANDS)
+def test_seed_and_workers_are_range_checked_in_every_command(
+    command, key, value, via_config, tmp_path, monkeypatch, capsys
+):
+    ran = []
+    monkeypatch.setattr(cli, "cmd_" + command.replace("-", "_"), lambda args: ran.append(args) or 0)
+    if via_config:
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"{key} = {value}\n", encoding="utf-8")
+        extra = ["--config", str(cfg)]
+    else:
+        extra = [f"--{key}", str(value)]
+    assert cli.main(minimal_argv(command) + extra) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.split("\t")[:2] == ["error", "InvalidConfig"] and f"{key} must be >= " in line
+    assert ran == []
+    # the bounds themselves are accepted
+    assert cli.main(minimal_argv(command) + ["--workers", "1", "--seed", "0"]) == 0
+    assert [(args.workers, args.seed) for args in ran] == [(1, 0)]
 
 
 @pytest.fixture(scope="module")
