@@ -171,31 +171,42 @@ def _compose(
     return q
 
 
+_NORM_ROWS = 1024  # rows of V or U that ``normalize`` scales at a time
+
+
 def normalize(params: ModelParams) -> ModelParams:
     """New parameters with unit vectors and Frobenius norm sqrt(dim) maps;
     applied once after training, before evaluation.
 
     The returned V/U/M/Minv are read-only, so ``nearest_answers`` can keep
     its answer index on the result; ``copy()`` gives an editable model.
+    V and U are scaled ``_NORM_ROWS`` rows at a time, so the float64
+    scratch is one row block; a ZeroNorm names the first zero row.
     """
-    d = params.dim
-    out = params.copy()
-    for name, table in (("V", out.V), ("U", out.U)):
-        norms = np.linalg.norm(table.astype(np.float64), axis=1)
+    tables = []
+    for name, src in (("V", params.V), ("U", params.U)):
+        out = np.empty(src.shape, src.dtype)
+        for start in range(0, len(src), _NORM_ROWS):
+            block = src[start : start + _NORM_ROWS].astype(np.float64)
+            norms = np.sqrt(np.add.reduce(block * block, axis=1))  # np.linalg.norm's sum
+            if not norms.all():
+                row = start + int(np.argmin(norms != 0.0))
+                raise ZeroNorm(f"{name} row for {params.words[row].render()} is zero")
+            block /= norms[:, None]
+            out[start : start + _NORM_ROWS] = block
+        tables.append(out)
+    target = params.dim ** 0.5
+    for name, src in (("M", params.M), ("Minv", params.Minv)):
+        maps = src.astype(np.float64)
+        norms = np.linalg.norm(maps.reshape(len(maps), -1), axis=1)
         if np.any(norms == 0.0):
             row = int(np.argmin(norms))
-            raise ZeroNorm(f"{name} row for {out.words[row].render()} is zero")
-        table[:] = (table.astype(np.float64) / norms[:, None]).astype(table.dtype)
-    target = d ** 0.5
-    for name, table in (("M", out.M), ("Minv", out.Minv)):
-        norms = np.linalg.norm(table.astype(np.float64).reshape(len(table), -1), axis=1)
-        if np.any(norms == 0.0):
-            row = int(np.argmin(norms))
-            raise ZeroNorm(f"{name} for field {out.fields[row]} is zero")
-        table[:] = (table.astype(np.float64) * (target / norms)[:, None, None]).astype(table.dtype)
-    for table in (out.V, out.U, out.M, out.Minv):
+            raise ZeroNorm(f"{name} for field {params.fields[row]} is zero")
+        maps *= (target / norms)[:, None, None]
+        tables.append(maps.astype(src.dtype))
+    for table in tables:
         table.flags.writeable = False
-    return out
+    return ModelParams(params.dim, params.vocab, *tables)
 
 
 # unit roundoff and smallest normal number of float32
@@ -330,6 +341,11 @@ def _top_k(words, rows: np.ndarray, scores: np.ndarray, k: int) -> list[tuple[Wo
     return [(words[r], s) for r, s in zip(rows[top].tolist(), scores[top].tolist())]
 
 
+def _payload_tables(params: ModelParams) -> list:
+    """V, U, then per field M then Minv: the payload's order."""
+    return [params.V, params.U, *(table for pair in zip(params.M, params.Minv) for table in pair)]
+
+
 def save_model(params: ModelParams, vocab: Vocabulary, dest) -> None:
     """Text header (tables and counts), then little-endian float32 rows:
     V, U, then per field M then Minv."""
@@ -339,72 +355,70 @@ def save_model(params: ModelParams, vocab: Vocabulary, dest) -> None:
     header += [entry for _, entry in entry_lines(vocab)]
     with opened(dest, "wb") as fh:
         fh.write(("\n".join(header) + "\n\n").encode("utf-8"))
-        fh.write(np.ascontiguousarray(params.V, dtype="<f4").tobytes())
-        fh.write(np.ascontiguousarray(params.U, dtype="<f4").tobytes())
-        for i in range(len(params.fields)):
-            fh.write(np.ascontiguousarray(params.M[i], dtype="<f4").tobytes())
-            fh.write(np.ascontiguousarray(params.Minv[i], dtype="<f4").tobytes())
+        for table in _payload_tables(params):  # from the table's own buffer, not a bytes copy
+            fh.write(memoryview(np.ascontiguousarray(table, dtype="<f4")).cast("B"))
 
 
 def load_model(src) -> tuple[ModelParams, Vocabulary]:
     """The parameters and ``params.vocab``, the vocabulary of the header,
     whose entries follow the vocabulary file's rules.  Every payload float
     must be finite: a NaN or an infinity is a DimensionMismatch naming its
-    table and row."""
+    table and row.  ``src`` is a path or a seekable binary handle, read
+    from where it stands (error offsets count from there).  The payload's
+    size is checked against the header before any table is allocated; it
+    is then read once, straight into writable, C-contiguous tables."""
     with opened(src, "rb") as fh:
-        blob = fh.read()
-    buf = io.BytesIO(blob)
+        base = fh.tell()
 
-    def text_line() -> str:
-        raw = buf.readline()
-        if not raw.endswith(b"\n"):
-            raise TruncatedFile("header ended mid-line", offset=buf.tell())
+        def text_line() -> str:
+            raw = fh.readline()
+            if not raw.endswith(b"\n"):
+                raise TruncatedFile("header ended mid-line", offset=fh.tell() - base)
+            try:
+                return raw[:-1].decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise DimensionMismatch(f"header line is not UTF-8: {exc}") from exc
+
+        magic = text_line()
+        if magic != MODEL_MAGIC:
+            raise BadMagic(f"expected {MODEL_MAGIC!r}, got {magic!r}")
+        sizes = []
+        for keyword in ("dim", "words", "fields"):
+            line = text_line()
+            key, _, value = line.partition(" ")
+            if key != keyword or not value.isdecimal():
+                raise DimensionMismatch(f"expected '{keyword} <n>' with n a whole number, got {line!r}")
+            sizes.append(int(value))
+        dim, n_words, n_fields = sizes
+        if dim < 2 or n_words < 1 or n_fields < 1:
+            raise DimensionMismatch(f"implausible header: dim={dim} words={n_words} fields={n_fields}")
+        entries = [text_line() for _ in range(n_words + n_fields + 1)]
+        if entries.pop() != "":
+            raise DimensionMismatch("missing blank line before binary payload")
+        counts: dict[str, dict] = {"W": {}, "F": {}}
         try:
-            return raw[:-1].decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise DimensionMismatch(f"header line is not UTF-8: {exc}") from exc
+            for i, entry in enumerate(entries):
+                read_entry(counts, "W" if i < n_words else "F", entry)
+            vocab = entries_vocabulary(counts)
+        except (ValueError, InputError) as exc:
+            raise DimensionMismatch(f"bad header entry: {exc}") from exc
 
-    magic = text_line()
-    if magic != MODEL_MAGIC:
-        raise BadMagic(f"expected {MODEL_MAGIC!r}, got {magic!r}")
-    sizes = []
-    for keyword in ("dim", "words", "fields"):
-        line = text_line()
-        key, _, value = line.partition(" ")
-        if key != keyword or not value.isdecimal():
-            raise DimensionMismatch(f"expected '{keyword} <n>' with n a whole number, got {line!r}")
-        sizes.append(int(value))
-    dim, n_words, n_fields = sizes
-    if dim < 2 or n_words < 1 or n_fields < 1:
-        raise DimensionMismatch(f"implausible header: dim={dim} words={n_words} fields={n_fields}")
-    entries = [text_line() for _ in range(n_words + n_fields + 1)]
-    if entries.pop() != "":
-        raise DimensionMismatch("missing blank line before binary payload")
-    counts: dict[str, dict] = {"W": {}, "F": {}}
-    try:
-        for i, entry in enumerate(entries):
-            read_entry(counts, "W" if i < n_words else "F", entry)
-        vocab = entries_vocabulary(counts)
-    except (ValueError, InputError) as exc:
-        raise DimensionMismatch(f"bad header entry: {exc}") from exc
-
-    offset = buf.tell()
-    payload_len = len(blob) - offset
-    expected = 4 * (2 * n_words * dim + 2 * n_fields * dim * dim)
-    if payload_len < expected:
-        raise TruncatedFile(
-            f"expected {expected} payload bytes, found {payload_len}",
-            offset=offset + payload_len,
-        )
-    if payload_len > expected:
-        raise DimensionMismatch(
-            f"trailing bytes after the payload at byte offset {offset + expected} "
-            f"(file is {len(blob)} bytes)"
-        )
-    flat = np.frombuffer(blob, dtype="<f4", offset=offset)  # a view: no copy of the payload
-    V, U = flat[: 2 * n_words * dim].reshape(2, n_words, dim)
-    maps = flat[2 * n_words * dim :].reshape(n_fields, 2, dim, dim)  # per field: M, then Minv
-    params = ModelParams(dim, vocab, V.copy(), U.copy(), maps[:, 0].copy(), maps[:, 1].copy())
+        offset = fh.tell() - base
+        size = fh.seek(0, io.SEEK_END) - base  # sized before anything is allocated
+        fh.seek(base + offset)
+        payload_len = size - offset
+        expected = 4 * (2 * n_words * dim + 2 * n_fields * dim * dim)
+        if payload_len < expected:
+            raise TruncatedFile(f"expected {expected} payload bytes, found {payload_len}", offset=size)
+        if payload_len > expected:
+            raise DimensionMismatch(
+                f"trailing bytes after the payload at byte offset {offset + expected} (file is {size} bytes)"
+            )
+        vectors, maps = (n_words, dim), (n_fields, dim, dim)
+        params = ModelParams(dim, vocab, *(np.empty(shape, "<f4") for shape in (vectors, vectors, maps, maps)))
+        for table in _payload_tables(params):
+            if fh.readinto(memoryview(table).cast("B")) != table.nbytes:
+                raise TruncatedFile("payload ended early", offset=fh.tell() - base)
     for name, table in (("V", params.V), ("U", params.U), ("M", params.M), ("Minv", params.Minv)):
         finite = np.isfinite(table.reshape(len(table), -1)).all(axis=1)
         if not finite.all():

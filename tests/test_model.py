@@ -17,6 +17,7 @@ from dcsvec.errors import (
     ZeroNorm,
 )
 import dcsvec.model as model_mod
+from dcsvec import cli
 from dcsvec.model import (
     ModelParams,
     compose_query,
@@ -376,6 +377,56 @@ def test_normalize_zero_raises():
     params = make_params(np.random.default_rng(17))
     params.U[3] = 0.0
     with pytest.raises(ZeroNorm):
+        normalize(params)
+
+
+def normalize_whole_table(params):
+    """The whole-table normalization ``normalize`` computes by row blocks:
+    the oracle its output must equal bitwise."""
+    out = params.copy()
+    for table in (out.V, out.U):
+        norms = np.linalg.norm(table.astype(np.float64), axis=1)
+        table[:] = (table.astype(np.float64) / norms[:, None]).astype(table.dtype)
+    for table in (out.M, out.Minv):
+        norms = np.linalg.norm(table.astype(np.float64).reshape(len(table), -1), axis=1)
+        table[:] = (table.astype(np.float64) * (params.dim ** 0.5 / norms)[:, None, None]).astype(table.dtype)
+    return out
+
+
+def scaled_params(n_words, dim, seed, dtype=np.float32):
+    """Gaussian tables whose rows are scaled by 0.01 to 100."""
+    rng = np.random.default_rng(seed)
+    words = [w(f"w{i}") for i in range(n_words)]
+    vectors = [rng.standard_normal((n_words, dim)) * 10.0 ** rng.uniform(-2, 2, (n_words, 1)) for _ in "VU"]
+    maps = [rng.standard_normal((2, dim, dim)) * 10.0 ** rng.uniform(-2, 2, (2, 1, 1)) for _ in "MN"]
+    return ModelParams(dim, vocab_of(words, (ARG, SUBJ)), *(t.astype(dtype) for t in vectors + maps))
+
+
+BLOCK = model_mod._NORM_ROWS
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("dim", [2, 25, 100])
+@pytest.mark.parametrize("n_words", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 7])
+def test_normalize_by_row_blocks_is_bitwise_the_whole_table_expression(n_words, dim, dtype):
+    params = scaled_params(n_words, dim, seed=n_words * 1000 + dim, dtype=dtype)
+    before = [t.copy() for t in (params.V, params.U, params.M, params.Minv)]
+    out, oracle = normalize(params), normalize_whole_table(params)
+    for got, want in ((out.V, oracle.V), (out.U, oracle.U), (out.M, oracle.M), (out.Minv, oracle.Minv)):
+        assert got.dtype == want.dtype and got.flags.c_contiguous and not got.flags.writeable
+        assert got.tobytes() == want.tobytes()
+    # the input is left as it was
+    for table, copy in zip((params.V, params.U, params.M, params.Minv), before):
+        assert table.tobytes() == copy.tobytes()
+
+
+@pytest.mark.parametrize("name", ["V", "U"])
+def test_zero_norm_names_the_first_zero_row_in_a_later_block(name):
+    params = scaled_params(2 * BLOCK + 7, 4, seed=9)
+    table = getattr(params, name)
+    table[BLOCK + 3] = 0.0
+    table[2 * BLOCK + 1] = 0.0
+    with pytest.raises(ZeroNorm, match=rf"^{name} row for w{BLOCK + 3}/N is zero$"):
         normalize(params)
 
 
@@ -886,3 +937,108 @@ def test_save_rejects_mismatched_vocab():
     params = init_params(vocab, 4, np.random.default_rng(23))
     with pytest.raises(DimensionMismatch):
         save_model(params, other, io.BytesIO())
+
+
+def test_load_model_reads_a_path_a_handle_past_other_bytes_and_bytesio_alike(tmp_path):
+    vocab = make_vocab(n_words=7)
+    params = init_params(vocab, 5, np.random.default_rng(25))
+    path = tmp_path / "model.bin"
+    save_model(params, vocab, path)
+    blob = path.read_bytes()
+    prefixed = tmp_path / "prefixed.bin"
+    prefixed.write_bytes(b"unrelated\nbytes\0" + blob)
+    from_path, _ = load_model(path)
+    with open(prefixed, "rb") as fh:
+        fh.seek(len(b"unrelated\nbytes\0"))
+        from_handle, _ = load_model(fh)
+        assert fh.read() == b""  # read to the end of the payload; the handle stays open
+    from_bytes, _ = load_model(io.BytesIO(blob))
+    for loaded in (from_path, from_handle, from_bytes):
+        tables = (loaded.V, loaded.U, loaded.M, loaded.Minv)
+        for table, want in zip(tables, (params.V, params.U, params.M, params.Minv)):
+            assert table.dtype == np.float32 and table.tobytes() == want.tobytes()
+            assert table.flags.writeable and table.flags.c_contiguous
+        # the tables are separate: an edit to one leaves the others alone
+        loaded.V[0] = 7.0
+        loaded.M[1, 0] = 7.0
+        assert loaded.U.tobytes() == params.U.tobytes()
+        assert loaded.Minv.tobytes() == params.Minv.tobytes()
+        assert np.array_equal(loaded.M[0], params.M[0]) and np.array_equal(loaded.M[2:], params.M[2:])
+
+
+def test_load_model_offsets_count_from_where_the_handle_stands(tmp_path):
+    blob = saved_model_blob()
+    prefix = b"unrelated bytes"
+    for data, error, message in (
+        (blob[:-50], TruncatedFile, f"at byte offset {len(blob) - 50}"),
+        (blob + b"\0", DimensionMismatch, f"byte offset {len(blob)} \\(file is {len(blob) + 1} bytes\\)"),
+    ):
+        handle = io.BytesIO(prefix + data)
+        handle.seek(len(prefix))
+        with pytest.raises(error, match=message):
+            load_model(handle)
+
+
+class ShrunkFile(io.BytesIO):
+    """A file cut short after its size was read: each read stops 4 bytes short."""
+
+    def readinto(self, buffer):
+        return super().readinto(memoryview(buffer)[:-4])
+
+
+def test_a_payload_cut_short_during_the_read_is_a_truncated_file():
+    blob = saved_model_blob()
+    with pytest.raises(TruncatedFile, match="payload ended early"):
+        load_model(ShrunkFile(blob))
+
+
+def traced(fn):
+    """fn()'s result, the memory it allocated and still holds, and the most
+    it held at once (tracemalloc: numpy arrays and Python objects alike)."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, kept, peak
+
+
+@pytest.mark.parametrize("dim", [2000, 200000])
+def test_a_header_that_overstates_the_payload_allocates_nothing(tmp_path, dim, capsys):
+    # dim 2000 asks for 128 MB of maps, dim 200000 for more than any host
+    # has: either is a short payload, found before a table is allocated
+    path = tmp_path / "model.bin"
+    path.write_bytes(saved_model_blob().replace(b"\ndim 4\n", f"\ndim {dim}\n".encode()))
+    err, _, peak = traced(lambda: pytest.raises(TruncatedFile, load_model, path).value)
+    assert "payload bytes" in str(err) and peak < 2**20, peak
+    assert cli.main(["nearest", str(path), "--tree", "w0/N"]) == 2
+    assert capsys.readouterr().err.startswith("error\tTruncatedFile\texpected ")
+
+
+def test_save_and_load_hold_no_second_copy_of_the_payload(tmp_path):
+    vocab = make_vocab(n_words=2000 - 6)  # 2,000 rows with the placeholders
+    params = init_params(vocab, 256, np.random.default_rng(26))
+    path = tmp_path / "model.bin"
+    _, _, peak = traced(lambda: save_model(params, vocab, path))
+    payload = sum(t.nbytes for t in (params.V, params.U, params.M, params.Minv))
+    # a bytes copy of each table in turn held a third of the payload (V)
+    assert peak < 0.1 * payload, peak / payload
+    assert path.stat().st_size < 1.01 * payload  # the header is small beside it
+    del params
+    (loaded, _), kept, peak = traced(lambda: load_model(path))
+    # reading the file whole and copying the tables out of it held 1x more
+    assert peak - kept < 0.5 * payload, (peak - kept) / payload
+    assert loaded.V.shape == (2000, 256)
+
+
+def test_normalize_holds_one_row_block_of_scratch():
+    n_words, dim = 40000, 32
+    assert n_words >= 4 * BLOCK
+    words = [w(f"w{i}") for i in range(n_words)]
+    params = init_params(vocab_of(words, (ARG, SUBJ)), dim, np.random.default_rng(27))
+    payload = sum(t.nbytes for t in (params.V, params.U, params.M, params.Minv))
+    out, kept, peak = traced(lambda: normalize(params))
+    # the whole-table float64 temporaries held about 2x the payload
+    assert peak - kept < 0.5 * payload, (peak - kept) / payload
+    assert out.V.shape == (n_words, dim)
