@@ -1,5 +1,7 @@
 """Evaluation surfaces: phrase similarity with rank correlation,
 relation-classification feature extraction, and sentence completion.
+A completion item is converted, and each start's path walked, once per
+sharing class of its blank; the scores are those of one choice at a time.
 
 Out-of-vocabulary items fall back to the per-POS placeholder by default;
 pass strict=True to raise instead.
@@ -16,10 +18,10 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ConversionFailure, LengthMismatch, ZeroNorm, opened, parse_lines, text_lines
-from .model import ModelParams, compose_query, path_score
+from .model import ModelParams, compose_query, path_row
 from .train import softplus
 from .trees import ARG, COMP, SUBJ, DcsTree, Edge, Word, lca, tree_path
-from .ud import UdSentence, UdToken, convert_sentence, finish_sentence
+from .ud import UdSentence, UdToken, convert_sentence, finish_sentence, node_word, sharing_class
 
 # construction -> (POS tag of each token, root token, edges): VO hangs the
 # object off the verb with (COMP, ARG); AN/NN modify the head noun with
@@ -249,42 +251,57 @@ def _fill_blank(item: CompletionItem, candidate: Word) -> UdSentence:
 
 
 def completion_score(
-    params: ModelParams,
-    item: CompletionItem,
-    candidate: Word,
-    weighted: bool = True,
-    strict: bool = False,
+    params: ModelParams, item: CompletionItem, candidate: Word, weighted: bool = True, strict: bool = False
 ) -> float:
     """Fill the blank, convert, and pool log sigmoid path scores over the
     n - 1 paths ending at the blank node, in ascending start order:
     weighted mean by path weight, or a plain sum with ``weighted=False``."""
-    conv = convert_sentence(_fill_blank(item, candidate))
+    return completion_scores(params, item, (candidate,), weighted, strict)[0]
+
+
+def completion_scores(
+    params: ModelParams, item: CompletionItem, candidates: Sequence[Word], weighted: bool = True, strict: bool = False
+) -> list[float]:
+    """``completion_score`` of each candidate, bitwise.  A candidate changes
+    only the blank's word, so the item is converted, and each start's path
+    and row ``v·M·Minv…`` (``model.path_row``) built, once per sharing class
+    of the blank (``ud.sharing_class``); a candidate costs a dot per start."""
+    at = next(i for i, t in enumerate(item.sentence.tokens) if t.id == item.blank_id)
+    walks: dict[tuple, list] = {}  # sharing class -> (weight, row) per start, ascending
+    scores = []
+    for candidate in candidates:
+        filled = _fill_blank(item, candidate)
+        blank = filled.tokens[at]
+        rows = walks.get(sharing_class(blank))
+        if rows is None:
+            rows = walks[sharing_class(blank)] = _blank_rows(params, filled, blank, strict)
+        u = params.U[params.vocab.word_id(node_word(blank), strict)].astype(np.float64)
+        total = weight_sum = 0.0
+        for weight, row in rows:
+            logp = -softplus(-float(row @ u))
+            total += weight * logp if weighted else logp
+            weight_sum += weight
+        scores.append(total / weight_sum if weighted else total)
+    return scores
+
+
+def _blank_rows(params: ModelParams, filled: UdSentence, blank: UdToken, strict: bool) -> list:
+    conv = convert_sentence(filled)
     if conv is None:
         raise ConversionFailure("sentence does not convert with this candidate")
-    node = conv.node_of_token(item.blank_id)
+    node = conv.node_of_token(blank.id)
     if node is None:
         raise ConversionFailure("blank token was absorbed during conversion")
     tree = conv.tree
-    total = 0.0
-    weight_sum = 0.0
+    rows = []
     for start in range(tree.n_nodes):
         if start == node:
             continue
         path = tree_path(tree, start, node)
-        s = path_score(
-            params, tree.words[path.start], path.hops, tree.words[path.end], strict=strict
-        )
-        logp = -softplus(-s)
-        if weighted:
-            total += path.weight * logp
-            weight_sum += path.weight
-        else:
-            total += logp
-    if weighted:
-        if weight_sum == 0.0:
-            raise ConversionFailure("no paths end at the blank node")
-        return total / weight_sum
-    return total
+        rows.append((path.weight, path_row(params, tree.words[start], path.hops, strict)))
+        if len(rows) == 1:  # look the blank's word up where path_score would, after the first row
+            params.vocab.word_id(tree.words[node], strict)
+    return rows
 
 
 @dataclass
@@ -305,18 +322,16 @@ def eval_completion(
     strict: bool = False,
 ) -> CompletionResult:
     """Accuracy of argmax completion scoring; ties count as incorrect,
-    items that fail conversion are skipped and counted."""
+    items that fail conversion are skipped and counted.  NaN scores rank
+    last: the answer wins only with a number above every other number."""
     correct = scored = skipped = 0
     for item in items:
         try:
-            scores = [
-                completion_score(params, item, c, weighted=weighted, strict=strict)
-                for c in item.choices
-            ]
+            scores = completion_scores(params, item, item.choices, weighted, strict)
         except ConversionFailure:
             skipped += 1
             continue
-        best = max(scores)
+        best = max((s for s in scores if not math.isnan(s)), default=math.nan)
         winners = [i for i, s in enumerate(scores) if s == best]
         if len(winners) > 1:
             warnings.warn("tied completion scores count as incorrect", stacklevel=2)

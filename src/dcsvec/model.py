@@ -114,17 +114,17 @@ def identity_maps(params: ModelParams) -> None:
     params.Minv[:] = eye
 
 
-def path_score(
-    params: ModelParams,
-    start: Word,
-    hops: Sequence[Hop],
-    end: Word,
-    strict: bool = True,
-) -> float:
+def path_row(params: ModelParams, start: Word, hops: Sequence[Hop], strict: bool = True) -> np.ndarray:
+    """``v_start @ M[near_1] @ Minv[far_1] @ ...`` in float64; ``path_score`` dots it with ``u_end``."""
     r = params.V[params.vocab.word_id(start, strict)].astype(np.float64)
     for near, far in hops:
         r = r @ params.M[params.vocab.field_id(near, strict)]
         r = r @ params.Minv[params.vocab.field_id(far, strict)]
+    return r
+
+
+def path_score(params: ModelParams, start: Word, hops: Sequence[Hop], end: Word, strict: bool = True) -> float:
+    r = path_row(params, start, hops, strict)
     return float(r @ params.U[params.vocab.word_id(end, strict)].astype(np.float64))
 
 

@@ -5,6 +5,8 @@ Relations map to double field labels (parent side : child side); the
 table below reconstructs the standard patterns (subject, object,
 prepositional attachment via the case dependent's lemma, relative
 clauses) and is deliberately data-driven so it can be replaced.
+``sharing_class`` says which blank fillers convert alike, so sentence
+completion converts an item once per class.
 """
 
 from __future__ import annotations
@@ -154,6 +156,11 @@ def _clean_field(lemma: str) -> str | None:
     return name or None
 
 
+def node_word(tok: UdToken) -> Word:
+    """The word on a content token's node."""
+    return Word(_clean_lemma(tok), coarse_pos(tok.upos))
+
+
 def _is_absorbed(tok: UdToken) -> bool:
     if tok.deprel == "det:poss":
         return False
@@ -217,7 +224,7 @@ def convert_sentence(sent: UdSentence) -> DcsConversion | None:
     root_tok = tops[0]
 
     node_of = {t.id: i for i, t in enumerate(content)}
-    words = tuple(Word(_clean_lemma(t), coarse_pos(t.upos)) for t in content)
+    words = tuple(node_word(t) for t in content)
 
     # conjuncts re-attach to the grandparent with the first conjunct's fields
     def first_conjunct(tok: UdToken) -> UdToken:
@@ -292,6 +299,14 @@ def _relativizer_role(clause_head: UdToken, deps: dict[int, list[UdToken]]) -> F
         if d.lemma.lower() in REL_PRONOUN_LEMMAS and d.upos in ("PRON", "DET", "SCONJ", "ADV"):
             return SUBJ if d.deprel.split(":")[0] == "nsubj" else COMP
     return COMP
+
+
+def sharing_class(tok: UdToken) -> tuple:
+    """What the rules read of ``tok`` beside its head, deprel and word: UPOS,
+    relative pronoun or not, adposition lemma.  Sentences that differ only in
+    one token's lemma and form, within one class, convert alike but for its word."""
+    rel = tok.upos in ("PRON", "DET", "SCONJ", "ADV") and tok.lemma.lower() in REL_PRONOUN_LEMMAS
+    return tok.upos, rel, (tok.lemma or tok.form) if tok.upos in ("ADP", "SCONJ") else None
 
 
 def ud_to_dcs(sent: UdSentence) -> DcsTree | None:

@@ -10,10 +10,12 @@ import itertools
 
 import numpy as np
 
+from dcsvec.evaluate import CompletionItem
 from dcsvec.logic import Database, DbTuple
 from dcsvec.model import init_params
 from dcsvec.train import NoisedExample, TrainConfig, loss_and_gradients, step_maps
 from dcsvec.trees import ARG, COMP, SUBJ, DcsTree, Edge, Word, hop_fields, path_nodes
+from dcsvec.ud import UdSentence, UdToken
 from dcsvec.vocab import PathSample, Vocabulary, _walk_trajectories
 
 POS_CHOICES = ("N", "V", "J")
@@ -258,3 +260,29 @@ def child_edge_compose(params, tree: DcsTree, strict: bool = True, node: int | N
             acc += sub
         q = q + acc / len(children)
     return q
+
+
+def long_completion_item(rng, n_nouns):
+    """A verb with subject and object, grown by adjectives and
+    prepositional noun phrases on random nouns; the blank is a noun."""
+    tokens = []
+
+    def add(lemma, upos, head, deprel):
+        tokens.append(UdToken(len(tokens) + 1, lemma, lemma, upos, head, deprel))
+        return len(tokens)
+
+    nouns_pool = ("farmer", "bread", "car", "dog", "piano", "barn")
+    verb = add("eat", "VERB", 0, "root")
+    nouns = [add("farmer", "NOUN", verb, "nsubj"), add("bread", "NOUN", verb, "obj")]
+    while len(nouns) < n_nouns:
+        anchor = nouns[int(rng.integers(len(nouns)))]
+        if rng.random() < 0.3:
+            add("big", "ADJ", anchor, "amod")
+        else:
+            pp = add(nouns_pool[int(rng.integers(len(nouns_pool)))], "NOUN", anchor, "nmod")
+            add("of", "ADP", pp, "case")
+            nouns.append(pp)
+    blank = nouns[int(rng.integers(len(nouns)))]
+    return CompletionItem(
+        UdSentence(tuple(tokens)), blank, tuple(Word(x, "N") for x in nouns_pool[1:]), 0
+    )

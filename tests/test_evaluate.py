@@ -1,13 +1,15 @@
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
+import dcsvec.evaluate as evaluate_mod
 import worldgen
-from dcsvec.errors import ConversionFailure, LengthMismatch, MalformedLine, UnknownWord
+from dcsvec.errors import ConversionFailure, DcsvecError, LengthMismatch, MalformedLine, UnknownWord
 from dcsvec.evaluate import (
     PHRASES,
     CompletionItem,
@@ -16,6 +18,7 @@ from dcsvec.evaluate import (
     _fill_blank,
     RelationInstance,
     completion_score,
+    completion_scores,
     cosine,
     eval_completion,
     eval_phrase_dataset,
@@ -30,9 +33,9 @@ from dcsvec.evaluate import (
 )
 from dcsvec.model import compose_query, init_params
 from dcsvec.trees import ARG, COMP, SUBJ, DcsTree, Edge, Word, lca, unknown_word
-from dcsvec.ud import UdSentence, UdToken
+from dcsvec.ud import UdSentence, UdToken, coarse_pos, node_word, sharing_class
 from dcsvec.vocab import Vocabulary
-from helpers import child_edge_compose, extract_subtree, random_tree, random_tree_model, reroot
+from helpers import child_edge_compose, extract_subtree, long_completion_item, random_tree, random_tree_model, reroot
 
 
 def w(lemma, pos="N"):
@@ -568,21 +571,25 @@ def test_cosine_zero_raises():
         cosine(np.zeros(3), np.ones(3))
 
 
-def enumerate_all_completion_score(params, item, candidate, weighted=True):
+def enumerate_all_completion_score(params, item, candidate, weighted=True, strict=False):
     """Slow-path oracle: enumerate all n(n-1) paths of the filled tree and
     keep those that end at the blank."""
     from dcsvec.model import path_score
     from dcsvec.trees import enumerate_paths
     from dcsvec.ud import convert_sentence
 
-    conv = convert_sentence(_fill_blank(item, candidate))
+    conv = convert_sentence(fill_blank_oracle(item, candidate))
+    if conv is None:
+        raise ConversionFailure("sentence does not convert with this candidate")
     node = conv.node_of_token(item.blank_id)
+    if node is None:
+        raise ConversionFailure("blank token was absorbed during conversion")
     tree = conv.tree
     total = weight_sum = 0.0
     for path in enumerate_paths(tree):
         if path.end != node:
             continue
-        s = path_score(params, tree.words[path.start], path.hops, tree.words[path.end], strict=False)
+        s = path_score(params, tree.words[path.start], path.hops, tree.words[path.end], strict=strict)
         logp = -_softplus(-s)
         if weighted:
             total += path.weight * logp
@@ -590,32 +597,6 @@ def enumerate_all_completion_score(params, item, candidate, weighted=True):
         else:
             total += logp
     return total / weight_sum if weighted else total
-
-
-def long_completion_item(rng, n_nouns):
-    """A verb with subject and object, grown by adjectives and
-    prepositional noun phrases on random nouns; the blank is a noun."""
-    tokens = []
-
-    def add(lemma, upos, head, deprel):
-        tokens.append(UdToken(len(tokens) + 1, lemma, lemma, upos, head, deprel))
-        return len(tokens)
-
-    nouns_pool = ("farmer", "bread", "car", "dog", "piano", "barn")
-    verb = add("eat", "VERB", 0, "root")
-    nouns = [add("farmer", "NOUN", verb, "nsubj"), add("bread", "NOUN", verb, "obj")]
-    while len(nouns) < n_nouns:
-        anchor = nouns[int(rng.integers(len(nouns)))]
-        if rng.random() < 0.3:
-            add("big", "ADJ", anchor, "amod")
-        else:
-            pp = add(nouns_pool[int(rng.integers(len(nouns_pool)))], "NOUN", anchor, "nmod")
-            add("of", "ADP", pp, "case")
-            nouns.append(pp)
-    blank = nouns[int(rng.integers(len(nouns)))]
-    return CompletionItem(
-        UdSentence(tuple(tokens)), blank, tuple(w(x) for x in nouns_pool[1:]), 0
-    )
 
 
 def test_completion_score_matches_all_pairs_enumeration_on_long_sentences():
@@ -632,3 +613,143 @@ def test_completion_score_matches_all_pairs_enumeration_on_long_sentences():
                 assert got == want
         sizes.add(len(item.sentence.tokens))
     assert max(sizes) >= 20
+
+
+# words of the crafted items' sentences and choices; "who/P", "zorblax/N"
+# and the field "with" are left out of the vocabulary
+CRAFTED_WORDS = (
+    w("farmer"), w("bread"), w("dog"), w("barn"), w("fork"), w("ice_cream"), w("eat", "V"), w("big", "J"),
+    w("he", "P"), w("that", "P"), w("what", "R"), w("soon", "R"),
+)
+CRAFTED_POOL = (
+    "dog/N", "ice cream/N", "zorblax/N", "eat/V", "big/J", "he/P", "that/P", "That/P", "who/P",
+    "what/R", "soon/R", "thing/X",
+)
+
+
+def crafted_sentences():
+    """Blank (token 3, 1 and 3) as the subject of a relative clause, as a
+    subject beside an "of" phrase, and as an object beside a "with" phrase."""
+    tok = UdToken
+    return (
+        (
+            tok(1, "the", "the", "DET", 2, "det"), tok(2, "farmer", "farmer", "NOUN", 0, "root"),
+            tok(3, "____", "____", "PRON", 4, "nsubj"), tok(4, "eats", "eat", "VERB", 2, "acl:relcl"),
+            tok(5, "bread", "bread", "NOUN", 4, "obj"),
+        ),
+        (
+            tok(1, "____", "____", "NOUN", 2, "nsubj"), tok(2, "eats", "eat", "VERB", 0, "root"),
+            tok(3, "bread", "bread", "NOUN", 2, "obj"), tok(4, "of", "of", "ADP", 5, "case"),
+            tok(5, "barn", "barn", "NOUN", 3, "nmod"),
+        ),
+        (
+            tok(1, "farmer", "farmer", "NOUN", 2, "nsubj"), tok(2, "eats", "eat", "VERB", 0, "root"),
+            tok(3, "____", "____", "NOUN", 2, "obj"), tok(4, "with", "with", "ADP", 5, "case"),
+            tok(5, "fork", "fork", "NOUN", 2, "obl"),
+        ),
+    )
+
+
+def crafted_items(n_per_sentence=40, seed=3):
+    """Items whose five choices mix N/V/J/P/R/X, relative pronouns, words
+    outside the vocabulary and a lemma that converts with a new spelling."""
+    rng = np.random.default_rng(seed)
+    fixed = (("what/R", "soon/R", "he/P", "dog/N", "ice cream/N"), ("dog/N", "zorblax/N", "big/J", "he/P", "eat/V"))
+    items = []
+    for tokens, blank in zip(crafted_sentences(), (3, 1, 3)):
+        draws = [tuple(CRAFTED_POOL[i] for i in rng.choice(len(CRAFTED_POOL), 5)) for _ in range(n_per_sentence)]
+        for choices in fixed + tuple(draws):
+            items.append(CompletionItem(UdSentence(tokens), blank, tuple(Word.parse(c) for c in choices), 0))
+    return items
+
+
+def scores_or_error(score, item, **kw):
+    """The item's five scores in choice order, or the type and message of
+    the first error; ``score`` scores one candidate or the whole list."""
+    try:
+        return score(item, **kw)
+    except DcsvecError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def one_at_a_time(params, item, weighted, strict):
+    return [enumerate_all_completion_score(params, item, c, weighted, strict) for c in item.choices]
+
+
+def test_completion_scores_match_one_candidate_at_a_time(tmp_path):
+    path = tmp_path / "items.jsonl"
+    worldgen.write_completion_items(path, 30, seed=4)
+    rng = np.random.default_rng(13)
+    items = load_completion_dataset(path) + [long_completion_item(rng, 12) for _ in range(6)]
+    known = set(CRAFTED_WORDS) | {w(x) for x in ("car", "piano")}
+    for item in items:  # worldgen's and the long items' words
+        known |= {node_word(t) for t in item.sentence.tokens if coarse_pos(t.upos) != "X"} | set(item.choices)
+    params = params_for(*sorted(known), seed=13)
+    params.U[:] = params.U * 3  # spread the scores away from 0
+    outcomes = set()
+    for item in items + crafted_items():
+        for weighted in (True, False):
+            for strict in (False, True):
+                got = scores_or_error(lambda it: completion_scores(params, it, it.choices, weighted, strict), item)
+                want = scores_or_error(lambda it: one_at_a_time(params, it, weighted, strict), item)
+                assert got == want
+                outcomes.add(want[0] if isinstance(want[0], str) else "scored")
+    assert outcomes == {"scored", "ConversionFailure", "UnknownWord", "UnknownField", "MissingPlaceholder"}
+
+
+def test_eval_completion_converts_once_per_sharing_class(tmp_path, monkeypatch):
+    calls = []
+    convert = evaluate_mod.convert_sentence
+    monkeypatch.setattr(evaluate_mod, "convert_sentence", lambda sentence: calls.append(sentence) or convert(sentence))
+    params = completion_vocab_params()
+    assert eval_completion(params, [completion_item()]).scored == 1
+    assert len(calls) == 1  # five nouns, one conversion
+    path = tmp_path / "items.jsonl"
+    worldgen.write_completion_items(path, 30, seed=4)
+    calls.clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # worldgen's words share placeholders and tie
+        assert eval_completion(params, load_completion_dataset(path)).scored == 30
+    assert len(calls) == 30
+    for item in crafted_items():
+        at = [t.id for t in item.sentence.tokens].index(item.blank_id)
+        classes = {sharing_class(_fill_blank(item, c).tokens[at]) for c in item.choices}
+        calls.clear()
+        try:
+            eval_completion(params, [item], strict=True)
+        except DcsvecError:
+            pass
+        assert 1 <= len(calls) <= len(classes)
+
+
+def nan_item(choices, answer):
+    """Scores with bread highest, car NaN and the other three tied below."""
+    params = completion_vocab_params(seed=10)
+    params.M[:] = np.eye(params.dim)
+    params.Minv[:] = np.eye(params.dim)
+    params.V[:] = 1.0
+    params.U[:] = -1.0
+    params.U[params.vocab.word_index[w("bread")]] = 1.0
+    params.U[params.vocab.word_index[w("car")]] = np.nan
+    return params, completion_item(choices, choices.index(answer))
+
+
+@pytest.mark.parametrize("choices", [
+    ("bread/N", "car/N", "dog/N", "piano/N", "barn/N"),
+    ("car/N", "bread/N", "dog/N", "piano/N", "barn/N"),
+], ids=["nan-second", "nan-first"])
+def test_completion_nan_score_ranks_last_in_either_order(choices):
+    params, item = nan_item(choices, "bread/N")
+    scores = completion_scores(params, item, item.choices)
+    assert math.isnan(scores[choices.index("car/N")])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no number ties the best
+        assert eval_completion(params, [item]).correct == 1
+        params, item = nan_item(choices, "car/N")
+        assert eval_completion(params, [item]).correct == 0  # a NaN answer never wins
+        params.U[:] = np.nan
+        assert eval_completion(params, [item]).correct == 0  # nothing to rank, nothing tied
+    params.U[:] = -1.0
+    params.U[params.vocab.word_index[w("car")]] = np.nan
+    with pytest.warns(UserWarning, match="tied"):
+        assert eval_completion(params, [item]).correct == 0  # three numbers tie for best

@@ -1,10 +1,16 @@
+from dataclasses import replace
+from itertools import combinations
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+import worldgen
 
 from dcsvec.errors import CyclicTree, MalformedLine
 from dcsvec.trees import ARG, COMP, SUBJ, UNKNOWN_FIELD, CORE_FIELDS, Word
-from dcsvec.ud import UdToken, convert_sentence, parse_conllu, parse_conllu_file, ud_to_dcs
+from dcsvec.ud import UdSentence, UdToken, convert_sentence, parse_conllu, parse_conllu_file, sharing_class, ud_to_dcs
+from helpers import long_completion_item
 
 DATA = Path(__file__).parent / "data"
 
@@ -262,3 +268,76 @@ def test_lemma_whitespace_sanitized():
         )
     )
     assert tree.words[0].lemma == "new_york"
+
+
+# "the farmer ____ eats bread": the blank is the subject of a relative clause
+RELCL = sent(
+    (1, "the", "the", "DET", 2, "det"),
+    (2, "farmer", "farmer", "NOUN", 0, "root"),
+    (3, "____", "____", "PRON", 4, "nsubj"),
+    (4, "eats", "eat", "VERB", 2, "acl:relcl"),
+    (5, "bread", "bread", "NOUN", 4, "obj"),
+)
+
+# candidate fillers by UPOS: relative pronouns, other words, a lemma that
+# converts with a new spelling, words outside any vocabulary
+FILLERS = {
+    "NOUN": ("dog", "ice cream", "zorblax", "that"),
+    "VERB": ("eat", "run"),
+    "ADJ": ("big", "red"),
+    "PRON": ("he", "she", "that", "That", "who", "what"),
+    "ADV": ("soon", "quickly", "what", "which"),
+    "X": ("thing", "that"),
+}
+
+
+def with_token(sentence, tok):
+    return UdSentence(tuple(tok if t.id == tok.id else t for t in sentence.tokens))
+
+
+def test_lemmas_of_one_sharing_class_convert_alike():
+    rng = np.random.default_rng(5)
+    items = [(s["tokens"], s["blank"]) for s in worldgen.completion_items(20, seed=4)]
+    blanks = [(sent(*[tuple(t[k] for k in ("id", "form", "lemma", "upos", "head", "deprel")) for t in tokens]), blank)
+              for tokens, blank in items]
+    blanks += [(item.sentence, item.blank_id) for item in (long_completion_item(rng, 12) for _ in range(6))]
+    blanks.append((RELCL, 3))
+    compared = set()
+    for sentence, blank_id in blanks:
+        (blank,) = [t for t in sentence.tokens if t.id == blank_id]
+        for upos, lemmas in FILLERS.items():
+            for a, b in combinations([replace(blank, form=x, lemma=x, upos=upos) for x in lemmas], 2):
+                if sharing_class(a) != sharing_class(b):
+                    continue
+                ca, cb = convert_sentence(with_token(sentence, a)), convert_sentence(with_token(sentence, b))
+                assert (ca is None) == (cb is None)
+                if ca is None:
+                    continue
+                assert (ca.tree.root, ca.tree.edges, ca.token_ids) == (cb.tree.root, cb.tree.edges, cb.token_ids)
+                differ = [i for i, (x, y) in enumerate(zip(ca.tree.words, cb.tree.words)) if x != y]
+                node = ca.node_of_token(blank_id)  # None when the blank is absorbed
+                assert differ == ([node] if node is not None and a.lemma != b.lemma else [])
+                compared.add(sharing_class(a))
+    assert compared == {(upos, False, None) for upos in FILLERS} | {("PRON", True, None), ("ADV", True, None)}
+
+
+def test_relative_pronoun_flag_is_part_of_the_sharing_class():
+    blank = RELCL.tokens[2]
+    that, he = replace(blank, form="that", lemma="that"), replace(blank, form="he", lemma="he")
+    assert sharing_class(that) != sharing_class(he)
+    with_that, with_he = convert_sentence(with_token(RELCL, that)), convert_sentence(with_token(RELCL, he))
+    assert with_that.token_ids == (2, 4, 5)  # "that" stands for the farmer and vanishes
+    assert with_he.token_ids == (2, 3, 4, 5)
+
+
+def test_adposition_lemma_is_part_of_the_sharing_class():
+    sentence = sent(
+        (1, "kids", "kid", "NOUN", 2, "nsubj"),
+        (2, "play", "play", "VERB", 0, "root"),
+        (3, "on", "on", "ADP", 4, "case"),
+        (4, "grass", "grass", "NOUN", 2, "obl"),
+    )
+    on = sentence.tokens[2]
+    under = replace(on, form="under", lemma="under")
+    assert sharing_class(on) != sharing_class(under)
+    assert convert_sentence(sentence).tree.edges != convert_sentence(with_token(sentence, under)).tree.edges
