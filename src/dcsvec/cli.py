@@ -97,7 +97,7 @@ def _load_config_file(path) -> dict:
 
 
 def _resolve(args: argparse.Namespace) -> argparse.Namespace:
-    file_values = _load_config_file(args.config) if getattr(args, "config", None) else {}
+    file_values = {} if getattr(args, "config", None) is None else _load_config_file(args.config)
     for key, default in _DEFAULTS.items():
         if getattr(args, key, None) is None:
             setattr(args, key, file_values.get(key, default))
@@ -196,7 +196,7 @@ def cmd_train(args) -> int:
     config = TrainConfig(**{f.name: getattr(args, key) for key, f in _TRAIN_FIELDS.items()})
     voc = load_vocab(args.vocab)
     corpus = load_trees(args.trees_in)
-    if args.dump_paths:
+    if args.dump_paths is not None:
         rng = np.random.default_rng(args.seed)
         with open(args.dump_paths, "w", encoding="utf-8") as fh:
             for tree in corpus:
@@ -208,7 +208,7 @@ def cmd_train(args) -> int:
 
 
 def _query_tree(args) -> DcsTree:
-    if args.tree:
+    if args.tree is not None:
         return parse_tree_literal(args.tree)
     for tree in read_trees(text_lines(args.tree_file)):
         return tree

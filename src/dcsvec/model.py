@@ -146,29 +146,28 @@ def compose_query(
     if not (0 <= at < tree.n_nodes and 0 <= within < tree.n_nodes) or lca(tree, at, within) != within:
         raise ValueError(f"node {at} is not in the subtree of node {within}")
     above = tree.parent_edge(within)  # the one edge out of the subtree
-    return _compose(params, tree, at, None, None if above is None else above.parent, strict)
-
-
-def _compose(
-    params: ModelParams, tree: DcsTree, node: int, came_from: int | None, outside: int | None, strict: bool
-) -> np.ndarray:
-    # Module-level rather than a closure that calls itself: such a closure
-    # is a reference cycle through ``params``, which would keep a model its
-    # caller has dropped (answer index included) alive until the cyclic
-    # collector runs.
-    q = params.V[params.vocab.word_id(tree.words[node], strict)].astype(np.float64)
-    # neighbours ascend, as the child edges of the re-rooted tree would
-    away = [nb for nb in tree.neighbors(node) if nb != came_from and nb != outside]
-    if away:
-        acc = np.zeros(params.dim, dtype=np.float64)
-        for nb in away:
-            near, far = hop_fields(tree, nb, node)
-            sub = _compose(params, tree, nb, node, outside, strict)
-            sub = sub @ params.M[params.vocab.field_id(near, strict)]
-            sub = sub @ params.Minv[params.vocab.field_id(far, strict)]
-            acc += sub
-        q = q + acc / len(away)
-    return q
+    outside = None if above is None else above.parent
+    # the walk in preorder, so each node is listed after the one it came
+    # from, with its word row and the neighbours it composes (ascending);
+    # no recursion, so a walk of any depth composes
+    walk, stack = [], [(at, None)]
+    while stack:
+        node, came_from = stack.pop()
+        away = [nb for nb in tree.neighbors(node) if nb != came_from and nb != outside]
+        walk.append((node, params.V[params.vocab.word_id(tree.words[node], strict)].astype(np.float64), away))
+        stack.extend((nb, node) for nb in reversed(away))
+    composed = {}
+    for node, q, away in reversed(walk):
+        if away:
+            acc = np.zeros(params.dim, dtype=np.float64)
+            for nb in away:
+                near, far = hop_fields(tree, nb, node)
+                sub = composed.pop(nb) @ params.M[params.vocab.field_id(near, strict)]
+                sub = sub @ params.Minv[params.vocab.field_id(far, strict)]
+                acc += sub
+            q = q + acc / len(away)
+        composed[node] = q
+    return composed[at]
 
 
 _NORM_ROWS = 1024  # rows of V or U that ``normalize`` scales at a time

@@ -471,6 +471,26 @@ def test_empty_tree_file_exits_2(pipeline, tmp_path):
     assert one_error_line(proc) == ("InputError", "tree file is empty")
 
 
+@pytest.mark.parametrize("literal", ["", "   "])
+@pytest.mark.parametrize("command", ["compose", "nearest"])
+def test_empty_tree_literal_exits_2(pipeline, capsys, command, literal):
+    _, _, _, model = pipeline
+    assert cli.main([command, str(model), "--tree", literal]) == 2
+    assert capsys.readouterr().err == "error\tInputError\tempty tree literal\n"
+
+
+@pytest.mark.parametrize("command, flag", [("nearest", "--config"), ("train", "--config"), ("train", "--dump-paths")])
+def test_an_empty_path_flag_is_opened_and_exits_2(pipeline, tmp_path, capsys, command, flag):
+    # a flag given a value is used, even an empty one
+    _, trees, vocab, model = pipeline
+    out = tmp_path / "m.bin"
+    args = [str(model), "--tree", "food/N"] if command == "nearest" else [str(trees), str(vocab), str(out)]
+    assert cli.main([command, *args, flag, ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error\tOSError\t")
+    assert not out.exists()
+
+
 def test_train_stats_lines(pipeline):
     root, trees, vocab, _ = pipeline
     proc = run_cli(

@@ -18,9 +18,11 @@ from dcsvec.errors import (
 )
 import dcsvec.model as model_mod
 from dcsvec import cli
+from dcsvec.evaluate import RelationInstance, relation_features
 from dcsvec.model import (
     ModelParams,
     compose_query,
+    identity_maps,
     init_params,
     load_model,
     nearest_answers,
@@ -28,7 +30,7 @@ from dcsvec.model import (
     path_score,
     save_model,
 )
-from dcsvec.trees import ARG, COMP, POS_TAGS, SUBJ, DcsTree, Edge, Word, unknown_word
+from dcsvec.trees import ARG, COMP, POS_TAGS, SUBJ, DcsTree, Edge, Word, save_trees, unknown_word
 from dcsvec.vocab import Vocabulary
 from helpers import child_edge_compose, extract_subtree, path_matrix, random_tree, random_tree_model, reroot
 
@@ -340,6 +342,32 @@ def test_compose_start_must_lie_in_the_bounding_subtree():
     for at, within in ((0, 1), (2, 1), (3, None), (None, -1)):
         with pytest.raises(ValueError):
             compose_query(params, tree, at=at, within=within)
+
+
+def chain_tree(n):
+    """n nodes, each the ARG:SUBJ child of the one before: a walk from
+    either end is n nodes deep."""
+    words = tuple(w(f"w{i % 6}") for i in range(n))
+    return DcsTree(words, 0, tuple(Edge(i - 1, i, ARG, SUBJ) for i in range(1, n)))
+
+
+def test_a_walk_deeper_than_the_recursion_limit_composes(tmp_path, capsys):
+    n = 3000
+    tree = chain_tree(n)
+    params = make_params(np.random.default_rng(23))
+    identity_maps(params)
+    want = params.V[params.vocab.word_id(tree.words[-1])].astype(np.float64)
+    for word in reversed(tree.words[:-1]):
+        want = params.V[params.vocab.word_id(word)].astype(np.float64) + want  # the right-nested sum
+    assert compose_query(params, tree).tobytes() == want.tobytes()
+    feats = relation_features(params, RelationInstance(tree, 1, n - 1, "x"))
+    blocks = feats.reshape(4, params.dim)
+    assert np.allclose(np.linalg.norm(blocks, axis=1), 1.0, rtol=0, atol=1e-12)
+    model, trees = tmp_path / "m.bin", tmp_path / "chain.trees"
+    save_model(params, params.vocab, model)
+    save_trees([tree], trees)
+    assert cli.main(["compose", str(model), "--tree-file", str(trees)]) == 0
+    assert len(capsys.readouterr().out.split()) == params.dim
 
 
 def test_compose_oov_fallback_and_strict():
