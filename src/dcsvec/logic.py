@@ -90,16 +90,23 @@ def restrict_by_child(
 
 def denotation_of_tree(tree: DcsTree, db: Database) -> Denotation:
     """Bottom-up composition: each node's set is its word denotation
-    filtered by every child's projected value set."""
+    filtered by every child's projected value set.
 
-    def eval_node(node: int) -> Denotation:
-        den = db.lookup(tree.words[node])
+    The words are looked up in preorder, each node before its children,
+    so the first unknown word raised is the first in that order; the
+    nodes are then composed in reverse preorder, each after all of its
+    descendants.  Nothing recurses, so a tree of any depth composes."""
+    order, stack = [], [tree.root]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        stack.extend(e.child for e in reversed(tree.child_edges(node)))
+    dens = {node: db.lookup(tree.words[node]) for node in order}
+    for node in reversed(order):
         for e in tree.child_edges(node):
-            child_values = _present_values(eval_node(e.child), e.child_field)
-            den = restrict_by_child(den, e.parent_field, child_values)
-        return den
-
-    return eval_node(tree.root)
+            child_values = _present_values(dens[e.child], e.child_field)
+            dens[node] = restrict_by_child(dens[node], e.parent_field, child_values)
+    return dens[tree.root]
 
 
 def path_denotation(path: TreePath, tree: DcsTree, db: Database) -> Denotation:

@@ -6,8 +6,8 @@ slots j < i and redraws everything from a uniformly chosen slot i on
 (fields slot-by-slot from the field unigram, the end word from the word
 unigram, slot parity preserved).  A step updates only the start query
 vector, the two positive-path maps straddling the noise boundary, the
-noise map at the boundary, and the two answer vectors; `step_maps` states
-which maps those are, `loss_and_gradients` reads it, and `step` returns
+noise map at the boundary, and the two answer vectors;
+`loss_and_gradients` states which maps those are, and `step` returns
 the keys of the maps it updated, from which `train()` counts them.
 A step computes only the NCE loss and its gradients.  The
 inverse-consistency and orthogonality regularizer runs in `regularize_maps`
@@ -25,7 +25,8 @@ rescaled to it, and each gradient is applied in place.
 A step's map gradient is a sum of outer products, one per forward slot it
 comes from (the slot's forward row times a backward column that mixes the
 positive and the noise terms), so it is kept as those (row, column)
-factors: rank one with one noise.  `step` takes its clip norm from the
+factors: rank one with one noise.  `step` clips and applies every
+gradient of the step in one pass: it takes a map's clip norm from the
 factors and subtracts one d x d outer product per factor; no d x d
 gradient is formed.
 
@@ -37,7 +38,7 @@ model passed to `loss_and_gradients` or `step` directly still gets
 float64 arithmetic (each product casts its float32 operand exactly).
 
 Three modes (`TrainConfig.mode`) share one forward/backward, and during a
-step only `loss_and_gradients` (through `step_maps`) reads the mode.
+step only `loss_and_gradients` reads the mode.
 `full` is the model above.  `no_matrix` scores a path with no map slots:
 s+ = v.u, each noise replaces only the end word (s- = v.u_z), and no map
 is updated or regularized; `train()` pins the saved maps to the identity.
@@ -120,10 +121,11 @@ class TrainConfig:
             )
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class NoisedExample:
     """Replacement index i in [2, 2l], the field rows redrawn for slots
-    j >= i (in slot order), and the redrawn end word's row."""
+    j >= i (in slot order), and the redrawn end word's row.  Not frozen:
+    a frozen dataclass takes about 0.4 us more to build, once per noise."""
 
     i: int
     fields: tuple[int, ...]
@@ -231,40 +233,7 @@ def regularizer_grads(
     return gM, gMinv
 
 
-Slot = tuple[int, bool]  # (field row, is_inverse): M[row], or Minv[row] if inverse
-
-
-def step_maps(
-    pos: PathSample, noises: Sequence[NoisedExample], mode: str
-) -> tuple[list[Slot], list[tuple[int, Slot | None]], list[int]]:
-    """The map slots a step on this example reads, and those it updates.
-
-    Returns the positive path's slots (slot 2t holds M[near], 2t+1
-    Minv[far]; none in `no_matrix`); per noise its first replaced slot ri
-    (0-based; 0 with no slots) and the map it redraws there, which the
-    step updates (None when it redraws none); and the ascending
-    positive-path slots the step updates, the two straddling each such
-    boundary.  A step updates no other map.  From ri on a noise reads its
-    own fields, in the parity of the path's slots.
-    """
-    slots = [] if mode == "no_matrix" else [
-        slot for near, far in pos.hops for slot in ((near, False), (far, True))
-    ]
-    two_l = len(slots)
-    boundaries = []
-    updated = set()
-    for noise in noises:
-        ri = min(noise.i - 1, two_l)
-        if ri < two_l and noise.fields:
-            boundaries.append((ri, (noise.fields[0], slots[ri][1])))
-            updated.add(ri - 1)
-            updated.add(ri)
-        else:
-            boundaries.append((ri, None))
-    return slots, boundaries, sorted(updated)
-
-
-MapFactors = list[tuple[np.ndarray, np.ndarray]]  # (row, column) pairs: the gradient is sum r ⊗ c
+MapFactors = list[tuple[int, np.ndarray]]  # (slot j, column) pairs: the gradient is sum rows[j] ⊗ c
 
 
 def loss_and_gradients(
@@ -272,23 +241,33 @@ def loss_and_gradients(
     pos: PathSample,
     noises: list[NoisedExample],
     config: TrainConfig,
-) -> tuple[float, dict]:
-    """NCE loss and the sparse gradient set for one example.
+) -> tuple[
+    float, dict[tuple[str, int], np.ndarray], dict[tuple[str, int], MapFactors], list[np.ndarray]
+]:
+    """NCE loss and the sparse gradients of one example: (loss, vectors,
+    maps, rows).
 
-    Keys are ("v", row), ("u", row), then ("M", field id) and ("Minv",
-    field id); the map keys are the maps `step_maps` names.  A vector
-    gradient is a fresh float64 array, and contributions to a shared
-    vector accumulate.  A map gradient is returned as its factors: one
-    (row, column) pair per forward slot j it comes from, the gradient
-    being the sum of their outer products.  The row is the forward row at
-    slot j (v times the maps before it); the column is g+ times the
-    positive backward column after j, plus g- times each noise's backward
-    column after j for every noise whose boundary lies after j, plus that
-    term of a noise whose boundary map at j is this map.  So with one
-    noise every map gradient is one pair.  Every array is fresh float64
-    (rows may be shared between pairs), so updating the tables leaves the
-    factors as they were.  The regularizer is not part of it (see
-    `regularize_maps`).
+    The positive path reads one map per slot: slot 2t holds M[near] and
+    2t+1 Minv[far] of hop t (no slot in `no_matrix`).  A noise keeps the
+    slots before its first replaced slot ri = i - 1 (clamped to the slot
+    count) and from there on reads its own fields, in the parity of the
+    path's slots; if it redraws a map, that boundary map and the two
+    positive-path maps straddling ri (slots ri - 1 and ri) are the maps
+    the step updates, and no other map.
+
+    ``vectors`` maps ("v", row) and ("u", row) keys to fresh float64
+    gradients; contributions to a shared vector accumulate.  ``maps``
+    maps ("M", field id) and ("Minv", field id) keys, ascending updated
+    slots first and then the boundary noise maps, to the gradient as
+    factors: one (slot j, column) pair per forward slot j it comes from,
+    the gradient being the sum of rows[j] ⊗ column.  rows[j] is the
+    forward row at slot j (v times the maps before it); the column is g+
+    times the positive backward column after j, plus g- times each
+    noise's backward column after j for every noise whose boundary lies
+    after j, plus that term of a noise whose boundary map at j is this
+    map.  So with one noise every map gradient is one pair.  Every array
+    is fresh float64, so updating the tables leaves the gradients as they
+    were.  The regularizer is not part of it (see `regularize_maps`).
 
     Maps are read from the tables as they are; a float32 map is cast
     inside each product it enters (the cast is exact).  `ndarray.dot`
@@ -301,9 +280,9 @@ def loss_and_gradients(
     """
     xi, yi = pos.start, pos.end
     M, Minv = params.M, params.Minv
-    slots, boundaries, updated = step_maps(pos, noises, config.mode)
-    two_l = len(slots)
-    mats = [Minv[fid] if inv else M[fid] for fid, inv in slots]
+    hops = () if config.mode == "no_matrix" else pos.hops
+    mats = [m for near, far in hops for m in (M[near], Minv[far])]
+    two_l = len(mats)
     v = np.array(params.V[xi], dtype=np.float64)  # a copy: rows[0] is a factor
     u = np.asarray(params.U[yi], dtype=np.float64)
     rows = [v]
@@ -317,17 +296,15 @@ def loss_and_gradients(
     g_pos = _sigmoid(s_pos) - 1.0
     loss = softplus(-s_pos)
     gv = g_pos * cols[0]  # the start word's gradient, accumulated in place
-    grads: dict[tuple[str, int], np.ndarray | MapFactors] = {
-        ("v", xi): gv, ("u", yi): g_pos * rows[two_l]
-    }
+    vectors = {("v", xi): gv, ("u", yi): g_pos * rows[two_l]}
 
     # per noise that redraws a map: its first replaced slot, the boundary
     # map's key, its backward columns and its sigmoid
-    noise_data = []
-    for noise, (ri, boundary) in zip(noises, boundaries):
-        nmats = mats[:ri] + [
-            Minv[fid] if inv else M[fid] for fid, (_, inv) in zip(noise.fields, slots[ri:])
-        ]
+    boundaries = []
+    for noise in noises:
+        ri = min(noise.i - 1, two_l)
+        redrawn = noise.fields[: two_l - ri]
+        nmats = mats[:ri] + [Minv[fid] if j & 1 else M[fid] for j, fid in enumerate(redrawn, ri)]
         ncols = [np.asarray(params.U[noise.word], dtype=np.float64)] * (two_l + 1)
         for j in range(two_l - 1, -1, -1):
             ncols[j] = nmats[j].dot(ncols[j + 1])
@@ -340,90 +317,47 @@ def loss_and_gradients(
             nr = nr.dot(m)
         gu = g_neg * nr
         key = ("u", noise.word)
-        if key in grads:
-            grads[key] += gu
+        if key in vectors:
+            vectors[key] += gu
         else:
-            grads[key] = gu
-        if boundary is not None:
-            fid, inv = boundary
-            noise_data.append((ri, ("Minv" if inv else "M", fid), ncols, g_neg))
+            vectors[key] = gu
+        if redrawn:
+            boundaries.append((ri, ("Minv" if ri & 1 else "M", redrawn[0]), ncols, g_neg))
 
-    # the map columns, per key and forward slot: the positive-path maps at
-    # the noise boundaries, then each boundary noise map, which joins slot
-    # ri's column when it is that slot's map
-    columns: dict[tuple[str, int], dict[int, np.ndarray]] = {}
-    for j in updated:
+    # the map columns: the positive-path maps at the noise boundaries, then
+    # each boundary noise map, which joins slot ri's column when it is that
+    # slot's map
+    maps: dict[tuple[str, int], MapFactors] = {}
+    for j in sorted({j for b in boundaries for j in (b[0] - 1, b[0])}):
         c = g_pos * cols[j + 1]
-        for ri, _, ncols, g_neg in noise_data:
+        for ri, _, ncols, g_neg in boundaries:
             if j < ri:
                 c += g_neg * ncols[j + 1]
-        fid, inv = slots[j]
-        columns.setdefault(("Minv" if inv else "M", fid), {})[j] = c
-    for ri, key, ncols, g_neg in noise_data:
-        by_slot = columns.setdefault(key, {})
+        maps.setdefault(("Minv" if j & 1 else "M", hops[j >> 1][j & 1]), []).append((j, c))
+    for ri, key, ncols, g_neg in boundaries:
+        pairs = maps.setdefault(key, [])
         c = g_neg * ncols[ri + 1]
-        if ri in by_slot:
-            by_slot[ri] += c
+        for j, column in pairs:
+            if j == ri:
+                column += c  # in place: the column is this call's own array
+                break
         else:
-            by_slot[ri] = c
-    for key, by_slot in columns.items():
-        grads[key] = [(rows[j], c) for j, c in by_slot.items()]
-    return loss, grads
+            pairs.append((ri, c))
+    return loss, vectors, maps, rows
 
 
-def _lr_at(initial: float, config: TrainConfig, step_index: int) -> float:
+def _lr_scale(config: TrainConfig, step_index: int) -> float:
+    """The factor on both initial learning rates at step ``step_index``:
+    linear decay to 0.1 over ``config.total_steps``.  It is 1 under the
+    constant schedule and while ``total_steps`` is None, as in a direct
+    `step` call; `train()` fills it in."""
     if config.lr_schedule == "constant" or not config.total_steps:
-        return initial
-    frac = min(step_index / config.total_steps, 1.0)
-    return initial * (1.0 - 0.9 * frac)
+        return 1.0
+    return 1.0 - 0.9 * min(step_index / config.total_steps, 1.0)
 
 
-# the ModelParams table each gradient kind updates
-_TABLE = {"v": "V", "u": "U", "M": "M", "Minv": "Minv"}
-
-
-def _descend(row: np.ndarray, g: np.ndarray, lr: float, clip: float, where: str, key) -> None:
-    """Rescale the fresh gradient g to norm ``clip`` when it is longer, scale
-    it by ``lr`` and subtract it from ``row`` in place, through the view (no
-    write-back copy).  A non-finite norm is a NonFiniteGradient."""
-    flat = g.ravel()
-    norm = math.sqrt(flat.dot(flat))  # what np.linalg.norm computes
-    if not math.isfinite(norm):
-        raise NonFiniteGradient(f"{where}: gradient for {key[0]}[{key[1]}] has norm {norm}")
-    if norm > clip:
-        g *= clip / norm
-    g *= lr
-    row -= g
-
-
-def _factored_norm(pairs: MapFactors) -> float:
-    """||G||_F of G = sum r ⊗ c, from the factors alone: sqrt((r.r)(c.c))
-    for one pair; for k pairs, rows R and columns C, ||G||^2 is the sum of
-    the entrywise product (R R^T) * (C C^T).  Non-finite factors give a
-    non-finite norm."""
-    if len(pairs) == 1:
-        ((r, c),) = pairs
-        return math.sqrt(float(r.dot(r)) * float(c.dot(c)))  # inf * 0 is NaN, not a warning
-    R = np.array([r for r, _ in pairs])
-    C = np.array([c for _, c in pairs])
-    sq = float(np.sum(R.dot(R.T) * C.dot(C.T)))
-    # rounding can leave the sum just below 0; max keeps a NaN first argument
-    return math.sqrt(max(sq, 0.0))
-
-
-def _descend_factors(
-    table: np.ndarray, pairs: MapFactors, lr: float, clip: float, where: str, key
-) -> None:
-    """Subtract s times the map gradient G = sum r ⊗ c from ``table`` in
-    place, s = lr * min(1, clip / ||G||), with one (d, 1) x (1, d) BLAS
-    product per pair, whose entries are the single products (s r_i) c_j; no
-    d x d gradient is formed.  A non-finite norm is a NonFiniteGradient."""
-    norm = _factored_norm(pairs)
-    if not math.isfinite(norm):
-        raise NonFiniteGradient(f"{where}: gradient for {key[0]}[{key[1]}] has norm {norm}")
-    s = lr * (clip / norm) if norm > clip else lr
-    for r, c in pairs:
-        table -= (s * r)[:, None].dot(c[None, :])
+def _non_finite(where: str, key: tuple[str, int], norm: float) -> NonFiniteGradient:
+    return NonFiniteGradient(f"{where}: gradient for {key[0]}[{key[1]}] has norm {norm}")
 
 
 def step(
@@ -433,25 +367,52 @@ def step(
     config: TrainConfig,
     step_index: int,
 ) -> tuple[float, list[tuple[str, int]]]:
-    """One SGD step: each gradient is clipped, scaled by its learning rate
-    and subtracted in place (float64 arithmetic, rounded to the table's
-    dtype); a map gradient is applied from its factors (`_descend_factors`).
-    Returns the loss and the keys of the maps it updated, in order.
-    A step never regularizes, whatever ``config.gamma`` and ``config.kappa``
-    say; `regularize_maps` does."""
-    loss, grads = loss_and_gradients(params, pos, noises, config)
-    lr_vec = _lr_at(config.lr_vec, config, step_index)
-    lr_mat = _lr_at(config.lr_mat, config, step_index)
-    where = f"step {step_index}"
-    maps = []
-    for key, g in grads.items():
-        row = getattr(params, _TABLE[key[0]])[key[1]]
-        if key[0] in ("v", "u"):
-            _descend(row, g, lr_vec, config.clip_norm_vec, where, key)
+    """One SGD step, in one clip-and-apply pass over `loss_and_gradients`'
+    gradients: each is rescaled to its clip threshold when its norm exceeds
+    it, scaled by its learning rate and subtracted in place (float64
+    arithmetic, rounded to the table's dtype).  A vector's norm is
+    sqrt(g.g).  A map's comes from its factors: sqrt((r.r)(c.c)) for one
+    pair, each forward row's r.r computed once per step; for k pairs, rows
+    R and columns C, the square root of the sum of the entrywise product
+    (R R^T) * (C C^T).  A map is then updated by one (d, 1) x (1, d) BLAS
+    product per pair, whose entries are the single products (s r_i) c_j,
+    s = lr * min(1, clip / norm); no d x d gradient is formed.  A
+    non-finite norm is a NonFiniteGradient, raised before that gradient is
+    applied.  Returns the loss and the keys of the maps it updated, in the
+    order it updated them.  A step never regularizes, whatever
+    ``config.gamma`` and ``config.kappa`` say; `regularize_maps` does."""
+    loss, vectors, maps, rows = loss_and_gradients(params, pos, noises, config)
+    scale = _lr_scale(config, step_index)
+    lr, clip = config.lr_vec * scale, config.clip_norm_vec
+    for key, g in vectors.items():
+        norm = math.sqrt(g.dot(g))  # what np.linalg.norm computes
+        if not norm <= clip:  # clipped, or not finite
+            if not math.isfinite(norm):
+                raise _non_finite(f"step {step_index}", key, norm)
+            g *= clip / norm
+        g *= lr
+        row = (params.V if key[0] == "v" else params.U)[key[1]]
+        row -= g  # through the view: no write-back copy
+    lr, clip = config.lr_mat * scale, config.clip_norm_mat
+    squares = {}  # r.r per forward row: slot ri's map and a boundary map share rows[ri]
+    for key, pairs in maps.items():
+        if len(pairs) == 1:
+            ((j, c),) = pairs
+            if j not in squares:
+                squares[j] = float(rows[j].dot(rows[j]))
+            norm = math.sqrt(squares[j] * float(c.dot(c)))  # inf * 0 is NaN, not a warning
         else:
-            _descend_factors(row, g, lr_mat, config.clip_norm_mat, where, key)
-            maps.append(key)
-    return loss, maps
+            R = np.array([rows[j] for j, _ in pairs])
+            C = np.array([c for _, c in pairs])
+            # rounding can leave the sum just below 0; max keeps a NaN first argument
+            norm = math.sqrt(max(float(np.sum(R.dot(R.T) * C.dot(C.T))), 0.0))
+        if not math.isfinite(norm):
+            raise _non_finite(f"step {step_index}", key, norm)
+        s = lr * (clip / norm) if norm > clip else lr
+        table = (params.M if key[0] == "M" else params.Minv)[key[1]]
+        for j, c in pairs:
+            table -= (s * rows[j])[:, None].dot(c[None, :])
+    return loss, list(maps)
 
 
 def regularize_maps(
@@ -469,8 +430,7 @@ def regularize_maps(
     as 0.
     """
     gamma = 0.0 if config.mode == "no_inverse" else config.gamma
-    lr, clip = _lr_at(config.lr_mat, config, step_index), config.clip_norm_mat
-    where = f"regularizer after step {step_index}"
+    lr, clip = config.lr_mat * _lr_scale(config, step_index), config.clip_norm_mat
     for fid in sorted({fid for _, fid in counts}):
         n = (counts.get(("M", fid), 0), counts.get(("Minv", fid), 0))
         grads = regularizer_grads(
@@ -478,8 +438,17 @@ def regularize_maps(
             need_M=n[0] > 0, need_Minv=n[1] > 0,
         )
         for kind, g, times in zip(("M", "Minv"), grads, n):
-            if g is not None:
-                _descend(getattr(params, kind)[fid], g, times * lr, clip, where, (kind, fid))
+            if g is None:
+                continue
+            flat = g.ravel()
+            norm = math.sqrt(flat.dot(flat))  # what np.linalg.norm computes
+            if not math.isfinite(norm):
+                raise _non_finite(f"regularizer after step {step_index}", (kind, fid), norm)
+            if norm > clip:
+                g *= clip / norm
+            g *= times * lr
+            row = getattr(params, kind)[fid]
+            row -= g  # through the view: no write-back copy
 
 
 @dataclass

@@ -13,7 +13,7 @@ import numpy as np
 from dcsvec.evaluate import CompletionItem
 from dcsvec.logic import Database, DbTuple
 from dcsvec.model import init_params
-from dcsvec.train import NoisedExample, TrainConfig, loss_and_gradients, step_maps
+from dcsvec.train import NoisedExample, TrainConfig, loss_and_gradients
 from dcsvec.trees import ARG, COMP, SUBJ, DcsTree, Edge, Word, hop_fields, path_nodes
 from dcsvec.ud import UdSentence, UdToken
 from dcsvec.vocab import PathSample, Vocabulary, _walk_trajectories
@@ -142,16 +142,32 @@ def id_example(vocab, start, end, hops, *noises):
 
 def updated_maps(pos, noises, mode) -> set:
     """Each map a step on this example updates, once, as (field row,
-    is_inverse) (see `step_maps`)."""
-    slots, boundaries, updated = step_maps(pos, noises, mode)
-    maps = {slots[j] for j in updated}
-    maps.update(boundary for _, boundary in boundaries if boundary is not None)
+    is_inverse), by the rule stated for `loss_and_gradients`: per noise
+    that redraws a map (its first replaced slot ri = i - 1 lies on the
+    path), the positive-path maps at slots ri - 1 and ri, and the noise's
+    own map at ri.  Slot 2t holds M[near], 2t+1 Minv[far]; `no_matrix`
+    has no slot."""
+    slots = [] if mode == "no_matrix" else [
+        slot for near, far in pos.hops for slot in ((near, False), (far, True))
+    ]
+    maps = set()
+    for noise in noises:
+        ri = noise.i - 1
+        if ri < len(slots) and noise.fields:
+            maps.update((slots[ri - 1], slots[ri], (noise.fields[0], slots[ri][1])))
     return maps
 
 
+def gradient_dict(result) -> dict:
+    """A `loss_and_gradients` result's gradients as one dict: each vector
+    gradient, then each map's factors as (forward row, column) pairs."""
+    _, vectors, maps, rows = result
+    return {**vectors, **{key: [(rows[j], c) for j, c in pairs] for key, pairs in maps.items()}}
+
+
 def dense_gradient(g) -> np.ndarray:
-    """A gradient as `loss_and_gradients` returns it, made dense: a vector
-    as it is, a map's (row, column) factors as the sum of their outer
+    """A gradient as `gradient_dict` gives it, made dense: a vector as it
+    is, a map's (row, column) factors as the sum of their outer
     products."""
     if isinstance(g, np.ndarray):
         return g
@@ -161,8 +177,7 @@ def dense_gradient(g) -> np.ndarray:
 def nce_loss(params, pos, noises) -> float:
     """-log sigmoid(s+) - sum over noises of log sigmoid(-s-): the loss
     `loss_and_gradients` returns."""
-    loss, _ = loss_and_gradients(params, pos, noises, TrainConfig())
-    return loss
+    return loss_and_gradients(params, pos, noises, TrainConfig())[0]
 
 
 def path_matrix(params, hops, strict=True) -> np.ndarray:

@@ -45,6 +45,7 @@ from dcsvec.cli import parse_tree_literal
 from helpers import (
     brute_force_denotation,
     dense_gradient,
+    gradient_dict,
     id_example,
     nce_loss,
     random_db_for_tree,
@@ -168,7 +169,7 @@ def test_criterion_3_gradient_check():
         h = 1e-4
         for trial in range(50):
             params, pos, noise = _random_instance(rng, 8)
-            _, grads = loss_and_gradients(params, pos, [noise], cfg)
+            grads = gradient_dict(loss_and_gradients(params, pos, [noise], cfg))
             tables = {"v": params.V, "u": params.U, "M": params.M, "Minv": params.Minv}
             for (kind, idx), g in grads.items():
                 # a map gradient is checked as the dense product of its factors

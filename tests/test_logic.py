@@ -187,3 +187,56 @@ def test_nonempty_tree_denotation_implies_nonempty_paths():
                 f"non-empty tree denotation"
             )
     assert nonempty_seen >= 10
+
+
+def recursive_denotation_of_tree(tree, db):
+    """The recursive composition `denotation_of_tree` replaced, kept as its
+    oracle: each node looked up, then each child composed and projected in
+    `child_edges` order."""
+
+    def eval_node(node):
+        den = db.lookup(tree.words[node])
+        for e in tree.child_edges(node):
+            child_values = frozenset(
+                v for tup in eval_node(e.child) if (v := tup.get(e.child_field)) is not None
+            )
+            den = restrict_by_child(den, e.parent_field, child_values)
+        return den
+
+    return eval_node(tree.root)
+
+
+def test_denotation_of_tree_matches_the_recursion_on_random_trees():
+    """Equal denotations on random trees and databases, and, with some
+    words left out of the database, the same first `UnknownWord`."""
+    rng = np.random.default_rng(91)
+    compared = unknown = 0
+    for _ in range(300):
+        tree = random_tree(rng, int(rng.integers(1, 30)), int(rng.integers(2, 8)))
+        db = random_db_for_tree(rng, tree)
+        assert denotation_of_tree(tree, db) == recursive_denotation_of_tree(tree, db)
+        compared += 1
+        words = sorted(db.entries, key=Word.render)
+        dropped = {words[int(i)] for i in rng.integers(len(words), size=2)}
+        partial = Database({word: den for word, den in db.entries.items() if word not in dropped})
+        with pytest.raises(UnknownWord) as want:
+            recursive_denotation_of_tree(tree, partial)
+        with pytest.raises(UnknownWord) as got:
+            denotation_of_tree(tree, partial)
+        assert str(got.value) == str(want.value)
+        unknown += 1
+    assert compared == unknown == 300
+
+
+def test_a_tree_deeper_than_the_recursion_limit_has_a_denotation():
+    """A 1,200-node chain, each node the ARG:SUBJ child of the one before,
+    composes: every tuple agrees, so the root keeps its own; one
+    disagreeing leaf empties the chain."""
+    n = 1200
+    tree = DcsTree(tuple(w(f"w{i % 3}") for i in range(n)), 0,
+                   tuple(Edge(i - 1, i, ARG, SUBJ) for i in range(1, n)))
+    agreeing = {w(f"w{i}"): denotation(t(ARG="a", SUBJ="a")) for i in range(3)}
+    assert denotation_of_tree(tree, Database(agreeing)) == denotation(t(ARG="a", SUBJ="a"))
+    leaf = DcsTree(tree.words[:-1] + (w("leaf"),), 0, tree.edges)
+    disagreeing = {**agreeing, w("leaf"): denotation(t(ARG="b", SUBJ="b"))}
+    assert denotation_of_tree(leaf, Database(disagreeing)) == frozenset()

@@ -2,6 +2,7 @@ import collections
 import dataclasses
 import importlib
 import io
+import json
 import math
 import tracemalloc
 import types
@@ -26,6 +27,7 @@ from dcsvec.trees import ARG, COMP, SUBJ, DcsTree, Edge, Word
 from dcsvec.vocab import Vocabulary, build_vocab, sample_paths
 from helpers import (
     dense_gradient,
+    gradient_dict,
     id_example,
     nce_loss,
     random_orthogonal,
@@ -251,7 +253,7 @@ def test_gradients_match_finite_differences():
         i = int(rng.integers(2, 2 * l + 1))
         noise = (i, tuple(field_pool[4 : 4 + (2 * l - i + 1)]), w("w2"))
         pos, [noise] = id_example(params.vocab, w("w0"), w("w1"), hops, noise)
-        loss, grads = loss_and_gradients(params, pos, [noise], cfg)
+        grads = gradient_dict(loss_and_gradients(params, pos, [noise], cfg))
 
         for (kind, idx), g in grads.items():
             analytic = dense_gradient(g)  # a map's factors as their dense product
@@ -430,8 +432,8 @@ def test_fused_regularizer_matches_per_key_oracle(case, gamma, kappa, dtype):
     pos, noises = id_example(params.vocab, w("w0"), w("w1"), hops, noise)
     maps = updated_maps(pos, noises, "full")
     assert maps == {(FID[f], kind == "Minv") for f, kinds in expected_kinds.items() for kind in kinds}
-    _, grads = loss_and_gradients(params, pos, noises, TrainConfig(dim=7))
-    assert {(fid, kind == "Minv") for kind, fid in grads if kind in ("M", "Minv")} == maps
+    _, _, grads, _ = loss_and_gradients(params, pos, noises, TrainConfig(dim=7))
+    assert {(fid, kind == "Minv") for kind, fid in grads} == maps
     for fid in sorted({fid for fid, _ in maps}):
         want = _per_key_regularizer_grads(params.M[fid], params.Minv[fid], gamma, kappa)
         for need in ((True, False), (False, True), (True, True)):
@@ -547,7 +549,7 @@ def test_any_worker_count_writes_the_one_thread_model(mode):
     assert model_bytes(4) == one
 
 
-def test_non_finite_gradient_aborts_with_diagnostics():
+def test_non_finite_gradient_aborts_with_diagnostics(monkeypatch):
     rng = np.random.default_rng(14)
     params = make_params(rng)
     params.V[0] = np.inf
@@ -556,6 +558,14 @@ def test_non_finite_gradient_aborts_with_diagnostics():
     with np.errstate(invalid="ignore"), pytest.raises(NonFiniteGradient) as err:
         step(params, *sample(1, (2, (ARG,), w("w2"))), cfg, 41)
     assert "step 41" in str(err.value)
+    # a vector gradient is checked before it is applied, also with no map to follow
+    before = params.copy()
+    for bad in (math.inf, math.nan):
+        g = np.ones(5)
+        g[3] = bad
+        with pytest.raises(NonFiniteGradient, match=r"^step 3: gradient for u\[1\] has norm (inf|nan)$"):
+            step_on(monkeypatch, params, cfg, 3, {("u", 1): g}, {}, [])
+        assert np.array_equal(params.U, before.U)
 
 
 def test_config_warns_on_large_matrix_lr():
@@ -588,10 +598,32 @@ def test_config_rejects_total_steps_below_one(total_steps):
 
 
 def test_config_accepts_total_steps_none_or_positive():
-    lr_at = importlib.import_module("dcsvec.train")._lr_at
+    lr_scale = importlib.import_module("dcsvec.train")._lr_scale
     assert TrainConfig().total_steps is None
     cfg = TrainConfig(lr_vec=0.1, total_steps=1)
+    assert [lr_scale(cfg, i) for i in (0, 1, 5)] == [1.0, 1.0 - 0.9, 1.0 - 0.9]
     assert [lr_at(0.1, cfg, i) for i in (0, 1, 5)] == [0.1, 0.1 * (1.0 - 0.9), 0.1 * (1.0 - 0.9)]
+
+
+def test_a_direct_step_without_total_steps_runs_at_the_initial_rates():
+    """`train()` fills in ``total_steps`` for the linear decay; a direct
+    `step` call whose config leaves it None steps at the initial learning
+    rates at any step index, as the constant schedule does."""
+    rng = np.random.default_rng(15)
+    params = make_params(rng, dim=6)
+    pos, noises = sample(2, (3, ("in", "on"), w("w2")))
+    linear = TrainConfig(dim=6)
+    assert linear.lr_schedule == "linear" and linear.total_steps is None
+    want = params.copy()
+    step(want, pos, noises, dataclasses.replace(linear, lr_schedule="constant"), 0)
+    for index in (0, 10**6):
+        got = params.copy()
+        step(got, pos, noises, linear, index)
+        for name in ("V", "U", "M", "Minv"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), (index, name)
+    decayed = params.copy()
+    step(decayed, pos, noises, dataclasses.replace(linear, total_steps=10), 10**6)
+    assert not np.array_equal(decayed.V, want.V)
 
 
 def test_stats_log_line_format():
@@ -716,6 +748,15 @@ def map_factors(terms):
     return out
 
 
+def lr_at(initial, config, step_index):
+    """The learning rate of step ``step_index``: linear decay to 10% of
+    ``initial`` over ``config.total_steps``; ``initial`` itself under the
+    constant schedule or while ``total_steps`` is None."""
+    if config.lr_schedule == "constant" or config.total_steps is None:
+        return initial
+    return initial * (1.0 - 0.9 * min(step_index / config.total_steps, 1.0))
+
+
 UNIT_ROUNDOFF = 2.0**-53
 
 
@@ -768,7 +809,6 @@ def oracle_step(params, pos, noises, config, step_index):
     clipped by np.linalg.norm and written back as float64 arithmetic cast
     to the table's dtype, each map applied from the oracle's factors.
     Returns the loss and the map keys."""
-    lr_at = importlib.import_module("dcsvec.train")._lr_at
     loss, grads, terms = dense_loss_and_gradients(params, pos, noises, config)
     factors = map_factors(terms)
     lr_v = lr_at(config.lr_vec, config, step_index)
@@ -841,13 +881,14 @@ def assert_same_gradients(got, want):
     """Two `loss_and_gradients` results are bitwise equal: the loss, the
     keys and their order, every vector gradient and every map factor."""
     assert got[0] == want[0]
-    assert list(got[1]) == list(want[1])
-    for key, g in want[1].items():
+    got_grads, want_grads = gradient_dict(got), gradient_dict(want)
+    assert list(got_grads) == list(want_grads)
+    for key, g in want_grads.items():
         if isinstance(g, list):
-            assert_same_factors(got[1][key], g, key)
+            assert_same_factors(got_grads[key], g, key)
         else:
-            assert got[1][key].dtype == g.dtype
-            assert np.array_equal(got[1][key], g), key
+            assert got_grads[key].dtype == g.dtype
+            assert np.array_equal(got_grads[key], g), key
 
 
 def assert_matches_dense_oracle(got, want):
@@ -856,7 +897,7 @@ def assert_matches_dense_oracle(got, want):
     order, the vector gradients, and each map's factors against the
     oracle's terms gathered by `map_factors`.  Each map's dense product of
     factors lies within `product_bound` of the oracle's dense gradient."""
-    loss, grads = got
+    loss, grads = got[0], gradient_dict(got)
     want_loss, want, terms = want
     assert loss == want_loss
     assert list(grads) == list(want)
@@ -910,12 +951,30 @@ def test_every_mode_matches_its_oracle_bitwise(mode, k, dtype):
         got = loss_and_gradients(params, pos, noises, cfg)
         assert_matches_dense_oracle(got, dense_loss_and_gradients(params, pos, noises, cfg))
         hop_counts.add(len(pos.hops))
-        ranks.update(len(pairs) for key, pairs in got[1].items() if key[0] in ("M", "Minv"))
+        ranks.update(len(pairs) for pairs in got[2].values())
     assert hop_counts == {1, 2, 3} and twice >= 10
     if mode == "no_matrix":
         assert not ranks  # no map key
     else:
         assert ranks[1] > len(cases) and ranks[2] >= 10
+
+
+def loop_edge_example(vocab, k):
+    """An edge case of `step`'s clip-and-apply pass, and its map slots in
+    `full`.  k = 1: slot 1's map Minv[SUBJ] and the boundary map Minv[COMP]
+    share the forward row rows[1], whose r.r the step computes once.
+    k = 3: M[ARG] sits at slots 0 and 2 and Minv[SUBJ] at 1 and 3, so both
+    take the k-pair norm."""
+    if k == 1:
+        example = id_example(vocab, w("w0"), w("w1"), ((ARG, SUBJ),), (2, (COMP,), w("w2")))
+        return example, {("M", FID[ARG]): [0], ("Minv", FID[SUBJ]): [1], ("Minv", FID[COMP]): [1]}
+    example = id_example(
+        vocab, w("w0"), w("w1"), ((ARG, SUBJ), (ARG, SUBJ)),
+        (2, (COMP, "in", "on"), w("w2")), (3, ("of", "to"), w("w3")), (4, ("at",), w("w1")),
+    )
+    slots = {("M", FID[ARG]): [0, 2], ("Minv", FID[SUBJ]): [1, 3], ("Minv", FID[COMP]): [1],
+             ("M", FID["of"]): [2], ("Minv", FID["at"]): [3]}
+    return example, slots
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -924,9 +983,9 @@ def test_step_updates_in_place_like_the_oracle(mode, dtype):
     """`step` against `oracle_step` with k = 1 and k = 3 noises, every table
     bitwise equal after every step.  Large scores and a large map rate, so
     gradients are clipped and the maps' bits move; some examples have a
-    field twice on the path or the first noise's boundary map on it; each
-    example runs twice in a row, so the second step reads the rows the
-    first just wrote."""
+    field twice on the path or the first noise's boundary map on it, and
+    the last ones are `loop_edge_example`'s; each example runs twice in a
+    row, so the second step reads the rows the first just wrote."""
     with pytest.warns(UserWarning):  # a matrix lr large enough to move the maps' bits
         cfg = TrainConfig(dim=6, lr_mat=0.05, gamma=0.02, kappa=0.005, mode=mode, total_steps=120)
     for k in (1, 3):
@@ -938,13 +997,19 @@ def test_step_updates_in_place_like_the_oracle(mode, dtype):
         expected = params.copy()
         hop_counts = set()
         index = twice = clipped = 0
-        for trial in range(60):
+        (edge_pos, edge_noises), edge_slots = loop_edge_example(vocab, k)
+        for trial in range(63):
             pos, noises = random_example(rng, vocab, k)
             if trial % 3 == 0 and len(pos.hops) >= 2:
                 pos, noises = field_twice_on_the_path(pos, noises)
                 twice += 1
             if trial % 2:
                 noises = boundary_noise_on_the_path(pos, noises)
+            if trial >= 60:
+                pos, noises = edge_pos, edge_noises
+                maps = loss_and_gradients(params, pos, noises, cfg)[2]
+                slots = {key: [j for j, _ in pairs] for key, pairs in maps.items()}
+                assert slots == ({} if mode == "no_matrix" else edge_slots)
             hop_counts.add(len(pos.hops))
             _, grads, _ = dense_loss_and_gradients(expected, pos, noises, cfg)
             clipped += any(
@@ -1016,7 +1081,7 @@ def test_every_step_runs_without_the_regularizer(mode, k):
         for cfg in others:
             assert_same_gradients(loss_and_gradients(params, pos, noises, cfg), want)
             got = params.copy()
-            assert step(got, pos, noises, cfg, index) == (want[0], map_keys(want[1]))
+            assert step(got, pos, noises, cfg, index) == (want[0], list(want[2]))
             for name in ("V", "U", "M", "Minv"):
                 assert np.array_equal(getattr(got, name), getattr(stepped, name)), (cfg, name)
         params = stepped
@@ -1031,11 +1096,7 @@ def test_no_inverse_is_read_by_a_direct_call():
     for _ in range(20):
         pos, noises = random_example(rng, vocab, 2)
         got = loss_and_gradients(params, pos, noises, no_inverse)
-        want = loss_and_gradients(params, pos, noises, full_without_gamma)
-        assert got[0] == want[0]
-        assert list(got[1]) == list(want[1])
-        for key in want[1]:
-            assert np.array_equal(got[1][key], want[1][key]), key
+        assert_same_gradients(got, loss_and_gradients(params, pos, noises, full_without_gamma))
 
 
 def block_rule_oracle_model(trees, vocab, cfg, block_trees):
@@ -1049,7 +1110,6 @@ def block_rule_oracle_model(trees, vocab, cfg, block_trees):
     subtracted at n times the map rate of the block's last step, n the
     number of the block's steps that touched the map.
     Returns the model bytes, the step count and the largest n."""
-    lr_at = importlib.import_module("dcsvec.train")._lr_at
     init_seq, walk_seq = np.random.SeedSequence(cfg.seed).spawn(2)
     params = init_params(vocab, cfg.dim, np.random.default_rng(init_seq))
     if cfg.mode == "no_matrix":
@@ -1169,7 +1229,7 @@ def test_regularize_maps_applies_each_counted_map_at_its_count():
     # ARG counted as M only, SUBJ as both maps, COMP as Minv only
     counts = {("M", FID[ARG]): 3, ("Minv", FID[SUBJ]): 1, ("M", FID[SUBJ]): 2, ("Minv", FID[COMP]): 2}
     train_module.regularize_maps(params, counts, cfg, 40)
-    lr = train_module._lr_at(cfg.lr_mat, cfg, 40)
+    lr = lr_at(cfg.lr_mat, cfg, 40)
     clipped = 0
     for (kind, fid), n in counts.items():
         inv = kind == "Minv"
@@ -1262,17 +1322,34 @@ def test_train_draws_noise_once_per_block_of_trees(monkeypatch):
     assert [e.mean_loss for e in stats.epochs] == pytest.approx(means, rel=1e-12)
 
 
-# --- map gradients as factors: products, norms, clipping, memory ----------
+# --- map gradients as factors: norms, clipping, order, memory -------------
+
+
+def step_on(monkeypatch, params, cfg, step_index, vectors, maps, rows):
+    """`step` applying the given gradients: `loss_and_gradients` answers
+    with them, so the clip-and-apply pass runs on chosen factors."""
+    train_module = importlib.import_module("dcsvec.train")
+    with monkeypatch.context() as patch:
+        patch.setattr(train_module, "loss_and_gradients", lambda *args: (0.0, vectors, maps, rows))
+        return step(params, None, [], cfg, step_index)
+
+
+def factor_params(d, table):
+    """A one-field model of dim d whose M[0] is ``table`` (float64)."""
+    params = make_params(np.random.default_rng(0), dim=d, n_words=2)
+    params.M = table[None].copy()
+    return params
 
 
 def test_factored_norm_matches_the_dense_norm():
-    """`_factored_norm` against np.linalg.norm of the factors' dense product.
-    Both squares lie within gamma(n) * S of the exact ||G||^2, where S is
+    """The clip norm that `step` takes from the factors (stated by
+    `factored_norm_oracle`, which `oracle_step` applies and `step` matches
+    bitwise) against np.linalg.norm of the factors' dense product.  Both
+    squares lie within gamma(n) * S of the exact ||G||^2, where S is
     ||G||^2 of the factors' absolute values: the factored sum rounds each
     entry of R R^T and C C^T (d products each), their product and the k^2
     sum; the dense route rounds each entry's k-term sum and the d^2-term
     sum of squares."""
-    factored_norm = importlib.import_module("dcsvec.train")._factored_norm
     rng = np.random.default_rng(71)
     vocab = make_vocab()
     cfg = TrainConfig(dim=6)
@@ -1283,12 +1360,12 @@ def test_factored_norm_matches_the_dense_norm():
     for pos, noises in examples:
         dim = int(rng.integers(2, 30))
         params = make_params(rng, dim=dim)
-        for key, pairs in loss_and_gradients(params, pos, noises, cfg)[1].items():
+        for key, pairs in gradient_dict(loss_and_gradients(params, pos, noises, cfg)).items():
             if key[0] not in ("M", "Minv"):
                 continue
             k = len(pairs)
             ranks[k] += 1
-            got = factored_norm(pairs)
+            got = factored_norm_oracle(pairs)
             want = float(np.linalg.norm(dense_gradient(pairs)))
             S = np.linalg.norm(dense_gradient([(np.abs(r), np.abs(c)) for r, c in pairs])) ** 2
             assert abs(got**2 - want**2) <= gamma(dim * dim + 2 * dim + k * k + 3 * k + 8) * S, (key, k)
@@ -1299,83 +1376,108 @@ def test_factored_norm_matches_the_dense_norm():
 
 
 @pytest.mark.parametrize("rank", [1, 2])
-def test_factored_update_below_at_and_above_the_clip(rank):
-    descend = importlib.import_module("dcsvec.train")._descend_factors
+def test_factored_update_below_at_and_above_the_clip(rank, monkeypatch):
+    """`step` applies a map's factors at lr * min(1, clip / norm)."""
     d = 6
     r = np.array([3.0, 4.0, 0.0, 0.0, 0.0, 0.0])
     c = np.array([0.0, 1.0, 0.0, 0.0, 0.0, 0.0])
-    pairs = [(r, c)] if rank == 1 else [(r, c), (np.array([0.0, 0.0, 4.0, 0.0, 0.0, 3.0]), c)]
+    rows = [r, np.array([0.0, 0.0, 4.0, 0.0, 0.0, 3.0])]
+    pairs = [(0, c)] if rank == 1 else [(0, c), (1, c)]
     norm = 5.0 * math.sqrt(rank)  # exact for rank 1; the second pair is orthogonal to the first
     lr = 0.5
+
+    def config(clip):
+        with pytest.warns(UserWarning):  # a matrix lr far above the warning level
+            return TrainConfig(dim=d, lr_mat=lr, clip_norm_mat=clip, lr_schedule="constant")
+
     for clip, s in ((2 * norm, lr), (norm, lr), (norm / 4, lr * ((norm / 4) / norm))):
-        table = np.zeros((d, d))
-        descend(table, pairs, lr, clip, "step 0", ("M", 0))
+        params = factor_params(d, np.zeros((d, d)))
+        assert step_on(monkeypatch, params, config(clip), 0, {}, {("M", 0): pairs}, rows) == (0.0, [("M", 0)])
         want = np.zeros((d, d))
-        for pr, pc in pairs:
-            want -= (s * pr)[:, None] * pc[None, :]
-        assert np.array_equal(table, want), clip
-        assert abs(np.linalg.norm(table) - lr * min(norm, clip)) <= 1e-15 * norm
+        for j, pc in pairs:
+            want -= (s * rows[j])[:, None] * pc[None, :]
+        assert np.array_equal(params.M[0], want), clip
+        assert abs(np.linalg.norm(params.M[0]) - lr * min(norm, clip)) <= 1e-15 * norm
     # random factors: the applied update has norm lr * min(norm, clip)
     rng = np.random.default_rng(72)
     for _ in range(50):
-        pairs = [(rng.standard_normal(d), rng.standard_normal(d)) for _ in range(rank)]
-        norm = float(np.linalg.norm(dense_gradient(pairs)))
+        rows = [rng.standard_normal(d) for _ in range(rank)]
+        pairs = [(j, rng.standard_normal(d)) for j in range(rank)]
+        norm = float(np.linalg.norm(dense_gradient([(rows[j], pc) for j, pc in pairs])))
         for clip in (norm / 3, norm * 3):
-            table = rng.standard_normal((d, d))
-            before = table.copy()
-            descend(table, pairs, lr, clip, "step 0", ("M", 0))
-            assert abs(np.linalg.norm(before - table) - lr * min(norm, clip)) <= 1e-12 * norm
+            before = rng.standard_normal((d, d))
+            params = factor_params(d, before)
+            step_on(monkeypatch, params, config(clip), 0, {}, {("M", 0): pairs}, rows)
+            assert abs(np.linalg.norm(before - params.M[0]) - lr * min(norm, clip)) <= 1e-12 * norm
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
 @pytest.mark.parametrize("rank", [1, 2])
 @pytest.mark.parametrize("side", ["row", "column"])
-def test_a_non_finite_factor_is_a_non_finite_gradient(bad, rank, side):
-    descend = importlib.import_module("dcsvec.train")._descend_factors
+def test_a_non_finite_factor_is_a_non_finite_gradient(bad, rank, side, monkeypatch):
     rng = np.random.default_rng(73)
-    pairs = [(rng.standard_normal(5), rng.standard_normal(5)) for _ in range(rank)]
-    pairs[-1][0 if side == "row" else 1][2] = bad
-    table = rng.standard_normal((5, 5))
-    before = table.copy()
+    params = make_params(rng, dim=5)
+    before = params.copy()
+    rows = [rng.standard_normal(5) for _ in range(rank)]
+    pairs = [(j, rng.standard_normal(5)) for j in range(rank)]
+    (rows[-1] if side == "row" else pairs[-1][1])[2] = bad
+    cfg = TrainConfig(dim=5, lr_mat=0.0001, clip_norm_mat=0.1)
     with np.errstate(invalid="ignore", over="ignore"), pytest.raises(
         NonFiniteGradient, match=r"^step 3: gradient for Minv\[2\] has norm (inf|nan)$"
     ):
-        descend(table, pairs, 0.1, 0.1, "step 3", ("Minv", 2))
-    assert np.array_equal(table, before)  # nothing is applied
+        step_on(monkeypatch, params, cfg, 3, {}, {("Minv", 2): pairs}, rows)
+    assert np.array_equal(params.Minv, before.Minv)  # nothing is applied
 
 
-def test_step_returns_the_map_keys_it_applies():
+def test_step_returns_the_map_keys_it_applies(monkeypatch):
+    """`step` returns the map keys of `loss_and_gradients`, in order, and
+    applies them in that order: with key p's gradient made non-finite, the
+    step raises after updating exactly the keys before p."""
     rng = np.random.default_rng(74)
     vocab = make_vocab()
+    train_module = importlib.import_module("dcsvec.train")
+    real = train_module.loss_and_gradients
     for mode in MODES:
         cfg = TrainConfig(dim=6, mode=mode, lr_schedule="constant")
         for _ in range(30):
             params = make_params(rng, dim=6)
             pos, noises = random_example(rng, vocab, int(rng.integers(1, 4)))
-            _, grads = loss_and_gradients(params, pos, noises, cfg)
+            keys = list(real(params, pos, noises, cfg)[2])
             before = params.copy()
             _, maps = step(params, pos, noises, cfg, 0)
-            assert maps == map_keys(grads)
+            assert maps == keys
             assert {(fid, kind == "Minv") for kind, fid in maps} == updated_maps(pos, noises, mode)
-            changed = {
-                (name, fid)
-                for name in ("M", "Minv")
-                for fid in range(len(FIELDS))
-                if not np.array_equal(getattr(params, name)[fid], getattr(before, name)[fid])
-            }
-            assert changed == set(maps)
+            assert changed_maps(before, params) == set(maps)
+            for p, key in enumerate(keys):
+                result = real(before, pos, noises, cfg)
+                result[2][key][0][1][0] = math.nan
+                got = before.copy()
+                with pytest.raises(NonFiniteGradient, match=rf"gradient for {key[0]}\[{key[1]}\]"):
+                    step_on(monkeypatch, got, cfg, 0, *result[1:])
+                assert changed_maps(before, got) == set(keys[:p]), (mode, p)
 
 
-def test_train_runs_step_maps_once_per_step(monkeypatch):
+def changed_maps(before, after):
+    return {
+        (name, fid)
+        for name in ("M", "Minv")
+        for fid in range(len(before.M))
+        if not np.array_equal(getattr(after, name)[fid], getattr(before, name)[fid])
+    }
+
+
+def test_train_runs_loss_and_gradients_once_per_step(monkeypatch):
+    """One forward/backward per step: `step` calls `loss_and_gradients`
+    once and `train()` no more."""
     train_module = importlib.import_module("dcsvec.train")
-    real_step_maps = train_module.step_maps
+    real = train_module.loss_and_gradients
     calls = []
 
-    def counting_step_maps(*args):
+    def counting(*args):
         calls.append(args)
-        return real_step_maps(*args)
+        return real(*args)
 
-    monkeypatch.setattr(train_module, "step_maps", counting_step_maps)
+    monkeypatch.setattr(train_module, "loss_and_gradients", counting)
     trees = toy_corpus() * 3
     _, stats = train(trees, build_vocab(trees, 1, 1), TrainConfig(dim=6, epochs=2, seed=4))
     assert len(calls) == stats.total_steps > 0
@@ -1398,3 +1500,18 @@ def test_one_dim_250_step_allocates_about_one_map():
         tracemalloc.stop()
     assert len(maps) == 3
     assert peak < 1.5 * d * d * 8, peak / (d * d * 8)
+
+
+def test_step_timing_script_runs_at_a_tiny_size(tmp_path, capsys):
+    """`tests/step_timing.py` at a tiny size: one line per dim, and the JSON
+    block with a step count, CPU times, dot calls and the model's SHA-256."""
+    step_timing = importlib.import_module("step_timing")
+    out = tmp_path / "timing.json"
+    assert step_timing.main(["--sentences", "40", "--dims", "3", "4", "--repeats", "2", "--json", str(out)]) == 0
+    assert [line.split(":")[0] for line in capsys.readouterr().out.splitlines()] == ["dim 3", "dim 4"]
+    block = json.loads(out.read_text(encoding="utf-8"))
+    assert [row["dim"] for row in block["dims"]] == [3, 4]
+    for row in block["dims"]:
+        assert row["steps"] > 0 and row["step_us"] > 0 and row["train_us_per_step"] >= row["step_us"]
+        assert row["dot_calls_per_step"] > 5 and len(row["sha256"]) == 64
+    assert importlib.import_module("dcsvec.train").step is step  # the wrappers are gone
