@@ -10,7 +10,7 @@ set-theoretic oracle backs the property tests.
 from .errors import DcsvecError
 from .logic import Database, DbTuple, denotation_of_tree, path_denotation, project, restrict_by_child
 from .model import ModelParams, compose_query, init_params, load_model, nearest_answers, normalize, path_score, save_model
-from .trees import ARG, COMP, SUBJ, UNKNOWN_FIELD, DcsTree, Edge, TreePath, Word, enumerate_paths
+from .trees import ARG, COMP, SUBJ, UNKNOWN_FIELD, DcsTree, Edge, TreePath, Word, path_masses
 # the function train() is not re-exported, so `dcsvec.train` stays the module
 from .train import TrainConfig, TrainStats, regularizer_grads, step
 from .ud import UdSentence, UdToken, parse_conllu, ud_to_dcs

@@ -218,9 +218,9 @@ class AnswerIndex:
     """U rounded to float32 with rows ordered by (POS, vocabulary index):
     the rows of one tag are the contiguous range ``spans[tag]`` of
     ``table``, and ``rows`` holds the vocabulary index of each table row.
-    ``max_norm`` is the largest 2-norm of a row of U and ``span_norms[tag]``
-    the largest in that tag's span, each over the rows whose norm is finite;
-    they bound the error of the float32 scores of those rows.  A row whose
+    ``span_norms[tag]`` is the largest 2-norm of a row of U in that tag's
+    span, over the rows whose norm is finite; it bounds the error of the
+    float32 scores of those rows, and the largest bounds all rows.  A row whose
     norm is not finite (a NaN, an inf, or squares that overflow) holds a
     float32 entry that is not finite, so its float32 score is not finite
     either."""
@@ -228,7 +228,6 @@ class AnswerIndex:
     table: np.ndarray  # (n_words, dim) float32
     rows: np.ndarray  # (n_words,) int64
     spans: dict  # POS tag -> (start, stop)
-    max_norm: float
     span_norms: dict  # POS tag -> largest finite row norm of its span
 
 
@@ -251,7 +250,7 @@ def build_answer_index(params: ModelParams) -> AnswerIndex:
     norms[~np.isfinite(norms)] = 0.0
     span_norms = {t: float(norms[start:stop].max()) for t, (start, stop) in spans.items()}
     table.flags.writeable = rows.flags.writeable = False
-    return AnswerIndex(table, rows, spans, float(norms.max(initial=0.0)), span_norms)
+    return AnswerIndex(table, rows, spans, span_norms)
 
 
 def answer_index(params: ModelParams) -> AnswerIndex:
@@ -307,7 +306,7 @@ def nearest_answers(
     with np.errstate(over="ignore", invalid="ignore"):
         if k < len(rows):
             d = params.dim
-            max_norm = index.max_norm if pos_filter is None else index.span_norms[pos_filter]
+            max_norm = max(index.span_norms.values()) if pos_filter is None else index.span_norms[pos_filter]
             tol = (2 * (d + 2) * _EPS32 * (max_norm + _TINY32) * (np.sqrt(q @ q) + _TINY32)
                    + d * _TINY32)
             coarse = index.table[start:stop] @ q.astype(np.float32)

@@ -58,7 +58,7 @@ import numpy as np
 
 from .errors import EmptyCorpus, InvalidConfig, NonFiniteGradient
 from .model import ModelParams, identity_maps, init_params
-from .trees import DcsTree, enumerate_paths
+from .trees import DcsTree, path_masses
 from .vocab import PathSample, Vocabulary, sample_paths
 
 MODES = ("full", "no_matrix", "no_inverse")
@@ -467,8 +467,9 @@ class TrainStats:
 
 
 def expected_steps_per_epoch(trees: list[DcsTree]) -> float:
-    """Expected sampled-path count for one pass: the sum of path weights."""
-    return sum(p.weight for t in trees if t.n_nodes >= 2 for p in enumerate_paths(t))
+    """Expected sampled-path count for one pass: the exact sum of path
+    weights, rounded once."""
+    return float(sum(m for t in trees for m in path_masses(t)[0]))
 
 
 def train(

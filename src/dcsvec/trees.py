@@ -1,9 +1,9 @@
 """Semantic tree data model.
 
 A tree node is a content word (lemma plus coarse POS); every edge carries
-two field labels, one for each end.  The module also provides path
-enumeration with exact rational weights, and the one-tree-per-line text
-format used between pipeline stages.
+two field labels, one for each end.  The module also provides paths
+with exact rational weights, their summed masses per node and per edge,
+and the one-tree-per-line text format used between pipeline stages.
 
 Path weights follow the degrade-long-paths rule: a path through
 intermediate nodes of degrees n_1..n_k has weight prod(1 / (n_i - 1)),
@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import permutations
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import parse_lines, text_lines
@@ -150,8 +151,9 @@ class TreePath:
     def __post_init__(self):
         if not self.hops:
             raise ValueError("path needs at least one hop")
-        if not 0.0 < self.weight <= 1.0:
-            raise ValueError(f"weight must be in (0, 1], got {self.weight}")
+        # 0.0 is the rounding of a weight below the smallest float
+        if not 0.0 <= self.weight <= 1.0:
+            raise ValueError(f"weight must be in [0, 1], got {self.weight}")
 
 
 def path_nodes(tree: DcsTree, start: int, end: int) -> list[int]:
@@ -196,14 +198,20 @@ def tree_path(tree: DcsTree, start: int, end: int) -> TreePath:
     return TreePath(start, end, hops, float(exact_path_weight(tree, nodes)))
 
 
-def enumerate_paths(tree: DcsTree) -> list[TreePath]:
-    """All n*(n-1) ordered node-pair paths with their exact weights."""
-    out = []
-    for a in range(tree.n_nodes):
-        for b in range(tree.n_nodes):
-            if a != b:
-                out.append(tree_path(tree, a, b))
-    return out
+def path_masses(tree: DcsTree) -> tuple[list[Fraction], list[Fraction]]:
+    """Exact masses of the n*(n-1) ordered node-pair paths: the summed
+    weight of the paths ending at each node, and the summed weight of the
+    paths traversing each edge of ``tree.edges``, in that order."""
+    endpoint = [Fraction(0)] * tree.n_nodes
+    through = [Fraction(0)] * tree.n_nodes  # by the child end of the edge
+    for a, b in permutations(range(tree.n_nodes), 2):
+        nodes = path_nodes(tree, a, b)
+        w = exact_path_weight(tree, nodes)
+        endpoint[b] += w
+        for u, v in zip(nodes, nodes[1:]):
+            e = tree.parent_edge(v)
+            through[v if e is not None and e.parent == u else u] += w
+    return endpoint, [through[e.child] for e in tree.edges]
 
 
 def lca(tree: DcsTree, a: int, b: int) -> int:

@@ -2,12 +2,12 @@
 random-walk path sampler.
 
 Word counts are expected path-endpoint frequencies (the exact sum of
-weights of enumerated paths ending at the word), field counts are
-weighted edge-traversal frequencies; both are accumulated in exact
-rational arithmetic so threshold tests are sharp.  Words under the word
-threshold collapse to one placeholder per POS, prepositions under the
-preposition threshold collapse to one placeholder field; ARG/SUBJ/COMP
-are never collapsed.
+weights of the paths ending at the word), field counts are weighted
+edge-traversal frequencies; both come from ``trees.path_masses`` in
+exact rational arithmetic so threshold tests are sharp.  Words under the
+word threshold collapse to one placeholder per POS, prepositions under
+the preposition threshold collapse to one placeholder field;
+ARG/SUBJ/COMP are never collapsed.
 
 ``Vocabulary.word_id``/``field_id`` are the one name-to-row index and
 hold the placeholder rule; training examples carry their row ids.
@@ -21,6 +21,7 @@ weight exactly.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -37,9 +38,7 @@ from .trees import (
     FieldId,
     Word,
     check_field_name,
-    exact_path_weight,
-    hop_fields,
-    path_nodes,
+    path_masses,
     unknown_word,
 )
 
@@ -147,44 +146,29 @@ def build_vocab(
     rare-word / rare-preposition thresholds."""
     if not (word_min >= 1 and prep_min >= 1):
         raise InvalidConfig(f"thresholds must be >= 1, got word_min={word_min} prep_min={prep_min}")
-    word_acc: dict[Word, Fraction] = {}
-    field_acc: dict[FieldId, Fraction] = {}
-    saw_tree = False
+    word_acc: dict[Word, Fraction] = defaultdict(Fraction)
+    field_acc: dict[FieldId, Fraction] = defaultdict(Fraction)
     for tree in trees:
-        saw_tree = True
-        n = tree.n_nodes
-        if n < 2:
+        if tree.n_nodes < 2:
             continue
-        for a in range(n):
-            for b in range(n):
-                if a == b:
-                    continue
-                nodes = path_nodes(tree, a, b)
-                w = exact_path_weight(tree, nodes)
-                end_word = tree.words[b]
-                word_acc[end_word] = word_acc.get(end_word, Fraction(0)) + w
-                for u, v in zip(nodes, nodes[1:]):
-                    near, far = hop_fields(tree, u, v)
-                    field_acc[near] = field_acc.get(near, Fraction(0)) + w
-                    field_acc[far] = field_acc.get(far, Fraction(0)) + w
-    if not saw_tree or not word_acc:
+        endpoint, traversal = path_masses(tree)
+        for word, m in zip(tree.words, endpoint):
+            word_acc[word] += m
+        for e, m in zip(tree.edges, traversal):
+            field_acc[e.parent_field] += m
+            field_acc[e.child_field] += m
+    if not word_acc:
         raise EmptyCorpus("no multi-node trees in the corpus")
 
-    words: dict[Word, Fraction] = {unknown_word(pos): Fraction(0) for pos in POS_TAGS}
+    words = defaultdict(Fraction, {unknown_word(pos): Fraction(0) for pos in POS_TAGS})
     for w, c in word_acc.items():
-        if c >= word_min and w.lemma != unknown_word(w.pos).lemma:
-            words[w] = words.get(w, Fraction(0)) + c
-        else:
-            unk = unknown_word(w.pos)
-            words[unk] += c
+        kept = c >= word_min and w != unknown_word(w.pos)
+        words[w if kept else unknown_word(w.pos)] += c
 
-    fields: dict[FieldId, Fraction] = {f: Fraction(0) for f in CORE_FIELDS}
-    fields[UNKNOWN_FIELD] = Fraction(0)
+    fields = defaultdict(Fraction, dict.fromkeys(CORE_FIELDS + (UNKNOWN_FIELD,), Fraction(0)))
     for f, c in field_acc.items():
-        if f in CORE_FIELDS or (f != UNKNOWN_FIELD and c >= prep_min):
-            fields[f] = fields.get(f, Fraction(0)) + c
-        else:
-            fields[UNKNOWN_FIELD] += c
+        kept = f in CORE_FIELDS or (f != UNKNOWN_FIELD and c >= prep_min)
+        fields[f if kept else UNKNOWN_FIELD] += c
 
     word_order = sorted(words, key=lambda w: (-words[w], w.lemma, w.pos))
     prep_order = sorted(

@@ -2,11 +2,13 @@
 
 The oracles deliberately avoid the package's evaluation code paths:
 denotations are checked by enumerating full tuple assignments, path
-chains by enumerating tuple sequences, and compositions from any node
-by building the re-rooted subtree and composing it over child edges.
+chains by enumerating tuple sequences, path masses by enumerating every
+ordered node pair's path, and compositions from any node by building
+the re-rooted subtree and composing it over child edges.
 """
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 
@@ -14,7 +16,7 @@ from dcsvec.evaluate import CompletionItem
 from dcsvec.logic import Database, DbTuple
 from dcsvec.model import init_params
 from dcsvec.train import NoisedExample, TrainConfig, loss_and_gradients
-from dcsvec.trees import ARG, COMP, SUBJ, DcsTree, Edge, Word, hop_fields, path_nodes
+from dcsvec.trees import ARG, COMP, SUBJ, DcsTree, Edge, TreePath, Word, hop_fields, path_nodes, tree_path
 from dcsvec.ud import UdSentence, UdToken
 from dcsvec.vocab import PathSample, Vocabulary, _walk_trajectories
 
@@ -212,6 +214,45 @@ def sample_path_counts(tree, rng, epochs, chunk=20000) -> np.ndarray:
             counts += np.bincount(base[valid] + nodes[valid], minlength=n * n)
         done += batch
     return counts.reshape(n, n)
+
+
+def enumerate_paths(tree: DcsTree) -> list[TreePath]:
+    """All n*(n-1) ordered node-pair paths with their exact weights."""
+    out = []
+    for a in range(tree.n_nodes):
+        for b in range(tree.n_nodes):
+            if a != b:
+                out.append(tree_path(tree, a, b))
+    return out
+
+
+def exact_path_sums(tree: DcsTree) -> tuple[list[Fraction], list[Fraction]]:
+    """The summed weight of the `enumerate_paths` paths ending at each
+    node, and of those traversing each edge (in ``tree.edges`` order), with
+    each path's nodes found by a breadth-first search from its start and
+    its weight recomputed exactly from them."""
+    edge_of = {frozenset((e.parent, e.child)): i for i, e in enumerate(tree.edges)}
+    endpoint = [Fraction(0)] * tree.n_nodes
+    traversal = [Fraction(0)] * len(tree.edges)
+    for path in enumerate_paths(tree):
+        back = {path.start: None}
+        queue = [path.start]
+        for node in queue:
+            for nb in tree.neighbors(node):
+                if nb not in back:
+                    back[nb] = node
+                    queue.append(nb)
+        nodes = [path.end]
+        while nodes[-1] != path.start:
+            nodes.append(back[nodes[-1]])
+        weight = Fraction(1)
+        for node in nodes[1:-1]:
+            weight /= tree.degree(node) - 1
+        assert float(weight) == path.weight and len(path.hops) == len(nodes) - 1
+        endpoint[path.end] += weight
+        for u, v in zip(nodes, nodes[1:]):
+            traversal[edge_of[frozenset((u, v))]] += weight
+    return endpoint, traversal
 
 
 def reroot(tree: DcsTree, new_root: int) -> DcsTree:

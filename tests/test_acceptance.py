@@ -38,13 +38,14 @@ from dcsvec.train import (
     step,
     train,
 )
-from dcsvec.trees import Word, enumerate_paths
+from dcsvec.trees import Word
 from dcsvec.ud import convert_sentence, parse_conllu_file
 from dcsvec.vocab import Vocabulary, build_vocab
 from dcsvec.cli import parse_tree_literal
 from helpers import (
     brute_force_denotation,
     dense_gradient,
+    enumerate_paths,
     gradient_dict,
     id_example,
     nce_loss,

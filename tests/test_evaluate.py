@@ -35,7 +35,7 @@ from dcsvec.model import compose_query, init_params
 from dcsvec.trees import ARG, COMP, SUBJ, DcsTree, Edge, Word, lca, unknown_word
 from dcsvec.ud import UdSentence, UdToken, coarse_pos, node_word, sharing_class
 from dcsvec.vocab import Vocabulary
-from helpers import child_edge_compose, extract_subtree, long_completion_item, random_tree, random_tree_model, reroot
+from helpers import child_edge_compose, enumerate_paths, extract_subtree, long_completion_item, random_tree, random_tree_model, reroot
 
 
 def w(lemma, pos="N"):
@@ -445,7 +445,6 @@ def test_completion_score_order_invariance():
     item = completion_item()
     from dcsvec.ud import convert_sentence
     from dcsvec.model import path_score
-    from dcsvec.trees import enumerate_paths
 
     conv = convert_sentence(_fill_blank(item, w("bread")))
     node = conv.node_of_token(5)
@@ -575,7 +574,6 @@ def enumerate_all_completion_score(params, item, candidate, weighted=True, stric
     """Slow-path oracle: enumerate all n(n-1) paths of the filled tree and
     keep those that end at the blank."""
     from dcsvec.model import path_score
-    from dcsvec.trees import enumerate_paths
     from dcsvec.ud import convert_sentence
 
     conv = convert_sentence(fill_blank_oracle(item, candidate))

@@ -11,10 +11,11 @@ from dcsvec.logic import (
     project,
     restrict_by_child,
 )
-from dcsvec.trees import ARG, COMP, SUBJ, DcsTree, Edge, Word, enumerate_paths, tree_path
+from dcsvec.trees import ARG, COMP, SUBJ, DcsTree, Edge, Word, tree_path
 from helpers import (
     brute_force_denotation,
     brute_force_path,
+    enumerate_paths,
     random_db_for_tree,
     random_tree,
 )

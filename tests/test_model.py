@@ -704,7 +704,7 @@ def test_a_non_finite_row_keeps_the_screen_on_the_other_spans(monkeypatch):
     index = model_mod.answer_index(params)
     finite = np.sqrt(np.sum(params.U.astype(np.float64) ** 2, axis=1))
     finite[[5, 7]] = 0.0
-    assert index.max_norm == pytest.approx(finite.max(), rel=1e-15)
+    assert max(index.span_norms.values()) == pytest.approx(finite.max(), rel=1e-15)
     for tag in ("N", "V"):
         start, stop = index.spans[tag]
         assert index.span_norms[tag] == pytest.approx(finite[index.rows[start:stop]].max(), rel=1e-15)
@@ -758,13 +758,13 @@ def test_answer_index_orders_rows_by_pos_then_vocabulary_index():
     assert np.array_equal(index.table, params.U[index.rows], equal_nan=True)
     norms = np.sqrt(np.sum(params.U.astype(np.float64) ** 2, axis=1))
     assert math.isnan(norms[7])  # row 7 of U is NaN: the bounds are over the other rows
-    assert index.max_norm == np.nanmax(norms)
+    assert max(index.span_norms.values()) == np.nanmax(norms)
     for tag, (start, stop) in index.spans.items():
         span = [r for r in index.rows[start:stop].tolist() if r != 7]
         assert index.span_norms[tag] == (norms[span].max() if span else 0.0)
     params.U[7] = 3.0  # a writeable U is indexed afresh
     norms = np.sqrt(np.sum(params.U.astype(np.float64) ** 2, axis=1))
-    assert abs(model_mod.answer_index(params).max_norm - norms.max()) <= 1e-15 * norms.max()
+    assert abs(max(model_mod.answer_index(params).span_norms.values()) - norms.max()) <= 1e-15 * norms.max()
     U = params.U.astype(np.float64) * (1 + 2.0 ** -40)  # float64 rows that float32 rounds
     U[3] = 1e100  # past float32 range: inf in the table, its float64 norm stored
     index = model_mod.answer_index(ModelParams(params.dim, params.vocab, params.V, U, params.M, params.Minv))
@@ -772,7 +772,7 @@ def test_answer_index_orders_rows_by_pos_then_vocabulary_index():
     kept = index.rows != 3
     assert np.array_equal(index.table[kept], U[index.rows[kept]].astype(np.float32))
     assert np.isposinf(index.table[index.rows == 3]).all()
-    assert index.max_norm == pytest.approx(1e100 * math.sqrt(params.dim), rel=1e-12)
+    assert max(index.span_norms.values()) == pytest.approx(1e100 * math.sqrt(params.dim), rel=1e-12)
     tags = sorted({word.pos for word in params.words})
     bounds = [index.spans[tag] for tag in tags]
     assert sorted(index.spans) == tags

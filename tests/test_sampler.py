@@ -10,13 +10,12 @@ from dcsvec.trees import (
     DcsTree,
     Edge,
     Word,
-    enumerate_paths,
     hop_fields,
     unknown_word,
 )
 from dcsvec.ud import convert_sentence, parse_conllu_file
 from dcsvec.vocab import _walk_trajectories, build_vocab, sample_paths
-from helpers import random_tree, reroot, sample_path_counts
+from helpers import enumerate_paths, random_tree, reroot, sample_path_counts
 
 
 def w(lemma, pos="N"):

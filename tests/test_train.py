@@ -16,6 +16,7 @@ from dcsvec.model import ModelParams, identity_maps, init_params, save_model
 from dcsvec.train import (
     MODES,
     TrainConfig,
+    expected_steps_per_epoch,
     loss_and_gradients,
     make_noise,
     regularizer_grads,
@@ -27,6 +28,8 @@ from dcsvec.trees import ARG, COMP, SUBJ, DcsTree, Edge, Word
 from dcsvec.vocab import Vocabulary, build_vocab, sample_paths
 from helpers import (
     dense_gradient,
+    enumerate_paths,
+    exact_path_sums,
     gradient_dict,
     id_example,
     nce_loss,
@@ -624,6 +627,24 @@ def test_a_direct_step_without_total_steps_runs_at_the_initial_rates():
     decayed = params.copy()
     step(decayed, pos, noises, dataclasses.replace(linear, total_steps=10), 10**6)
     assert not np.array_equal(decayed.V, want.V)
+
+
+def test_expected_steps_are_the_exact_path_mass_rounded_once(monkeypatch):
+    """`expected_steps_per_epoch` is the exact sum of the path weights,
+    rounded to float once; `train()` decays over the ceiling of epochs
+    times that float."""
+    rng = np.random.default_rng(1)
+    trees = [random_tree(rng, int(rng.integers(15, 34))) for _ in range(6)]
+    exact = sum(sum(exact_path_sums(tree)[0]) for tree in trees)
+    # rounding each path's, node's or tree's mass before summing drifts
+    # from the exact total on this corpus
+    assert sum(p.weight for tree in trees for p in enumerate_paths(tree)) != float(exact)
+    assert expected_steps_per_epoch(trees + [DcsTree((w("alone"),), 0, ())]) == float(exact)
+    train_mod = importlib.import_module("dcsvec.train")
+    lr_scale, decays_over = train_mod._lr_scale, set()
+    monkeypatch.setattr(train_mod, "_lr_scale", lambda cfg, i: decays_over.add(cfg.total_steps) or lr_scale(cfg, i))
+    train(trees, build_vocab(trees, 1, 1), TrainConfig(dim=4, epochs=2, seed=3))
+    assert decays_over == {math.ceil(2 * float(exact))}
 
 
 def test_stats_log_line_format():

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -12,16 +13,16 @@ from dcsvec.trees import (
     Edge,
     TreePath,
     Word,
-    enumerate_paths,
     exact_path_weight,
     hop_fields,
     lca,
+    path_masses,
     path_nodes,
     read_trees,
     tree_to_line,
     tree_path,
 )
-from helpers import extract_subtree, random_tree, reroot
+from helpers import enumerate_paths, exact_path_sums, extract_subtree, random_tree, reroot
 
 
 def w(lemma, pos="N"):
@@ -119,10 +120,57 @@ def test_exact_weights_are_rational():
 def test_treepath_invariants():
     with pytest.raises(ValueError):
         TreePath(0, 1, (), 1.0)
-    with pytest.raises(ValueError):
-        TreePath(0, 1, ((ARG, ARG),), 0.0)
-    with pytest.raises(ValueError):
-        TreePath(0, 1, ((ARG, ARG),), 1.5)
+    for bad in (-0.5, -5e-324, math.nan, 1.5):
+        with pytest.raises(ValueError):
+            TreePath(0, 1, ((ARG, ARG),), bad)
+    assert TreePath(0, 1, ((ARG, ARG),), 0.0).weight == 0.0
+
+
+def test_a_weight_below_the_smallest_float_rounds_to_zero():
+    # caterpillar: a 1,100-node spine with one leaf on each spine node; the
+    # leaf-to-leaf path passes 1,098 spine nodes of degree 3
+    spine = 1100
+    words = tuple(w(f"s{i}") for i in range(spine)) + tuple(w(f"l{i}") for i in range(spine))
+    edges = [Edge(i, i + 1, ARG, ARG) for i in range(spine - 1)]
+    edges += [Edge(i, spine + i, ARG, "of") for i in range(spine)]
+    tree = DcsTree(words, 0, tuple(edges))
+    start, end = spine, 2 * spine - 1
+    assert exact_path_weight(tree, path_nodes(tree, start, end)) == Fraction(1, 2**1098)
+    path = tree_path(tree, start, end)
+    assert path.weight == 0.0 and len(path.hops) == spine + 1
+
+
+def star(n_leaves):
+    words = (w("hub", "V"),) + tuple(w(f"x{i}") for i in range(n_leaves))
+    return DcsTree(words, 0, tuple(Edge(0, i, SUBJ, ARG) for i in range(1, n_leaves + 1)))
+
+
+def test_path_masses_equal_the_enumerated_exact_sums():
+    rng = np.random.default_rng(4)
+    # stars and chains, a degree-4 hub inside a chain (weights in thirds),
+    # and random trees of 2-8 and of 15-33 nodes
+    hub = DcsTree(
+        tuple(w(x) for x in "abcdefg"),
+        0,
+        (Edge(0, 1, ARG, ARG), Edge(1, 2, "in", ARG), Edge(1, 3, COMP, ARG),
+         Edge(1, 4, "of", SUBJ), Edge(4, 5, ARG, ARG), Edge(5, 6, ARG, ARG)),
+    )
+    trees = [star(k) for k in range(1, 7)] + [chain(*"abcdefgh"[:k]) for k in range(2, 9)] + [hub]
+    trees += [random_tree(rng, int(rng.integers(2, 9))) for _ in range(30)]
+    trees += [random_tree(rng, int(rng.integers(15, 34))) for _ in range(8)]
+    assert any(tree.degree(node) == 4 for tree in trees[-8:] for node in range(tree.n_nodes))
+    for tree in trees:
+        endpoint, traversal = path_masses(tree)
+        assert (endpoint, traversal) == exact_path_sums(tree)
+        assert all(type(m) is Fraction for m in endpoint + traversal)
+    # leaf 2 of the degree-4 hub: one path from the hub, five through it
+    endpoint, traversal = path_masses(hub)
+    assert endpoint[2] == 1 + 5 * Fraction(1, 3)
+    assert traversal[1] == 2 * endpoint[2]  # edge 1-2 carries the paths into and out of leaf 2
+
+
+def test_path_masses_of_a_single_node_are_empty():
+    assert path_masses(DcsTree((w("alone"),), 0, ())) == ([Fraction(0)], [])
 
 
 def test_reroot_identity_and_involution():

@@ -1,7 +1,10 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from scipy import stats
 
+import worldgen
 from dcsvec.errors import (
     BadMagic,
     EmptyCorpus,
@@ -12,17 +15,33 @@ from dcsvec.errors import (
     UnknownField,
     UnknownWord,
 )
-from dcsvec.trees import ARG, COMP, SUBJ, UNKNOWN_FIELD, DcsTree, Edge, Word, unknown_word
+from dcsvec.trees import (
+    ARG,
+    COMP,
+    CORE_FIELDS,
+    POS_TAGS,
+    SUBJ,
+    UNKNOWN_FIELD,
+    DcsTree,
+    Edge,
+    Word,
+    exact_path_weight,
+    hop_fields,
+    path_nodes,
+    unknown_word,
+)
+from dcsvec.ud import convert_sentence, parse_conllu_file
 from dcsvec.vocab import (
     PathSample,
     Vocabulary,
     build_vocab,
+    entry_lines,
     load_vocab,
     path_sample_to_line,
     sample_paths,
     save_vocab,
 )
-from helpers import id_example
+from helpers import id_example, random_tree
 
 
 def w(lemma, pos="N"):
@@ -69,6 +88,63 @@ def test_hand_summed_field_counts():
     assert vocab.field_counts[COMP] == 4.0
     assert vocab.field_counts["in"] == 4.0
     assert vocab.field_counts[ARG] == 8.0
+
+
+def pair_loop_vocab(trees, word_min, prep_min):
+    """Oracle: the vocabulary counted one ordered node pair at a time, both
+    labels of each hop of each path credited with its exact weight."""
+    word_acc, field_acc = {}, {}
+    for tree in trees:
+        n = tree.n_nodes
+        for a in range(n):
+            for b in range(n):
+                if a == b:
+                    continue
+                nodes = path_nodes(tree, a, b)
+                weight = exact_path_weight(tree, nodes)
+                end_word = tree.words[b]
+                word_acc[end_word] = word_acc.get(end_word, Fraction(0)) + weight
+                for u, v in zip(nodes, nodes[1:]):
+                    for f in hop_fields(tree, u, v):
+                        field_acc[f] = field_acc.get(f, Fraction(0)) + weight
+    words = {unknown_word(pos): Fraction(0) for pos in POS_TAGS}
+    for word, c in word_acc.items():
+        kept = c >= word_min and word != unknown_word(word.pos)
+        key = word if kept else unknown_word(word.pos)
+        words[key] = words.get(key, Fraction(0)) + c
+    fields = {f: Fraction(0) for f in CORE_FIELDS + (UNKNOWN_FIELD,)}
+    for f, c in field_acc.items():
+        key = f if f in CORE_FIELDS or (f != UNKNOWN_FIELD and c >= prep_min) else UNKNOWN_FIELD
+        fields[key] = fields.get(key, Fraction(0)) + c
+    preps = sorted((f for f in fields if f not in CORE_FIELDS + (UNKNOWN_FIELD,)), key=lambda f: (-fields[f], f))
+    return Vocabulary(
+        tuple(sorted(words, key=lambda w: (-words[w], w.lemma, w.pos))),
+        CORE_FIELDS + tuple(preps) + (UNKNOWN_FIELD,),
+        {w: float(c) for w, c in words.items()},
+        {f: float(c) for f, c in fields.items()},
+    )
+
+
+def assert_vocab_matches_pair_loop(trees, thresholds):
+    for word_min, prep_min in thresholds:
+        got, want = build_vocab(trees, word_min, prep_min), pair_loop_vocab(trees, word_min, prep_min)
+        assert (got.words, got.fields) == (want.words, want.fields)
+        assert (got.word_counts, got.field_counts) == (want.word_counts, want.field_counts)
+        assert list(entry_lines(got)) == list(entry_lines(want))  # the vocabulary file's lines
+
+
+def test_build_vocab_matches_the_pair_loop_on_worldgen(tmp_path):
+    worldgen.generate_corpus(tmp_path / "corpus.conllu", 300, seed=1)
+    convs = (convert_sentence(s) for s in parse_conllu_file(tmp_path / "corpus.conllu"))
+    trees = [c.tree for c in convs if c is not None and c.tree.n_nodes >= 2]
+    assert_vocab_matches_pair_loop(trees, [(1, 1), (5, 20), (40, 300)])
+
+
+def test_build_vocab_matches_the_pair_loop_on_random_trees():
+    rng = np.random.default_rng(12)
+    trees = [random_tree(rng, int(rng.integers(2, 9)), n_words=6) for _ in range(40)]
+    trees += [random_tree(rng, int(rng.integers(15, 34)), n_words=12) for _ in range(4)]
+    assert_vocab_matches_pair_loop(trees, [(1, 1), (6, 30), (25, 120)])
 
 
 def test_word_threshold_boundary():
